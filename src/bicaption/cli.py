@@ -31,8 +31,9 @@ PROFILES = {
 }
 
 
-def _load_config_file(path, allowed: set[str]) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def _load_config_file(path, keys: dict) -> dict:
+    """Parse key=value lines into values of each key's type."""
+    cfg: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -41,10 +42,16 @@ def _load_config_file(path, allowed: set[str]) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in allowed:
+            key, value = key.strip(), value.strip()
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            cfg[key] = value.strip()
+            try:
+                cfg[key] = keys[key](value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} needs a {keys[key].__name__} "
+                    f"value, got {value!r}"
+                ) from None
     return cfg
 
 
@@ -54,17 +61,14 @@ class Options:
     def __init__(self, args, keys: dict):
         self._cfg = {}
         if getattr(args, "config", None):
-            self._cfg = _load_config_file(args.config, set(keys))
+            self._cfg = _load_config_file(args.config, keys)
         self._args = args
-        self._keys = keys
 
     def get(self, key, default=None):
         flag = getattr(self._args, key, None)
         if flag is not None:
             return flag
-        if key in self._cfg:
-            return self._keys[key](self._cfg[key])
-        return default
+        return self._cfg.get(key, default)
 
 
 def _parse_arch(name: str) -> ArchitectureKind:
@@ -79,6 +83,16 @@ def _read_corpus(captions_path, features_path):
     captions = data_mod.read_captions(captions_path)
     features = data_mod.read_features(features_path)
     return captions, features
+
+
+def _read_vocab(path, m):
+    """The vocab file, which must have one row per checkpoint vocab id."""
+    vocab = data_mod.read_vocab(path)
+    if vocab.size != m.vocab_size:
+        raise DataError(
+            f"{path}: vocab has {vocab.size} words, checkpoint has {m.vocab_size}"
+        )
+    return vocab
 
 
 def _check_feature_dim(m, features, path):
@@ -172,7 +186,7 @@ def cmd_caption(args) -> int:
     beam_k = opt.get("beam", 1)
     max_len = opt.get("max_len", 50)
     m = load_checkpoint(args.checkpoint)
-    vocab = data_mod.read_vocab(args.vocab)
+    vocab = _read_vocab(args.vocab, m)
     features = data_mod.read_features(args.features)
     _check_feature_dim(m, features, args.features)
 
@@ -212,7 +226,7 @@ def cmd_retrieve(args) -> int:
     opt = Options(args, RETRIEVE_KEYS)
     k_list = [int(k) for k in opt.get("k_list", "1,5,10").split(",")]
     m = load_checkpoint(args.checkpoint)
-    vocab = data_mod.read_vocab(args.vocab)
+    vocab = _read_vocab(args.vocab, m)
     captions = data_mod.read_captions(args.captions)
     features = data_mod.read_features(args.features)
     _check_feature_dim(m, features, args.features)
@@ -367,7 +381,7 @@ def cmd_dump_gates(args) -> int:
         raise ConfigError(f"direction must be forward or backward, got {direction!r}")
     max_len = opt.get("max_len", 50)
     m = load_checkpoint(args.checkpoint)
-    vocab = data_mod.read_vocab(args.vocab) if args.vocab else None
+    vocab = _read_vocab(args.vocab, m) if args.vocab else None
     features = data_mod.read_features(args.features)
     _check_feature_dim(m, features, args.features)
 
@@ -491,6 +505,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         name = e.filename if e.filename else e
         print(f"error: file not found: {name}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        where = f"{e.filename}: " if e.filename else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 2
     except ShapeError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -278,7 +278,8 @@ def read_features(path) -> dict[str, np.ndarray]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if (len(header) != 4 or header[0] != FEATURE_MAGIC
-                or header[1] != str(FEATURE_VERSION)):
+                or header[1] != str(FEATURE_VERSION)
+                or not (header[2].isdigit() and header[3].isdigit())):
             raise DataError(f"{path}: bad feature header")
         count, dim = int(header[2]), int(header[3])
         out: dict[str, np.ndarray] = {}
@@ -287,7 +288,10 @@ def read_features(path) -> dict[str, np.ndarray]:
             if not line:
                 raise DataError(f"{path}: expected {count} rows, found {lineno - 2}")
             image_id, _, values = line.rstrip("\n").partition("\t")
-            vec = np.array([float(v) for v in values.split()])
+            try:
+                vec = np.array([float(v) for v in values.split()])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
             if vec.shape[0] != dim:
                 raise DataError(
                     f"{path}:{lineno}: row has {vec.shape[0]} values, header says {dim}"

@@ -10,9 +10,8 @@ import numpy as np
 from .data import BOUNDARY_ID, Vocabulary
 from .errors import ConfigError, DataError, ShapeError
 from .lstm import LstmStepTrace, cell_forward
-from .model import (ArchitectureKind, BACKWARD, CaptionModel, DirectionParams,
-                    FORWARD, _bi_f_preact, bi_s_transition)
-from .numcore import log_softmax, relu, softmax
+from .model import BACKWARD, CaptionModel, DirectionParams, FORWARD, step
+from .numcore import log_softmax, softmax
 
 
 @dataclass
@@ -41,19 +40,10 @@ def _initial_state(m: CaptionModel) -> _DecodeState:
 
 def _decode_step(m: CaptionModel, d: DirectionParams, state: _DecodeState,
                  token: int, feature: np.ndarray):
-    """Advance one step; returns (logits, new_state, t_trace, m_trace)."""
-    x = d.embedding[:, token]
-    t_tr = cell_forward(d.t_lstm, x, state.h1, state.c1)
-    if m.arch == ArchitectureKind.BI_LSTM:
-        text = t_tr.h
-    elif m.arch == ArchitectureKind.BI_S_LSTM:
-        text = bi_s_transition(d.transition.U, d.transition.V, t_tr.h, state.h2)
-    else:
-        text = relu(_bi_f_preact(d.transition.W, d.transition.U,
-                                 d.transition.V, t_tr.h))
-    m_in = np.concatenate([text, feature])
-    m_tr = cell_forward(d.m_lstm, m_in, state.h2, state.c2)
-    logits = m.softmax_w @ m_tr.h + m.softmax_b
+    """Advance one step: the T-LSTM on the token, then the shared
+    `model.step`; returns (logits, new_state, t_trace, m_trace)."""
+    t_tr = cell_forward(d.t_lstm, d.embedding[:, token], state.h1, state.c1)
+    _, _, m_tr, logits = step(m, d, t_tr.h, state.h2, state.c2, feature)
     return logits, _DecodeState(t_tr.h, t_tr.c, m_tr.h, m_tr.c), t_tr, m_tr
 
 
@@ -99,12 +89,9 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
             else:
                 live.append((ext, state, tok))
 
-    if not finished:
-        # only reachable if max_len pruning left nothing, which cannot
-        # happen, but keep a defensive fallback on the live set
-        finished = [hyp for hyp, _, _ in live]
-    best = max(finished, key=lambda h: h.logprob_sum)
-    return best
+    # live only empties once a candidate has finished, and the last
+    # iteration finishes every survivor, so finished is never empty
+    return max(finished, key=lambda h: h.logprob_sum)
 
 
 @dataclass
@@ -163,14 +150,14 @@ def dump_gate_trace(m: CaptionModel, feature: np.ndarray, direction: str,
     t_steps: list[LstmStepTrace] = []
     m_steps: list[LstmStepTrace] = []
     words: list[tuple[int, str, int, float]] = []
-    for step in range(max_len):
+    for t in range(max_len):
         logits, state, t_tr, m_tr = _decode_step(m, d, state, token, feature)
         probs = softmax(logits)
         token = int(np.argmax(probs))
         t_steps.append(t_tr)
         m_steps.append(m_tr)
         word = vocab.id_to_token[token] if vocab is not None else str(token)
-        words.append((step, word, token, float(probs[token])))
+        words.append((t, word, token, float(probs[token])))
         if token == BOUNDARY_ID:
             break
     return GateTrace(direction=direction, t_steps=t_steps, m_steps=m_steps,

@@ -34,16 +34,6 @@ class LstmParams:
         return LstmParams(self.Wx.copy(), self.Wh.copy(), self.b.copy())
 
 
-def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator,
-              scale: float = 0.08) -> LstmParams:
-    """Weights uniform on [-scale, scale], biases zero."""
-    return LstmParams(
-        Wx=rng.uniform(-scale, scale, size=(4 * hidden_dim, input_dim)),
-        Wh=rng.uniform(-scale, scale, size=(4 * hidden_dim, hidden_dim)),
-        b=np.zeros(4 * hidden_dim),
-    )
-
-
 def zeros_lstm(input_dim: int, hidden_dim: int) -> LstmParams:
     return LstmParams(
         Wx=np.zeros((4 * hidden_dim, input_dim)),

@@ -12,6 +12,12 @@ none (plain), a linear stacked transition fed by the T-LSTM output and the
 M-LSTM's previous hidden state, or a relu layer whose output concatenates a
 direct projection of the T-LSTM output (shortcut) with a two-matrix
 bottleneck of it.
+
+`step` is the one place that runs a time step above the T-LSTM
+(transition, M-LSTM, softmax logits), and the only place that branches on
+the architecture in the forward direction. `unroll` loops it over a
+sequence's T-LSTM traces. Teacher-forced training (`direction_forward`),
+the finite-difference gradient check and beam/greedy decoding all run it.
 """
 
 import enum
@@ -257,17 +263,65 @@ def bi_f_transition(W: np.ndarray, U: np.ndarray, V: np.ndarray,
     return relu(_bi_f_preact(W, U, V, h_below))
 
 
+def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
+         h2: np.ndarray, c2: np.ndarray, feature: np.ndarray):
+    """One time step above the T-LSTM: the transition on the T-LSTM output
+    h1, the M-LSTM on the transition output and the image feature from
+    state (h2, c2), and the shared softmax's logits.
+
+    Returns (relu pre-activation | None, transition output | None, M-LSTM
+    trace, logits). Training, gradient checking, decoding and gate tracing
+    all run this one function, so their numbers agree bit for bit.
+    """
+    pre = act = None
+    if m.arch == ArchitectureKind.BI_LSTM:
+        text = h1
+    elif m.arch == ArchitectureKind.BI_S_LSTM:
+        text = act = bi_s_transition(d.transition.U, d.transition.V, h1, h2)
+    else:
+        pre = _bi_f_preact(d.transition.W, d.transition.U, d.transition.V, h1)
+        text = act = relu(pre)
+    m_tr = cell_forward(d.m_lstm, np.concatenate([text, feature]), h2, c2)
+    return pre, act, m_tr, m.softmax_w @ m_tr.h + m.softmax_b
+
+
+def unroll(m: CaptionModel, d: DirectionParams, t_traces, feature: np.ndarray):
+    """Run `step` over a sequence's T-LSTM traces from a zero M-LSTM state.
+
+    Returns per-step lists (relu pre-activations, transition outputs, M-LSTM
+    traces, logits); a transition list is empty when the architecture has
+    no such value.
+    """
+    preacts: list[np.ndarray] = []
+    acts: list[np.ndarray] = []
+    m_traces: list[LstmStepTrace] = []
+    logits_seq: list[np.ndarray] = []
+    h2 = np.zeros(m.hidden_dim)
+    c2 = np.zeros(m.hidden_dim)
+    for t_tr in t_traces:
+        pre, act, m_tr, logits = step(m, d, t_tr.h, h2, c2, feature)
+        if act is not None:
+            acts.append(act)
+        if pre is not None:
+            preacts.append(pre)
+        m_traces.append(m_tr)
+        logits_seq.append(logits)
+        h2, c2 = m_tr.h, m_tr.c
+    return preacts, acts, m_traces, logits_seq
+
+
 @dataclass
 class ForwardPassRecord:
-    """Everything one direction's forward pass produced, backward-ready."""
+    """Everything one direction's forward pass produced, backward-ready.
+    The transition lists are empty where the architecture has none."""
 
     direction: str
     tokens: list[int]
     feature: np.ndarray
     t_traces: list[LstmStepTrace]
     m_traces: list[LstmStepTrace]
-    transition_activations: list[np.ndarray] | None
-    transition_preacts: list[np.ndarray] | None
+    transition_activations: list[np.ndarray]
+    transition_preacts: list[np.ndarray]
     logits: list[np.ndarray]
     probs: list[np.ndarray]
 
@@ -293,44 +347,13 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
             raise VocabError(f"token id {t} outside vocabulary of size {m.vocab_size}")
 
     d = m.direction(direction)
-    arch = m.arch
-    H = m.hidden_dim
-    xs = [d.embedding[:, t] for t in tokens]
-    t_traces = sequence_forward(d.t_lstm, xs)
-
-    m_traces: list[LstmStepTrace] = []
-    trans_acts: list[np.ndarray] | None = None if arch == ArchitectureKind.BI_LSTM else []
-    trans_pre: list[np.ndarray] | None = [] if arch == ArchitectureKind.BI_F_LSTM else None
-    logits_seq: list[np.ndarray] = []
-    probs_seq: list[np.ndarray] = []
-
-    h2 = np.zeros(H)
-    c2 = np.zeros(H)
-    for tr in t_traces:
-        if arch == ArchitectureKind.BI_LSTM:
-            text = tr.h
-        elif arch == ArchitectureKind.BI_S_LSTM:
-            text = bi_s_transition(d.transition.U, d.transition.V, tr.h, h2)
-            trans_acts.append(text)
-        else:
-            pre = _bi_f_preact(d.transition.W, d.transition.U,
-                               d.transition.V, tr.h)
-            text = relu(pre)
-            trans_pre.append(pre)
-            trans_acts.append(text)
-        m_in = np.concatenate([text, feature])
-        m_tr = cell_forward(d.m_lstm, m_in, h2, c2)
-        m_traces.append(m_tr)
-        h2, c2 = m_tr.h, m_tr.c
-        logits = m.softmax_w @ h2 + m.softmax_b
-        logits_seq.append(logits)
-        probs_seq.append(softmax(logits))
-
+    t_traces = sequence_forward(d.t_lstm, [d.embedding[:, t] for t in tokens])
+    preacts, acts, m_traces, logits_seq = unroll(m, d, t_traces, feature)
     return ForwardPassRecord(
         direction=direction, tokens=tokens, feature=feature,
         t_traces=t_traces, m_traces=m_traces,
-        transition_activations=trans_acts, transition_preacts=trans_pre,
-        logits=logits_seq, probs=probs_seq,
+        transition_activations=acts, transition_preacts=preacts,
+        logits=logits_seq, probs=[softmax(z) for z in logits_seq],
     )
 
 

@@ -10,26 +10,6 @@ import numpy as np
 from .errors import ShapeError
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, raising ShapeError otherwise."""
-    v = np.ascontiguousarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got array of shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ShapeError("vector contains non-finite entries")
-    return v
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, raising ShapeError otherwise."""
-    m = np.ascontiguousarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a matrix, got array of shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeError("matrix contains non-finite entries")
-    return m
-
-
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product with an explicit shape check."""
     if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:

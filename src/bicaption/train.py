@@ -10,11 +10,11 @@ import numpy as np
 
 from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
-from .lstm import cell_forward
+from .lstm import LstmStepTrace, sequence_forward
 from .model import (ArchitectureKind, BACKWARD, CaptionModel, FORWARD,
-                    ForwardPassRecord, _bi_f_preact, bi_s_transition,
-                    direction_forward, is_bias_block, model_backward)
-from .numcore import log_softmax, relu
+                    ForwardPassRecord, direction_forward, is_bias_block,
+                    model_backward, unroll)
+from .numcore import log_softmax
 
 
 @dataclass
@@ -232,13 +232,12 @@ def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
 class _FdPass:
     """One direction's finite-difference forward: the negated sum of target
     log-probabilities, the relu transition sign bytes (empty for the other
-    architectures), and the per-step hidden states of the T-LSTM (h1) and
-    the M-LSTM (h2)."""
+    architectures), and the per-step traces of the T-LSTM and the M-LSTM."""
 
     nll: float
     signs: bytes
-    h1: list[np.ndarray]
-    h2: list[np.ndarray]
+    t_traces: list[LstmStepTrace]
+    m_traces: list[LstmStepTrace]
 
 
 # The first layer a finite-difference pass recomputes.
@@ -257,58 +256,35 @@ def _fd_plan(name: str) -> tuple[tuple[str, ...], int]:
 
 def _fd_direction(m: CaptionModel, ex: CaptionedExample, direction: str,
                   base: _FdPass | None = None, first: int = _T_LSTM) -> _FdPass:
-    """One direction of the finite-difference forward.
+    """One direction of the finite-difference forward: the shared
+    `model.unroll` over the direction's T-LSTM traces, without the
+    probabilities that only training's backward pass reads.
 
     With `base`, a pass of the same direction on the unperturbed model, the
     layers below `first` are taken from it rather than recomputed:
-    _ABOVE_T_LSTM reuses its T-LSTM states, _SOFTMAX also its relu signs
-    and M-LSTM states. Everything that is recomputed runs the operations of
-    the full pass in the same order on bitwise equal inputs, so the result
-    is bitwise that of the full pass whenever the reused layers' parameters
-    are those of `base`.
+    _ABOVE_T_LSTM unrolls over its T-LSTM traces, _SOFTMAX runs only the
+    logits over its M-LSTM traces and keeps its relu signs. Everything that
+    is recomputed runs the operations of the full pass in the same order on
+    bitwise equal inputs, so the result is bitwise that of the full pass
+    whenever the reused layers' parameters are those of `base`.
     """
     inputs, targets = direction_io(ex.tokens, direction)
-    logprob_sum = 0.0
     if first == _SOFTMAX:
-        for h2, tgt in zip(base.h2, targets):
-            logits = m.softmax_w @ h2 + m.softmax_b
-            logprob_sum += log_softmax(logits)[tgt]
-        return _FdPass(-logprob_sum, base.signs, base.h1, base.h2)
-
-    d = m.direction(direction)
-    is_bif = m.arch == ArchitectureKind.BI_F_LSTM
-    is_bis = m.arch == ArchitectureKind.BI_S_LSTM
-    H = m.hidden_dim
-    h1s = base.h1 if first == _ABOVE_T_LSTM else []
-    h2s: list[np.ndarray] = []
-    sign_parts: list[bytes] = []
-    h1 = np.zeros(H)
-    c1 = np.zeros(H)
-    h2 = np.zeros(H)
-    c2 = np.zeros(H)
-    for t, (tok, tgt) in enumerate(zip(inputs, targets)):
+        t_traces, m_traces, signs = base.t_traces, base.m_traces, base.signs
+        logits_seq = [m.softmax_w @ tr.h + m.softmax_b for tr in m_traces]
+    else:
+        d = m.direction(direction)
         if first == _ABOVE_T_LSTM:
-            h1 = h1s[t]
+            t_traces = base.t_traces
         else:
-            t_tr = cell_forward(d.t_lstm, d.embedding[:, tok], h1, c1)
-            h1, c1 = t_tr.h, t_tr.c
-            h1s.append(h1)
-        if is_bis:
-            text = bi_s_transition(d.transition.U, d.transition.V, h1, h2)
-        elif is_bif:
-            pre = _bi_f_preact(d.transition.W, d.transition.U,
-                               d.transition.V, h1)
-            sign_parts.append((pre > 0.0).tobytes())
-            text = relu(pre)
-        else:
-            text = h1
-        m_tr = cell_forward(d.m_lstm, np.concatenate([text, ex.feature]),
-                            h2, c2)
-        h2, c2 = m_tr.h, m_tr.c
-        h2s.append(h2)
-        logits = m.softmax_w @ h2 + m.softmax_b
+            t_traces = sequence_forward(
+                d.t_lstm, [d.embedding[:, tok] for tok in inputs])
+        preacts, _, m_traces, logits_seq = unroll(m, d, t_traces, ex.feature)
+        signs = b"".join((pre > 0.0).tobytes() for pre in preacts)
+    logprob_sum = 0.0
+    for logits, tgt in zip(logits_seq, targets):
         logprob_sum += log_softmax(logits)[tgt]
-    return _FdPass(-logprob_sum, b"".join(sign_parts), h1s, h2s)
+    return _FdPass(-logprob_sum, signs, t_traces, m_traces)
 
 
 def _fd_joint(fwd: _FdPass, bwd: _FdPass) -> tuple[float, bytes]:
@@ -325,10 +301,11 @@ def _fd_loss_and_signs(m: CaptionModel, ex: CaptionedExample):
     architecture) the sign pattern of every transition pre-activation, used
     to reject kink-crossing perturbations.
 
-    This is joint_loss with the trace/record bookkeeping stripped out; the
-    arithmetic (operations and their order) is identical, and a test pins
-    the two to exact equality. grad_check gets the same numbers from
-    _fd_direction while recomputing only what a perturbation changes.
+    Each direction runs the shared `model.unroll` that joint_loss runs
+    through direction_forward, minus the probabilities, so the arithmetic
+    is identical and a test pins the two to exact equality. grad_check gets
+    the same numbers from _fd_direction while recomputing only what a
+    perturbation changes.
     """
     total, signs = _fd_joint(_fd_direction(m, ex, FORWARD),
                              _fd_direction(m, ex, BACKWARD))
@@ -415,7 +392,8 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
 
     Each finite-difference loss is the one _fd_loss_and_signs gives, bit
     for bit, but only the work a perturbation can change is redone. Both
-    directions are unrolled once on the unperturbed model. A fwd.* or bwd.*
+    directions are unrolled once on the unperturbed model with the shared
+    `model.unroll`, which every rerun calls again. A fwd.* or bwd.*
     perturbation reruns only its own direction and reuses the other one's
     loss and relu signs; an M-LSTM or transition block also reuses its
     direction's T-LSTM states, and a softmax block reruns only the softmax

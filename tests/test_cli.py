@@ -2,7 +2,7 @@ import pytest
 
 from bicaption.checkpoint import load_checkpoint, save_checkpoint
 from bicaption.cli import main
-from bicaption.data import (make_toy_dataset, toy_caption_text,
+from bicaption.data import (Vocabulary, make_toy_dataset, toy_caption_text,
                             write_captions, write_features, write_vocab)
 from bicaption.model import ArchitectureKind
 
@@ -72,6 +72,26 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert "nope.feat" in err
 
+    def test_non_numeric_feature_value_exits_2(self, tmp_path, capsys):
+        vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
+        captions, features, _ = write_corpus(tmp_path, vocab, examples)
+        lines = features.read_text().splitlines()
+        lines[2] = lines[2].replace(" ", " abc ", 1)
+        features.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--captions", str(captions), "--features",
+                   str(features), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{features}:3:" in err
+
+        lines[0] = lines[0].replace(" 4 ", " four ")
+        features.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--captions", str(captions), "--features",
+                   str(features), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "bad feature header" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
         captions, features, _ = write_corpus(tmp_path, vocab, examples)
@@ -134,6 +154,27 @@ class TestCaptionCommand:
                    "--features", str(bad), "--vocab", str(toy_files["vocab"])])
         assert rc == 3
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_non_integer_config_value_exits_2(self, toy_files, tmp_path,
+                                              capsys):
+        config = tmp_path / "caption.cfg"
+        config.write_text("beam=2\nmax_len=abc\n")
+        rc = main(["caption", "--checkpoint", str(toy_files["ckpt"]),
+                   "--features", str(toy_files["features"]),
+                   "--vocab", str(toy_files["vocab"]), "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{config}:2:" in err
+
+    def test_checkpoint_directory_exits_2(self, toy_files, capsys):
+        rc = main(["caption", "--checkpoint", str(toy_files["dir"]),
+                   "--features", str(toy_files["features"]),
+                   "--vocab", str(toy_files["vocab"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(toy_files["dir"]) in err
 
     def test_gate_dump_files(self, toy_files, toy_overfit, capsys, tmp_path):
         gates_dir = tmp_path / "gates"
@@ -308,6 +349,28 @@ class TestFullPipeline:
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 8
         assert all("," in row for row in rows)
+
+
+class TestVocabMismatch:
+    @pytest.mark.parametrize("command", ["caption", "retrieve", "dump-gates"])
+    def test_vocab_size_differing_from_checkpoint_exits_2(
+            self, command, toy_files, toy_overfit, tmp_path, capsys):
+        words = {i: toy_overfit.vocab.id_to_token[i] for i in range(4)}
+        small = tmp_path / "small.vocab"
+        write_vocab(small, Vocabulary({w: i for i, w in words.items()}, words))
+        argv = [command, "--checkpoint", str(toy_files["ckpt"]),
+                "--features", str(toy_files["features"]),
+                "--vocab", str(small)]
+        if command == "retrieve":
+            argv += ["--captions", str(toy_files["captions"])]
+        if command == "dump-gates":
+            argv += ["--out-dir", str(tmp_path / "traces")]
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "small.vocab" in captured.err
 
 
 class TestConsoleScript:

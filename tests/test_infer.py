@@ -9,7 +9,7 @@ from bicaption.infer import (GATE_HEADER, Hypothesis, WORDS_HEADER,
                              gate_trace_rows, select_final_caption,
                              words_rows, write_gate_trace)
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
-                             random_model)
+                             direction_forward, random_model)
 
 from oracles import enumerate_best_hypothesis, greedy_decode_loop
 
@@ -48,6 +48,22 @@ class TestDecodeDirection:
             tokens, logprob = greedy_decode_loop(m, direction, feature, 8)
             assert hyp.tokens == tokens, seed
             assert abs(hyp.logprob_sum - logprob) < 1e-9
+
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_decoding_and_teacher_forcing_share_one_step(self, arch):
+        # feeding a fixed sequence to the decoder one token at a time gives,
+        # bit for bit, the logits of the teacher-forced pass over it
+        m = random_model(arch, 6, 3, 4, 4, seed=4, scale=0.8)
+        feature = np.random.default_rng(4).uniform(-1, 1, 3)
+        tokens = [BOUNDARY_ID, 3, 5, 2, 2, 4, 1]
+        for direction in (FORWARD, BACKWARD):
+            rec = direction_forward(m, direction, tokens, feature)
+            d = m.direction(direction)
+            state = infer_mod._initial_state(m)
+            for t, token in enumerate(tokens):
+                logits, state, _, _ = infer_mod._decode_step(
+                    m, d, state, token, feature)
+                assert np.array_equal(logits, rec.logits[t]), (direction, t)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
     def test_beam_three_matches_exhaustive_enumeration(self, seed):

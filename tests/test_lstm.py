@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bicaption.errors import ShapeError
-from bicaption.lstm import (LstmParams, cell_forward, init_lstm,
-                            sequence_backward, sequence_forward, zeros_lstm)
+from bicaption.lstm import (LstmParams, cell_forward, sequence_backward,
+                            sequence_forward, zeros_lstm)
 
 from oracles import central_difference_grad, max_rel_err, scalar_lstm_forward
 
@@ -228,11 +228,3 @@ class TestSequenceBackward:
         traces = sequence_forward(p, [np.zeros(2)] * 2)
         with pytest.raises(ShapeError):
             sequence_backward(p, traces, [np.zeros(3)])
-
-
-class TestInit:
-    def test_init_range_and_zero_bias(self):
-        p = init_lstm(4, 5, np.random.default_rng(0))
-        assert np.all(np.abs(p.Wx) <= 0.08)
-        assert np.all(np.abs(p.Wh) <= 0.08)
-        np.testing.assert_array_equal(p.b, np.zeros(20))

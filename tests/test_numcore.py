@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bicaption.errors import ShapeError
-from bicaption.numcore import (as_matrix, as_vector, log_softmax, matvec,
-                               relu, sigmoid, softmax, tanh_act)
+from bicaption.numcore import (log_softmax, matvec, relu, sigmoid, softmax,
+                               tanh_act)
 
 
 class TestMatvec:
@@ -133,17 +133,3 @@ class TestRelu:
         v = rng.normal(size=64)
         once = relu(v)
         np.testing.assert_array_equal(relu(once), once)
-
-
-class TestCoercions:
-    def test_as_vector_rejects_matrix(self):
-        with pytest.raises(ShapeError):
-            as_vector(np.zeros((2, 2)))
-
-    def test_as_matrix_rejects_nan(self):
-        with pytest.raises(ShapeError):
-            as_matrix(np.array([[np.nan, 0.0]]))
-
-    def test_as_vector_rejects_inf(self):
-        with pytest.raises(ShapeError):
-            as_vector(np.array([np.inf]))
