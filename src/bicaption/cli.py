@@ -34,24 +34,23 @@ PROFILES = {
 def _load_config_file(path, keys: dict) -> dict:
     """Parse key=value lines into values of each key's type."""
     cfg: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in keys:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                cfg[key] = keys[key](value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} needs a {keys[key].__name__} "
-                    f"value, got {value!r}"
-                ) from None
+    for lineno, line in enumerate(data_mod.text_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            cfg[key] = keys[key](value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: {key} needs a {keys[key].__name__} "
+                f"value, got {value!r}"
+            ) from None
     return cfg
 
 
@@ -224,7 +223,12 @@ RETRIEVE_KEYS = {"k_list": str}
 
 def cmd_retrieve(args) -> int:
     opt = Options(args, RETRIEVE_KEYS)
-    k_list = [int(k) for k in opt.get("k_list", "1,5,10").split(",")]
+    k_text = opt.get("k_list", "1,5,10")
+    try:
+        k_list = [int(k) for k in k_text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"k_list needs comma-separated integers, got {k_text!r}") from None
     m = load_checkpoint(args.checkpoint)
     vocab = _read_vocab(args.vocab, m)
     captions = data_mod.read_captions(args.captions)
@@ -343,17 +347,20 @@ def cmd_augment_plan(args) -> int:
 
     if args.dims_file:
         entries = []
-        with open(args.dims_file, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(
-                        f"{args.dims_file}:{lineno}: expected image_id<TAB>w<TAB>h"
-                    )
+        for lineno, line in enumerate(data_mod.text_lines(args.dims_file), 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(
+                    f"{args.dims_file}:{lineno}: expected image_id<TAB>w<TAB>h"
+                )
+            try:
                 entries.append((parts[0], int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise DataError(f"{args.dims_file}:{lineno}: width and "
+                                "height must be integers") from None
     else:
         if args.width is None or args.height is None:
             raise ConfigError("augment-plan needs --dims-file or --width/--height")
@@ -412,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="key=value file; flags win on conflict")
-        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--captions", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--val-captions")
@@ -464,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--arch", choices=sorted(ARCH_BY_NAME))
     p.add_argument("--vocab-size", type=int)
     p.add_argument("--feature-dim", type=int)

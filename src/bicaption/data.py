@@ -247,17 +247,26 @@ def toy_caption_text(vocab: Vocabulary, ex: CaptionedExample) -> str:
 # file I/O
 # ---------------------------------------------------------------------------
 
+def text_lines(path):
+    """Yield the lines of a UTF-8 text file; a file that is not UTF-8
+    raises a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def read_captions(path) -> list[tuple[str, str]]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}:{lineno}: expected image_id<TAB>caption")
-            image_id, text = line.split("\t", 1)
-            out.append((image_id, text))
+    for lineno, line in enumerate(text_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DataError(f"{path}:{lineno}: expected image_id<TAB>caption")
+        image_id, text = line.split("\t", 1)
+        out.append((image_id, text))
     if not out:
         raise DataError(f"{path}: no captions")
     return out
@@ -275,30 +284,35 @@ FEATURE_VERSION = 1
 
 def read_features(path) -> dict[str, np.ndarray]:
     """Parse a feature file into an ordered image_id -> vector map."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if (len(header) != 4 or header[0] != FEATURE_MAGIC
-                or header[1] != str(FEATURE_VERSION)
-                or not (header[2].isdigit() and header[3].isdigit())):
-            raise DataError(f"{path}: bad feature header")
-        count, dim = int(header[2]), int(header[3])
-        out: dict[str, np.ndarray] = {}
-        for lineno in range(2, count + 2):
-            line = fh.readline()
-            if not line:
-                raise DataError(f"{path}: expected {count} rows, found {lineno - 2}")
-            image_id, _, values = line.rstrip("\n").partition("\t")
-            try:
-                vec = np.array([float(v) for v in values.split()])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
-            if vec.shape[0] != dim:
-                raise DataError(
-                    f"{path}:{lineno}: row has {vec.shape[0]} values, header says {dim}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            out[image_id] = vec
+    lines = text_lines(path)
+    header = next(lines, "").split()
+    if (len(header) != 4 or header[0] != FEATURE_MAGIC
+            or header[1] != str(FEATURE_VERSION)
+            or not (header[2].isdigit() and header[3].isdigit())):
+        raise DataError(f"{path}: bad feature header")
+    count, dim = int(header[2]), int(header[3])
+    out: dict[str, np.ndarray] = {}
+    for lineno in range(2, count + 2):
+        line = next(lines, "")
+        if not line:
+            raise DataError(f"{path}: expected {count} rows, found {lineno - 2}")
+        image_id, _, values = line.rstrip("\n").partition("\t")
+        if image_id in out:
+            raise DataError(f"{path}:{lineno}: repeated image id {image_id!r}")
+        try:
+            vec = np.array([float(v) for v in values.split()])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
+        if vec.shape[0] != dim:
+            raise DataError(
+                f"{path}:{lineno}: row has {vec.shape[0]} values, header says {dim}"
+            )
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        out[image_id] = vec
+    for lineno, line in enumerate(lines, count + 2):
+        if line.strip():
+            raise DataError(f"{path}:{lineno}: row past the header's count {count}")
     if not out:
         raise DataError(f"{path}: no feature rows")
     return out
@@ -318,15 +332,14 @@ def read_vocab(path) -> Vocabulary:
     token_to_id: dict[str, int] = {}
     id_to_token: dict[int, str] = {}
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for idx, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            tok, _, count = line.partition("\t")
-            token_to_id[tok] = idx
-            id_to_token[idx] = tok
-            counts[tok] = int(count) if count else 0
+    for idx, line in enumerate(text_lines(path)):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        tok, _, count = line.partition("\t")
+        token_to_id[tok] = idx
+        id_to_token[idx] = tok
+        counts[tok] = int(count) if count else 0
     if token_to_id.get(BOUNDARY_TOKEN) != BOUNDARY_ID or token_to_id.get(UNK_TOKEN) != UNK_ID:
         raise DataError(f"{path}: reserved rows missing or out of order")
     return Vocabulary(token_to_id, id_to_token, counts)

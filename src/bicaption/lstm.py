@@ -3,10 +3,12 @@
 The four gates are packed into one 4H-row block in fixed order (i, f, o, g),
 so a step costs two matvecs. Step traces keep every intermediate needed by
 the backward pass, so nothing is recomputed during backpropagation through
-time except tanh(c), which is cheap.
+time except tanh(c), which is cheap. A backward step mutates nothing: it
+returns its gate gradient, and the weight gradients are formed once per
+sequence from those stacked rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,22 +61,13 @@ class LstmStepTrace:
 
 @dataclass
 class LstmGrads:
-    """Parameter gradients summed over time, plus per-step input gradients."""
+    """Parameter gradients summed over time, plus per-step input gradients
+    (one row per step)."""
 
     dWx: np.ndarray
     dWh: np.ndarray
     db: np.ndarray
-    dx_seq: list = field(default_factory=list)
-    dh0: np.ndarray | None = None
-    dc0: np.ndarray | None = None
-
-
-def zero_grads(p: LstmParams) -> LstmGrads:
-    return LstmGrads(
-        dWx=np.zeros_like(p.Wx),
-        dWh=np.zeros_like(p.Wh),
-        db=np.zeros_like(p.b),
-    )
+    dx_seq: np.ndarray
 
 
 def cell_forward(p: LstmParams, x: np.ndarray, h_prev: np.ndarray,
@@ -103,11 +96,10 @@ def cell_forward(p: LstmParams, x: np.ndarray, h_prev: np.ndarray,
                          c_prev=c_prev, h_prev=h_prev)
 
 
-def sequence_forward(p: LstmParams, xs, h0: np.ndarray | None = None,
-                     c0: np.ndarray | None = None) -> list[LstmStepTrace]:
-    """Run the cell over a sequence; initial state defaults to zeros."""
-    h = np.zeros(p.hidden_dim) if h0 is None else h0
-    c = np.zeros(p.hidden_dim) if c0 is None else c0
+def sequence_forward(p: LstmParams, xs) -> list[LstmStepTrace]:
+    """Run the cell over a sequence from a zero initial state."""
+    h = np.zeros(p.hidden_dim)
+    c = np.zeros(p.hidden_dim)
     traces = []
     for x in xs:
         tr = cell_forward(p, x, h, c)
@@ -117,9 +109,10 @@ def sequence_forward(p: LstmParams, xs, h0: np.ndarray | None = None,
 
 
 def cell_backward(p: LstmParams, trace: LstmStepTrace, dh: np.ndarray,
-                  dc: np.ndarray, grads: LstmGrads):
-    """Backward through one step. Accumulates dWx/dWh/db into `grads` and
-    returns (dx, dh_prev, dc_prev)."""
+                  dc: np.ndarray):
+    """Backward through one step. Returns (da, dx, dh_prev, dc_prev), where
+    da is the gradient of the gate pre-activations; the weight gradients
+    are formed once per sequence from the stacked da rows (weight_grads)."""
     H = p.hidden_dim
     tanh_c = np.tanh(trace.c)
     do = dh * tanh_c
@@ -134,36 +127,34 @@ def cell_backward(p: LstmParams, trace: LstmStepTrace, dh: np.ndarray,
     da[H:2 * H] = df * trace.f * (1.0 - trace.f)
     da[2 * H:3 * H] = do * trace.o * (1.0 - trace.o)
     da[3 * H:] = dg * (1.0 - trace.g * trace.g)
-
-    grads.dWx += np.outer(da, trace.x)
-    grads.dWh += np.outer(da, trace.h_prev)
-    grads.db += da
-    dx = p.Wx.T @ da
-    dh_prev = p.Wh.T @ da
-    return dx, dh_prev, dc_prev
+    return da, p.Wx.T @ da, p.Wh.T @ da, dc_prev
 
 
-def sequence_backward(p: LstmParams, traces, dh_seq, dh_final=None,
-                      dc_final=None) -> LstmGrads:
+def weight_grads(p: LstmParams, traces, da: np.ndarray):
+    """(dWx, dWh, db) summed over a sequence: one product each of the
+    (T, 4H) gate gradients with the stacked step inputs and previous
+    hidden states."""
+    T = len(traces)
+    xs = np.array([tr.x for tr in traces]).reshape(T, p.input_dim)
+    h_prevs = np.array([tr.h_prev for tr in traces]).reshape(T, p.hidden_dim)
+    return da.T @ xs, da.T @ h_prevs, da.sum(axis=0)
+
+
+def sequence_backward(p: LstmParams, traces, dh_seq) -> LstmGrads:
     """Backpropagation through time over a recorded forward pass.
 
-    dh_seq[t] is the loss gradient flowing into h_t from layers above;
-    dh_final/dc_final are extra gradients into the last step's state.
+    dh_seq[t] is the loss gradient flowing into h_t from layers above.
     """
     if len(traces) != len(dh_seq):
         raise ShapeError(
             f"{len(traces)} traces but {len(dh_seq)} upstream gradients"
         )
-    grads = zero_grads(p)
-    H = p.hidden_dim
-    dh_carry = np.zeros(H) if dh_final is None else dh_final.copy()
-    dc_carry = np.zeros(H) if dc_final is None else dc_final.copy()
-    dx_rev = []
-    for t in range(len(traces) - 1, -1, -1):
-        dh = dh_seq[t] + dh_carry
-        dx, dh_carry, dc_carry = cell_backward(p, traces[t], dh, dc_carry, grads)
-        dx_rev.append(dx)
-    grads.dx_seq = dx_rev[::-1]
-    grads.dh0 = dh_carry
-    grads.dc0 = dc_carry
-    return grads
+    T, H = len(traces), p.hidden_dim
+    da = np.empty((T, 4 * H))
+    dx = np.empty((T, p.input_dim))
+    dh_carry = np.zeros(H)
+    dc_carry = np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        da[t], dx[t], dh_carry, dc_carry = cell_backward(
+            p, traces[t], dh_seq[t] + dh_carry, dc_carry)
+    return LstmGrads(*weight_grads(p, traces, da), dx_seq=dx)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, VocabError
 from .lstm import (LstmParams, LstmStepTrace, cell_backward, cell_forward,
-                   sequence_backward, sequence_forward, zero_grads, zeros_lstm)
+                   sequence_backward, sequence_forward, weight_grads,
+                   zeros_lstm)
 from .numcore import matvec, relu, softmax
 
 FORWARD = "forward"
@@ -360,87 +361,70 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
 def model_backward(m: CaptionModel, rec: ForwardPassRecord,
                    targets) -> dict[str, np.ndarray]:
     """Gradients of the summed cross-entropy  sum_t -log probs[t][targets[t]]
-    for the record's direction, keyed by block name (softmax included)."""
+    for the record's direction, keyed by block name (softmax included).
+    Each weight gradient is one product over time of per-step rows; only
+    the M-LSTM recurrence runs step by step."""
     targets = list(targets)
     T = len(rec)
     if len(targets) != T:
         raise ShapeError(f"{T} steps but {len(targets)} targets")
 
     d = m.direction(rec.direction)
-    arch = m.arch
     prefix = "fwd" if rec.direction == FORWARD else "bwd"
     H = m.hidden_dim
     tw = d.m_lstm.input_dim - m.feature_dim  # text-side width
-
-    d_softmax_w = np.zeros_like(m.softmax_w)
-    d_softmax_b = np.zeros_like(m.softmax_b)
-    dh2_soft = []
-    for t in range(T):
-        dlogit = rec.probs[t].copy()
-        dlogit[targets[t]] -= 1.0
-        d_softmax_w += np.outer(dlogit, rec.m_traces[t].h)
-        d_softmax_b += dlogit
-        dh2_soft.append(m.softmax_w.T @ dlogit)
-
-    m_grads = zero_grads(d.m_lstm)
     tr_params = d.transition
-    dU = dV = dW = None
-    if tr_params is not None:
-        dU = np.zeros_like(tr_params.U)
-        dV = np.zeros_like(tr_params.V)
-        if tr_params.W is not None:
-            dW = np.zeros_like(tr_params.W)
 
-    dh1_seq = [np.zeros(H) for _ in range(T)]
+    dlogits = np.array(rec.probs).reshape(T, m.vocab_size)
+    dlogits[np.arange(T), targets] -= 1.0
+    dh2_soft = dlogits @ m.softmax_w
+    h2s = np.array([tr.h for tr in rec.m_traces]).reshape(T, H)
+
+    m_da = np.empty((T, 4 * H))
+    d_text = np.empty((T, tw))
     dh2_carry = np.zeros(H)
     dc2_carry = np.zeros(H)
     for t in range(T - 1, -1, -1):
-        dh2 = dh2_soft[t] + dh2_carry
-        dm_in, dh2_carry, dc2_carry = cell_backward(
-            d.m_lstm, rec.m_traces[t], dh2, dc2_carry, m_grads)
-        d_text = dm_in[:tw]
-        h1 = rec.t_traces[t].h
-        if arch == ArchitectureKind.BI_LSTM:
-            dh1_seq[t] += d_text
-        elif arch == ArchitectureKind.BI_S_LSTM:
-            h2_prev = rec.m_traces[t].h_prev
-            dU += np.outer(d_text, h1)
-            dV += np.outer(d_text, h2_prev)
-            dh1_seq[t] += tr_params.U.T @ d_text
+        m_da[t], dm_in, dh2_carry, dc2_carry = cell_backward(
+            d.m_lstm, rec.m_traces[t], dh2_soft[t] + dh2_carry, dc2_carry)
+        d_text[t] = dm_in[:tw]
+        if m.arch == ArchitectureKind.BI_S_LSTM:
             # the stacked transition also reads the previous M hidden state
-            dh2_carry = dh2_carry + tr_params.V.T @ d_text
-        else:
-            pre = rec.transition_preacts[t]
-            dpre = d_text * (pre > 0.0)
-            ww = tr_params.W.shape[0]
-            dpre_w, dpre_v = dpre[:ww], dpre[ww:]
-            a = tr_params.U @ h1
-            dW += np.outer(dpre_w, h1)
-            dV += np.outer(dpre_v, a)
-            da = tr_params.V.T @ dpre_v
-            dU += np.outer(da, h1)
-            dh1_seq[t] += tr_params.W.T @ dpre_w + tr_params.U.T @ da
+            dh2_carry = dh2_carry + tr_params.V.T @ d_text[t]
+    dmWx, dmWh, dmb = weight_grads(d.m_lstm, rec.m_traces, m_da)
 
-    t_grads = sequence_backward(d.t_lstm, rec.t_traces, dh1_seq)
+    h1s = np.array([tr.h for tr in rec.t_traces]).reshape(T, H)
+    trans = {}
+    if m.arch == ArchitectureKind.BI_LSTM:
+        dh1 = d_text
+    elif m.arch == ArchitectureKind.BI_S_LSTM:
+        h2_prevs = np.array([tr.h_prev for tr in rec.m_traces]).reshape(T, H)
+        trans["U"] = d_text.T @ h1s
+        trans["V"] = d_text.T @ h2_prevs
+        dh1 = d_text @ tr_params.U
+    else:
+        ww = tr_params.W.shape[0]
+        dpre = d_text * (np.array(rec.transition_preacts).reshape(T, tw) > 0.0)
+        dpre_w, dpre_v = dpre[:, :ww], dpre[:, ww:]
+        du = dpre_v @ tr_params.V
+        trans["U"] = du.T @ h1s
+        trans["V"] = dpre_v.T @ (h1s @ tr_params.U.T)
+        trans["W"] = dpre_w.T @ h1s
+        dh1 = dpre_w @ tr_params.W + du @ tr_params.U
 
+    t_grads = sequence_backward(d.t_lstm, rec.t_traces, dh1)
     d_emb = np.zeros_like(d.embedding)
-    for t, tok in enumerate(rec.tokens):
-        d_emb[:, tok] += t_grads.dx_seq[t]
+    np.add.at(d_emb.T, rec.tokens, t_grads.dx_seq)
 
-    out = {
+    return {
         f"{prefix}.embedding": d_emb,
         f"{prefix}.t_lstm.Wx": t_grads.dWx,
         f"{prefix}.t_lstm.Wh": t_grads.dWh,
         f"{prefix}.t_lstm.b": t_grads.db,
-        f"{prefix}.m_lstm.Wx": m_grads.dWx,
-        f"{prefix}.m_lstm.Wh": m_grads.dWh,
-        f"{prefix}.m_lstm.b": m_grads.db,
-        "softmax_w": d_softmax_w,
-        "softmax_b": d_softmax_b,
+        f"{prefix}.m_lstm.Wx": dmWx,
+        f"{prefix}.m_lstm.Wh": dmWh,
+        f"{prefix}.m_lstm.b": dmb,
+        "softmax_w": dlogits.T @ h2s,
+        "softmax_b": dlogits.sum(axis=0),
+        **{f"{prefix}.trans.{name}": g for name, g in trans.items()},
     }
-    if dU is not None:
-        out[f"{prefix}.trans.U"] = dU
-        out[f"{prefix}.trans.V"] = dV
-        if dW is not None:
-            out[f"{prefix}.trans.W"] = dW
-    return out

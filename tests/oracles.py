@@ -145,3 +145,83 @@ def central_difference_grad(loss_fn, arr, eps=1e-6):
 def max_rel_err(analytic, numeric):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def _rank1_lstm_step(Wx, Wh, tr, dh, dc, grads):
+    """One LSTM step backward that adds its rank-1 weight terms into
+    grads = [dWx, dWh, db]; returns (dx, dh_prev, dc_prev)."""
+    tanh_c = np.tanh(tr.c)
+    dc_total = dc + dh * tr.o * (1.0 - tanh_c * tanh_c)
+    da = np.concatenate([
+        dc_total * tr.g * tr.i * (1.0 - tr.i),
+        dc_total * tr.c_prev * tr.f * (1.0 - tr.f),
+        dh * tanh_c * tr.o * (1.0 - tr.o),
+        dc_total * tr.i * (1.0 - tr.g * tr.g),
+    ])
+    grads[0] += np.outer(da, tr.x)
+    grads[1] += np.outer(da, tr.h_prev)
+    grads[2] += da
+    return Wx.T @ da, Wh.T @ da, dc_total * tr.f
+
+
+def rank1_model_backward(m, rec, targets):
+    """Per-step reference for model.model_backward: every weight gradient
+    is accumulated one rank-1 np.outer term per time step, the M-LSTM and
+    T-LSTM steps included. Returns (loss, block name -> gradient)."""
+    d = m.direction(rec.direction)
+    prefix = "fwd" if rec.direction == "forward" else "bwd"
+    H = m.hidden_dim
+    tw = d.m_lstm.Wx.shape[1] - m.feature_dim
+    tr_p = d.transition
+    g = {f"{prefix}.{name}": np.zeros_like(arr) for name, arr in (
+        ("embedding", d.embedding), ("t_lstm.Wx", d.t_lstm.Wx),
+        ("t_lstm.Wh", d.t_lstm.Wh), ("t_lstm.b", d.t_lstm.b),
+        ("m_lstm.Wx", d.m_lstm.Wx), ("m_lstm.Wh", d.m_lstm.Wh),
+        ("m_lstm.b", d.m_lstm.b))}
+    g["softmax_w"] = np.zeros_like(m.softmax_w)
+    g["softmax_b"] = np.zeros_like(m.softmax_b)
+    if tr_p is not None:
+        for name in ("U", "V", "W"):
+            if getattr(tr_p, name) is not None:
+                g[f"{prefix}.trans.{name}"] = np.zeros_like(getattr(tr_p, name))
+    t_acc = [g[f"{prefix}.t_lstm.{k}"] for k in ("Wx", "Wh", "b")]
+    m_acc = [g[f"{prefix}.m_lstm.{k}"] for k in ("Wx", "Wh", "b")]
+
+    loss = -sum(log_softmax(rec.logits[t])[tgt] for t, tgt in enumerate(targets))
+    T = len(targets)
+    dh1_seq = [np.zeros(H) for _ in range(T)]
+    dh2_carry, dc2_carry = np.zeros(H), np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        dlogit = rec.probs[t].copy()
+        dlogit[targets[t]] -= 1.0
+        g["softmax_w"] += np.outer(dlogit, rec.m_traces[t].h)
+        g["softmax_b"] += dlogit
+        dh2 = m.softmax_w.T @ dlogit + dh2_carry
+        dm_in, dh2_carry, dc2_carry = _rank1_lstm_step(
+            d.m_lstm.Wx, d.m_lstm.Wh, rec.m_traces[t], dh2, dc2_carry, m_acc)
+        d_text = dm_in[:tw]
+        h1 = rec.t_traces[t].h
+        if tr_p is None:
+            dh1_seq[t] += d_text
+        elif tr_p.W is None:
+            g[f"{prefix}.trans.U"] += np.outer(d_text, h1)
+            g[f"{prefix}.trans.V"] += np.outer(d_text, rec.m_traces[t].h_prev)
+            dh1_seq[t] += tr_p.U.T @ d_text
+            dh2_carry = dh2_carry + tr_p.V.T @ d_text
+        else:
+            dpre = d_text * (rec.transition_preacts[t] > 0.0)
+            ww = tr_p.W.shape[0]
+            dpre_w, dpre_v = dpre[:ww], dpre[ww:]
+            g[f"{prefix}.trans.W"] += np.outer(dpre_w, h1)
+            g[f"{prefix}.trans.V"] += np.outer(dpre_v, tr_p.U @ h1)
+            du = tr_p.V.T @ dpre_v
+            g[f"{prefix}.trans.U"] += np.outer(du, h1)
+            dh1_seq[t] += tr_p.W.T @ dpre_w + tr_p.U.T @ du
+
+    dh1_carry, dc1_carry = np.zeros(H), np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        dx, dh1_carry, dc1_carry = _rank1_lstm_step(
+            d.t_lstm.Wx, d.t_lstm.Wh, rec.t_traces[t],
+            dh1_seq[t] + dh1_carry, dc1_carry, t_acc)
+        g[f"{prefix}.embedding"][:, rec.tokens[t]] += dx
+    return loss, g

@@ -216,6 +216,16 @@ class TestRetrieveCommand:
         capsys.readouterr()
         assert len(out.read_text().strip().splitlines()) == 11
 
+    def test_non_integer_k_list_exits_2(self, toy_files, capsys):
+        rc = main(["retrieve", "--checkpoint", str(toy_files["ckpt"]),
+                   "--features", str(toy_files["features"]),
+                   "--captions", str(toy_files["captions"]),
+                   "--vocab", str(toy_files["vocab"]), "--k-list", "1,x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'1,x'" in err
+
 
 class TestEvalBleuCommand:
     def test_known_scores(self, tmp_path, capsys):
@@ -289,6 +299,15 @@ class TestAugmentPlanCommand:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 80
+
+    def test_non_integer_dims_row_exits_2(self, tmp_path, capsys):
+        dims = tmp_path / "dims.tsv"
+        dims.write_text("a\t640\t480\nb\t320\twide\n")
+        rc = main(["augment-plan", "--dims-file", str(dims)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{dims}:2:" in err
 
     def test_infeasible_crop_exits_2(self, capsys):
         rc = main(["augment-plan", "--width", "10", "--height", "10",
@@ -371,6 +390,40 @@ class TestVocabMismatch:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "small.vocab" in captured.err
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("kind", ["captions", "vocab", "features",
+                                      "config"])
+    def test_latin1_file_exits_2_naming_it(self, kind, toy_files, tmp_path,
+                                           capsys):
+        files = {k: toy_files[k] for k in ("captions", "vocab", "features")}
+        files["config"] = tmp_path / "retrieve.cfg"
+        files["config"].write_text("k_list=1,5\n")
+        bad = files[kind]
+        raw = bad.read_bytes()
+        first_break = raw.index(b"\n") + 1
+        # a Latin-1 "cafe" with an acute e on the second line
+        bad.write_bytes(raw[:first_break] + b"caf\xe9" + raw[first_break:])
+        rc = main(["retrieve", "--checkpoint", str(toy_files["ckpt"]),
+                   "--features", str(files["features"]),
+                   "--captions", str(files["captions"]),
+                   "--vocab", str(files["vocab"]),
+                   "--config", str(files["config"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(bad) in err
+
+
+class TestSeedFlag:
+    def test_caption_refuses_seed(self, toy_files, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["caption", "--checkpoint", str(toy_files["ckpt"]),
+                  "--features", str(toy_files["features"]),
+                  "--vocab", str(toy_files["vocab"]), "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestConsoleScript:

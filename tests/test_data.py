@@ -218,6 +218,18 @@ class TestFileFormats:
         with pytest.raises(DataError):
             read_features(path)
 
+    def test_feature_repeated_image_id_rejected(self, tmp_path):
+        path = tmp_path / "f.feat"
+        path.write_text("BICAP-FEAT 1 2 2\na\t1 2\na\t3 4\nb\t5 6\n")
+        with pytest.raises(DataError, match=f"{path}:3: repeated image id"):
+            read_features(path)
+
+    def test_feature_row_past_header_count_rejected(self, tmp_path):
+        path = tmp_path / "f.feat"
+        path.write_text("BICAP-FEAT 1 1 2\na\t1 2\nb\t5 6\n")
+        with pytest.raises(DataError, match=f"{path}:3: row past"):
+            read_features(path)
+
     def test_vocab_round_trip(self, tmp_path):
         vocab = build_vocab([("i", "dog dog cat")], min_count=1)
         path = tmp_path / "v.tsv"

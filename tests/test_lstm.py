@@ -113,16 +113,11 @@ class TestSequenceForward:
             np.testing.assert_array_equal(ta.c, tb.c)
 
 
-def seq_loss(p, xs, dh_seq, dh_final=None, dc_final=None):
-    """Scalar objective: weighted sum of hidden outputs (plus optional final
-    state terms) so its analytic gradient is exactly sequence_backward's."""
+def seq_loss(p, xs, dh_seq):
+    """Scalar objective: weighted sum of hidden outputs, so its analytic
+    gradient is exactly sequence_backward's."""
     traces = sequence_forward(p, xs)
-    total = sum(float(w @ tr.h) for w, tr in zip(dh_seq, traces))
-    if dh_final is not None:
-        total += float(dh_final @ traces[-1].h)
-    if dc_final is not None:
-        total += float(dc_final @ traces[-1].c)
-    return total
+    return sum(float(w @ tr.h) for w, tr in zip(dh_seq, traces))
 
 
 class TestSequenceBackward:
@@ -134,8 +129,6 @@ class TestSequenceBackward:
         np.testing.assert_array_equal(g.dWx, np.zeros_like(p.Wx))
         np.testing.assert_array_equal(g.dWh, np.zeros_like(p.Wh))
         np.testing.assert_array_equal(g.db, np.zeros_like(p.b))
-        np.testing.assert_array_equal(g.dh0, np.zeros(4))
-        np.testing.assert_array_equal(g.dc0, np.zeros(4))
 
     def test_scalar_output_gate_bias_symbolic(self):
         # T=1, D=H=1: h = sigmoid(a_o) * tanh(c); with x=h_prev=c_prev
@@ -154,14 +147,12 @@ class TestSequenceBackward:
         p, rng = random_params(5, 6, seed=16)
         xs = [rng.normal(size=5) for _ in range(4)]
         dh_seq = [rng.normal(size=6) for _ in range(4)]
-        dh_final = rng.normal(size=6)
-        dc_final = rng.normal(size=6)
 
         traces = sequence_forward(p, xs)
-        g = sequence_backward(p, traces, dh_seq, dh_final, dc_final)
+        g = sequence_backward(p, traces, dh_seq)
 
         def loss():
-            return seq_loss(p, xs, dh_seq, dh_final, dc_final)
+            return seq_loss(p, xs, dh_seq)
 
         for analytic, arr in ((g.dWx, p.Wx), (g.dWh, p.Wh), (g.db, p.b)):
             numeric = central_difference_grad(loss, arr)
@@ -169,23 +160,6 @@ class TestSequenceBackward:
         for t in range(4):
             numeric = central_difference_grad(loss, xs[t])
             assert max_rel_err(g.dx_seq[t], numeric) < 1e-5
-
-    def test_initial_state_grads_match_finite_differences(self):
-        p, rng = random_params(3, 4, seed=17)
-        xs = [rng.normal(size=3) for _ in range(3)]
-        dh_seq = [rng.normal(size=4) for _ in range(3)]
-        h0 = rng.normal(size=4)
-        c0 = rng.normal(size=4)
-
-        traces = sequence_forward(p, xs, h0, c0)
-        g = sequence_backward(p, traces, dh_seq)
-
-        def loss():
-            trs = sequence_forward(p, xs, h0, c0)
-            return sum(float(w @ tr.h) for w, tr in zip(dh_seq, trs))
-
-        assert max_rel_err(g.dh0, central_difference_grad(loss, h0)) < 1e-5
-        assert max_rel_err(g.dc0, central_difference_grad(loss, c0)) < 1e-5
 
     def test_gradcheck_twenty_seeds(self):
         # block-level agreement: the largest discrepancy in a block against

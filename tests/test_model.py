@@ -7,9 +7,10 @@ from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
                              bi_f_transition, bi_s_transition, build_model,
                              direction_forward, init_model, model_backward,
                              random_model)
-from bicaption.train import joint_backward, joint_loss
+from bicaption.train import direction_io, joint_backward, joint_loss
 
-from oracles import central_difference_grad, inline_bilstm_probs
+from oracles import (central_difference_grad, inline_bilstm_probs,
+                     rank1_model_backward)
 
 BI = ArchitectureKind.BI_LSTM
 BIS = ArchitectureKind.BI_S_LSTM
@@ -240,6 +241,36 @@ class TestModelBackward:
             scale = max(np.max(np.abs(analytic[name])),
                         np.max(np.abs(numeric)), 1e-8)
             assert err / scale < 1e-5, f"{arch.value} {name}: {err / scale}"
+
+    @pytest.mark.parametrize("make", [init_model, random_model])
+    @pytest.mark.parametrize("arch", [BI, BIS, BIF])
+    def test_matches_per_step_rank1_reference(self, arch, make):
+        # each weight gradient is one product over time; it must agree with
+        # per-step rank-1 accumulation to 1e-12 of the block's largest value
+        for seed in range(3):
+            m = make(arch, 9, 4, 5, 6, seed=seed)
+            rng = np.random.default_rng([seed, 7])
+            ex = CaptionedExample(
+                "x", rng.uniform(-0.5, 0.5, 4),
+                [int(t) for t in rng.integers(2, 9, size=5 + seed)])
+            loss, grads = joint_backward(m, ex)
+
+            ref_losses, ref = [], {}
+            for direction in (FORWARD, BACKWARD):
+                inputs, targets = direction_io(ex.tokens, direction)
+                rec = direction_forward(m, direction, inputs, ex.feature)
+                ref_loss, ref_grads = rank1_model_backward(m, rec, targets)
+                ref_losses.append(ref_loss)
+                for name, g in ref_grads.items():
+                    ref[name] = ref[name] + g if name in ref else g
+
+            assert [loss.loss_fwd, loss.loss_bwd] == ref_losses
+            assert list(grads) == list(ref)
+            for name, g in grads.items():
+                err = np.max(np.abs(g - ref[name]))
+                scale = np.max(np.abs(ref[name]))
+                assert err <= 1e-12 * scale, \
+                    f"{arch.value} seed {seed} {name}: {err} of {scale}"
 
 
 class TestBlockNaming:
