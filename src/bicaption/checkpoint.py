@@ -10,10 +10,14 @@ Layout, all integers little-endian:
     blocks  float64 row-major bytes, declared block order
     digest  8 bytes  blake2b-64 of everything above
 
-load(save(model)) reproduces the model bitwise.
+load(save(model)) reproduces the model bitwise. A save writes a temp file
+beside the target and renames it over the target, so a save that fails
+leaves any earlier checkpoint whole.
 """
 
+import contextlib
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -87,8 +91,16 @@ def deserialize_model(blob: bytes) -> CaptionModel:
 
 
 def save_checkpoint(m: CaptionModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_model(m))
+    blob = serialize_model(m)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> CaptionModel:

@@ -5,7 +5,8 @@ File formats owned here:
   features:  header  BICAP-FEAT 1 <count> <dim>  then  image_id<TAB>f1 f2 ...
              (floats printed with 17 significant digits, round-trip exact)
   vocab:     lines  token<TAB>count ; ids follow line order after the two
-             reserved rows
+             reserved rows (distinct tokens, integer counts, blank lines
+             only after the last token)
   augment:   one line per variant  image_id,scale,corner,x,y,w,h,mirror
 """
 
@@ -288,7 +289,7 @@ def read_features(path) -> dict[str, np.ndarray]:
     header = next(lines, "").split()
     if (len(header) != 4 or header[0] != FEATURE_MAGIC
             or header[1] != str(FEATURE_VERSION)
-            or not (header[2].isdigit() and header[3].isdigit())):
+            or not all(n.isascii() and n.isdigit() for n in header[2:])):
         raise DataError(f"{path}: bad feature header")
     count, dim = int(header[2]), int(header[3])
     out: dict[str, np.ndarray] = {}
@@ -329,17 +330,28 @@ def write_features(path, features: dict[str, np.ndarray]) -> None:
 
 
 def read_vocab(path) -> Vocabulary:
+    """Ids follow line order; blank lines may only trail the last token."""
     token_to_id: dict[str, int] = {}
     id_to_token: dict[int, str] = {}
     counts: dict[str, int] = {}
-    for idx, line in enumerate(text_lines(path)):
+    blank = None
+    for lineno, line in enumerate(text_lines(path), 1):
         line = line.rstrip("\n")
         if not line:
+            blank = blank or lineno
             continue
+        if blank:
+            raise DataError(f"{path}:{blank}: blank line before the last token")
         tok, _, count = line.partition("\t")
+        if tok in token_to_id:
+            raise DataError(f"{path}:{lineno}: repeated token {tok!r}")
+        try:
+            counts[tok] = int(count) if count else 0
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
+        idx = len(token_to_id)
         token_to_id[tok] = idx
         id_to_token[idx] = tok
-        counts[tok] = int(count) if count else 0
     if token_to_id.get(BOUNDARY_TOKEN) != BOUNDARY_ID or token_to_id.get(UNK_TOKEN) != UNK_ID:
         raise DataError(f"{path}: reserved rows missing or out of order")
     return Vocabulary(token_to_id, id_to_token, counts)

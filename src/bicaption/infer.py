@@ -1,6 +1,10 @@
 """Caption generation: beam search per direction (beam width 1 is exactly
 greedy argmax), selection of the better direction by summed log-probability,
 and gate-state trace export for inspecting the cells over time.
+
+Beam search advances all live hypotheses of a direction as one batch: one
+row of state per hypothesis, one `_decode_step` per time step, and the
+image projected through the M-LSTM once per image and direction.
 """
 
 from dataclasses import dataclass
@@ -10,7 +14,8 @@ import numpy as np
 from .data import BOUNDARY_ID, Vocabulary
 from .errors import ConfigError, DataError, ShapeError
 from .lstm import LstmStepTrace, cell_forward
-from .model import BACKWARD, CaptionModel, DirectionParams, FORWARD, step
+from .model import (BACKWARD, CaptionModel, DirectionParams, FORWARD,
+                    ImageInput, image_input, step)
 from .numcore import log_softmax, softmax
 
 
@@ -27,10 +32,16 @@ class Hypothesis:
 
 @dataclass
 class _DecodeState:
+    """Both LSTMs' states: vectors for one hypothesis, or one row each."""
+
     h1: np.ndarray
     c1: np.ndarray
     h2: np.ndarray
     c2: np.ndarray
+
+    def take(self, rows) -> "_DecodeState":
+        return _DecodeState(self.h1[rows], self.c1[rows], self.h2[rows],
+                            self.c2[rows])
 
 
 def _initial_state(m: CaptionModel) -> _DecodeState:
@@ -38,13 +49,32 @@ def _initial_state(m: CaptionModel) -> _DecodeState:
     return _DecodeState(np.zeros(H), np.zeros(H), np.zeros(H), np.zeros(H))
 
 
-def _decode_step(m: CaptionModel, d: DirectionParams, state: _DecodeState,
-                 token: int, feature: np.ndarray):
-    """Advance one step: the T-LSTM on the token, then the shared
-    `model.step`; returns (logits, new_state, t_trace, m_trace)."""
-    t_tr = cell_forward(d.t_lstm, d.embedding[:, token], state.h1, state.c1)
-    _, _, m_tr, logits = step(m, d, t_tr.h, state.h2, state.c2, feature)
+def _decode_step(m: CaptionModel, d: DirectionParams, img: ImageInput,
+                 state: _DecodeState, tokens):
+    """Advance one step: the T-LSTM on the tokens, then the shared
+    `model.step`. tokens is one token id with a vector state, or an array
+    of ids with one state row per id. Returns (logits, new_state, t_trace,
+    m_trace), in rows where the state has rows."""
+    t_tr = cell_forward(d.t_lstm, d.embedding.T[tokens], state.h1, state.c1)
+    _, _, m_tr, logits = step(m, d, t_tr.h, state.h2, state.c2, img)
     return logits, _DecodeState(t_tr.h, t_tr.c, m_tr.h, m_tr.c), t_tr, m_tr
+
+
+def _top_k(rows: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k largest values, largest first and ties
+    to the lower index: the first k of a stable argsort of -row, without
+    sorting the whole row."""
+    neg = -rows
+    if k >= neg.shape[-1]:
+        return np.argsort(neg, axis=-1, kind="stable")
+    kth = np.partition(neg, k - 1, axis=-1)[:, k - 1]
+    out = np.empty((len(neg), k), dtype=np.intp)
+    for r, row in enumerate(neg):
+        # every index that can be among the k: usually exactly k of them,
+        # more when values tie with the k-th
+        idx = np.flatnonzero(row <= kth[r])
+        out[r] = idx[np.argsort(row[idx], kind="stable")[:k]]
+    return out
 
 
 def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
@@ -63,34 +93,38 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
         )
 
     d = m.direction(direction)
-    live = [(Hypothesis([], 0.0, [], False), _initial_state(m), BOUNDARY_ID)]
+    img = image_input(d, feature)
+    live = [Hypothesis([], 0.0, [], False)]
+    state = _DecodeState(*np.zeros((4, 1, m.hidden_dim)))
+    tokens = np.array([BOUNDARY_ID])
     finished: list[Hypothesis] = []
 
-    for _ in range(max_len):
-        if not live:
-            break
-        candidates = []
-        for hyp, state, last_token in live:
-            logits, new_state, _, _ = _decode_step(m, d, state, last_token, feature)
-            logprobs = log_softmax(logits)
-            order = np.argsort(-logprobs, kind="stable")[:beam_k]
-            for tok in order:
-                tok = int(tok)
-                lp = float(logprobs[tok])
-                ext = Hypothesis(hyp.tokens + [tok], hyp.logprob_sum + lp,
-                                 hyp.per_step_logprobs + [lp], False)
-                candidates.append((ext, new_state, tok))
-        candidates.sort(key=lambda c: -c[0].logprob_sum)
-        live = []
-        for ext, state, tok in candidates[:beam_k]:
+    while live:
+        logits, state, _, _ = _decode_step(m, d, img, state, tokens)
+        logprobs = log_softmax(logits)
+        top = _top_k(logprobs, beam_k)
+        top_lp = np.take_along_axis(logprobs, top, axis=1)
+        sums = np.array([h.logprob_sum for h in live])[:, None] + top_lp
+        # candidates in emission order (hypothesis, then rank within it);
+        # the stable sort keeps that order among equal sums
+        best = np.argsort(-sums, axis=None, kind="stable")[:beam_k]
+        prev, live, rows = live, [], []
+        for r, j in zip(*np.divmod(best, top.shape[1])):
+            tok, lp = int(top[r, j]), float(top_lp[r, j])
+            hyp = prev[r]
+            ext = Hypothesis(hyp.tokens + [tok], float(sums[r, j]),
+                             hyp.per_step_logprobs + [lp], False)
             if tok == BOUNDARY_ID or len(ext.tokens) >= max_len:
                 ext.finished = True
                 finished.append(ext)
             else:
-                live.append((ext, state, tok))
+                live.append(ext)
+                rows.append(r)
+        state = state.take(rows)
+        tokens = np.array([h.tokens[-1] for h in live])
 
-    # live only empties once a candidate has finished, and the last
-    # iteration finishes every survivor, so finished is never empty
+    # live only empties once a candidate has finished, and the step at
+    # max_len finishes every survivor, so finished is never empty
     return max(finished, key=lambda h: h.logprob_sum)
 
 
@@ -145,13 +179,14 @@ def dump_gate_trace(m: CaptionModel, feature: np.ndarray, direction: str,
             f"feature has len {feature.shape[0]}, model expects {m.feature_dim}"
         )
     d = m.direction(direction)
+    img = image_input(d, feature)
     state = _initial_state(m)
     token = BOUNDARY_ID
     t_steps: list[LstmStepTrace] = []
     m_steps: list[LstmStepTrace] = []
     words: list[tuple[int, str, int, float]] = []
     for t in range(max_len):
-        logits, state, t_tr, m_tr = _decode_step(m, d, state, token, feature)
+        logits, state, t_tr, m_tr = _decode_step(m, d, img, state, token)
         probs = softmax(logits)
         token = int(np.argmax(probs))
         t_steps.append(t_tr)

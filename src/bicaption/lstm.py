@@ -73,23 +73,28 @@ class LstmGrads:
 def cell_forward(p: LstmParams, x: np.ndarray, h_prev: np.ndarray,
                  c_prev: np.ndarray) -> LstmStepTrace:
     """One gated update: i,f,o = sigmoid gates, g = tanh candidate,
-    c = f*c_prev + i*g, h = o*tanh(c)."""
-    if x.shape[0] != p.input_dim:
-        raise ShapeError(
-            f"cell input has len {x.shape[0]}, params expect {p.input_dim}"
-        )
-    if h_prev.shape[0] != p.hidden_dim or c_prev.shape[0] != p.hidden_dim:
-        raise ShapeError(
-            f"state has len {h_prev.shape[0]}/{c_prev.shape[0]}, "
-            f"params expect {p.hidden_dim}"
-        )
+    c = f*c_prev + i*g, h = o*tanh(c). x, h_prev and c_prev are vectors, or
+    (B, .) batches of rows that each step one sequence; the trace then
+    holds rows too."""
     H = p.hidden_dim
-    a = p.Wx @ x + p.Wh @ h_prev + p.b
-    gates = sigmoid(a[:3 * H])  # one call for the three sigmoid gates
-    i = gates[:H]
-    f = gates[H:2 * H]
-    o = gates[2 * H:]
-    g = tanh_act(a[3 * H:])
+    if x.shape[-1] != p.input_dim:
+        raise ShapeError(
+            f"cell input has len {x.shape[-1]}, params expect {p.input_dim}"
+        )
+    if h_prev.shape[-1] != H or c_prev.shape[-1] != H:
+        raise ShapeError(
+            f"state has len {h_prev.shape[-1]}/{c_prev.shape[-1]}, "
+            f"params expect {H}"
+        )
+    if x.ndim == 1:
+        a = p.Wx @ x + p.Wh @ h_prev + p.b
+    else:  # one product for all rows; a small x @ Wx.T costs more than Wx @ x
+        a = x @ p.Wx.T + h_prev @ p.Wh.T + p.b
+    gates = sigmoid(a[..., :3 * H])  # one call for the three sigmoid gates
+    i = gates[..., :H]
+    f = gates[..., H:2 * H]
+    o = gates[..., 2 * H:]
+    g = tanh_act(a[..., 3 * H:])
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return LstmStepTrace(x=x, i=i, f=f, o=o, g=g, c=c, h=h,

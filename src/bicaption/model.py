@@ -7,17 +7,21 @@ Layer stack per direction and time step:
     image feature -> M-LSTM -> shared softmax -> distribution of next word
 
 The image feature vector is concatenated into the M-LSTM input at every
-step. Architectures differ only in the transition between the two LSTMs:
-none (plain), a linear stacked transition fed by the T-LSTM output and the
-M-LSTM's previous hidden state, or a relu layer whose output concatenates a
-direct projection of the T-LSTM output (shortcut) with a two-matrix
-bottleneck of it.
+step. It is constant over a sequence, so its projection through the
+feature columns of the M-LSTM's Wx is formed once (`image_input`) and a
+step multiplies only the text columns. Architectures differ only in the
+transition between the two LSTMs: none (plain), a linear stacked
+transition fed by the T-LSTM output and the M-LSTM's previous hidden
+state, or a relu layer whose output concatenates a direct projection of
+the T-LSTM output (shortcut) with a two-matrix bottleneck of it.
 
 `step` is the one place that runs a time step above the T-LSTM
 (transition, M-LSTM, softmax logits), and the only place that branches on
 the architecture in the forward direction. `unroll` loops it over a
 sequence's T-LSTM traces. Teacher-forced training (`direction_forward`),
-the finite-difference gradient check and beam/greedy decoding all run it.
+the finite-difference gradient check and beam/greedy decoding all run it;
+beam search runs it once per time step on a (B, .) batch of rows, one per
+live hypothesis.
 """
 
 import enum
@@ -251,7 +255,8 @@ def bi_s_transition(U: np.ndarray, V: np.ndarray, h_below: np.ndarray,
 
 def _bi_f_preact(W: np.ndarray, U: np.ndarray, V: np.ndarray,
                  h_below: np.ndarray) -> np.ndarray:
-    return np.concatenate([matvec(W, h_below), matvec(V, matvec(U, h_below))])
+    return np.concatenate([matvec(W, h_below), matvec(V, matvec(U, h_below))],
+                          axis=-1)
 
 
 def bi_f_transition(W: np.ndarray, U: np.ndarray, V: np.ndarray,
@@ -264,15 +269,37 @@ def bi_f_transition(W: np.ndarray, U: np.ndarray, V: np.ndarray,
     return relu(_bi_f_preact(W, U, V, h_below))
 
 
+@dataclass
+class ImageInput:
+    """An image as one direction's M-LSTM reads it at every step: the
+    feature, and the M-LSTM cell with the feature's columns of Wx folded
+    into its bias (Wx[:, tw:] @ feature + b), so that the cell multiplies
+    only the tw text columns."""
+
+    feature: np.ndarray
+    m_cell: LstmParams
+
+
+def image_input(d: DirectionParams, feature: np.ndarray) -> ImageInput:
+    """Project the image through the M-LSTM once, for a whole sequence."""
+    p = d.m_lstm
+    tw = p.Wx.shape[1] - feature.shape[0]
+    return ImageInput(feature, LstmParams(p.Wx[:, :tw], p.Wh,
+                                          p.Wx[:, tw:] @ feature + p.b))
+
+
 def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
-         h2: np.ndarray, c2: np.ndarray, feature: np.ndarray):
+         h2: np.ndarray, c2: np.ndarray, img: ImageInput):
     """One time step above the T-LSTM: the transition on the T-LSTM output
-    h1, the M-LSTM on the transition output and the image feature from
-    state (h2, c2), and the shared softmax's logits.
+    h1, the M-LSTM on the transition output and the image from state
+    (h2, c2), and the shared softmax's logits. h1, h2 and c2 are vectors,
+    or (B, H) rows that each advance one sequence.
 
     Returns (relu pre-activation | None, transition output | None, M-LSTM
     trace, logits). Training, gradient checking, decoding and gate tracing
-    all run this one function, so their numbers agree bit for bit.
+    all run this one function, so their numbers agree bit for bit. The
+    M-LSTM trace records the full [text, feature] input that the backward
+    pass reads.
     """
     pre = act = None
     if m.arch == ArchitectureKind.BI_LSTM:
@@ -282,8 +309,12 @@ def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
     else:
         pre = _bi_f_preact(d.transition.W, d.transition.U, d.transition.V, h1)
         text = act = relu(pre)
-    m_tr = cell_forward(d.m_lstm, np.concatenate([text, feature]), h2, c2)
-    return pre, act, m_tr, m.softmax_w @ m_tr.h + m.softmax_b
+    m_tr = cell_forward(img.m_cell, text, h2, c2)
+    tw = text.shape[-1]
+    m_tr.x = np.empty(text.shape[:-1] + d.m_lstm.Wx.shape[1:])
+    m_tr.x[..., :tw] = text
+    m_tr.x[..., tw:] = img.feature
+    return pre, act, m_tr, matvec(m.softmax_w, m_tr.h) + m.softmax_b
 
 
 def unroll(m: CaptionModel, d: DirectionParams, t_traces, feature: np.ndarray):
@@ -299,8 +330,9 @@ def unroll(m: CaptionModel, d: DirectionParams, t_traces, feature: np.ndarray):
     logits_seq: list[np.ndarray] = []
     h2 = np.zeros(m.hidden_dim)
     c2 = np.zeros(m.hidden_dim)
+    img = image_input(d, feature)
     for t_tr in t_traces:
-        pre, act, m_tr, logits = step(m, d, t_tr.h, h2, c2, feature)
+        pre, act, m_tr, logits = step(m, d, t_tr.h, h2, c2, img)
         if act is not None:
             acts.append(act)
         if pre is not None:

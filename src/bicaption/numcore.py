@@ -2,6 +2,9 @@
 
 Conventions: a matrix is a C-contiguous 2-D float64 ndarray (row-major, which
 is also the on-disk checkpoint layout), a vector is a 1-D float64 ndarray.
+matvec and log_softmax also take a (B, n) batch of rows in place of a
+vector and treat each row as that vector (their shape checks read the last
+axis); the elementwise functions take any shape; softmax takes a vector.
 All functions are pure; none mutate their inputs.
 """
 
@@ -11,12 +14,13 @@ from .errors import ShapeError
 
 
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit shape check."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
+    """Matrix-vector product with an explicit shape check; for a batch of
+    rows, the product of each row (one row of the result each)."""
+    if m.ndim != 2 or v.ndim not in (1, 2) or m.shape[1] != v.shape[-1]:
         raise ShapeError(
             f"matvec shape mismatch: matrix {m.shape} vs vector {v.shape}"
         )
-    return m @ v
+    return m @ v if v.ndim == 1 else v @ m.T
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
@@ -48,9 +52,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """log(softmax(logits)) via log-sum-exp, safe for long-sequence sums."""
+    """log(softmax(logits)) via log-sum-exp, safe for long-sequence sums;
+    row by row for a batch."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
+    if z.shape[-1] == 0:
         raise ShapeError("log_softmax of an empty vector")
-    m = z.max()
-    return z - (m + np.log(np.exp(z - m).sum()))
+    zt = z.T  # a batch's rows as columns, so each reduction over axis 0
+    m = np.maximum.reduce(zt)  # broadcasts back along its column
+    return (zt - (m + np.log(np.add.reduce(np.exp(zt - m))))).T

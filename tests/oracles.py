@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: the LSTM
 oracle is scalar Python loops, the full-stack oracle is straight-line numpy,
 the decoding oracles re-run the forward pass from scratch on every prefix,
-and BLEU-style counts are done by hand where needed.
+one hypothesis at a time, and BLEU-style counts are done by hand where
+needed.
 """
 
 import math
@@ -99,6 +100,36 @@ def greedy_decode_loop(m, direction, feature, max_len):
             break
         inputs.append(tok)
     return emitted, logprob
+
+
+def per_hypothesis_beam(m, direction, feature, beam_k, max_len):
+    """Beam search advancing one hypothesis at a time, each by a full
+    forward pass over its prefix: every hypothesis's top beam_k tokens by a
+    stable argsort of the whole distribution, candidates stably sorted by
+    summed log-probability, and the first best finished hypothesis wins.
+    Returns (tokens, logprob_sum, per_step_logprobs) of the winner."""
+    live = [([], 0.0, [])]
+    finished = []
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = []
+        for tokens, lp_sum, steps in live:
+            rec = direction_forward(m, direction, [BOUNDARY_ID] + tokens,
+                                    feature)
+            lps = log_softmax(rec.logits[-1])
+            for tok in np.argsort(-lps, kind="stable")[:beam_k]:
+                lp = float(lps[tok])
+                candidates.append((tokens + [int(tok)], lp_sum + lp,
+                                   steps + [lp]))
+        candidates.sort(key=lambda c: -c[1])
+        live = []
+        for cand in candidates[:beam_k]:
+            if cand[0][-1] == BOUNDARY_ID or len(cand[0]) >= max_len:
+                finished.append(cand)
+            else:
+                live.append(cand)
+    return max(finished, key=lambda c: c[1])
 
 
 def enumerate_best_hypothesis(m, direction, feature, max_len):

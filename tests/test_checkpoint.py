@@ -1,6 +1,9 @@
+import errno
+
 import numpy as np
 import pytest
 
+import bicaption.checkpoint as checkpoint_mod
 from bicaption.checkpoint import (deserialize_model, load_checkpoint,
                                   save_checkpoint, serialize_model)
 from bicaption.data import make_toy_dataset
@@ -35,6 +38,37 @@ class TestRoundTrip:
         assert back.fwd.transition.U.shape == (4, 6)
         assert back.fwd.transition.V.shape == (2, 4)
         assert back.fwd.transition.W.shape == (5, 6)
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(ArchitectureKind.BI_LSTM, 6, 3, 4, 4), path)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """A file that takes half the bytes, then runs out of space."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+        monkeypatch.setattr(checkpoint_mod, "open",
+                            lambda p, mode: HalfWrite(real_open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(random_model(ArchitectureKind.BI_LSTM, 6, 3, 4, 4),
+                            path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_serialization_is_deterministic(self):
         m = init_model(ArchitectureKind.BI_S_LSTM, 6, 3, 4, 4, seed=5)

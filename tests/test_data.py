@@ -241,6 +241,35 @@ class TestFileFormats:
         assert lines[0] == f"{BOUNDARY_TOKEN}\t0"
         assert lines[1] == f"{UNK_TOKEN}\t0"
 
+    def test_feature_header_non_ascii_digit_rejected(self, tmp_path):
+        path = tmp_path / "f.feat"
+        path.write_text("BICAP-FEAT 1 \u00b2 2\nx\t0 0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="header"):
+            read_features(path)
+
+    def test_vocab_non_integer_count_rejected(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text(f"{BOUNDARY_TOKEN}\t0\n{UNK_TOKEN}\t0\nw02\tmany\n")
+        with pytest.raises(DataError, match=f"{path}:3: count 'many'"):
+            read_vocab(path)
+
+    def test_vocab_repeated_token_rejected(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text(f"{BOUNDARY_TOKEN}\t0\n{UNK_TOKEN}\t0\n"
+                        "dog\t2\ndog\t1\n")
+        with pytest.raises(DataError, match=f"{path}:4: repeated token 'dog'"):
+            read_vocab(path)
+
+    def test_vocab_blank_line_only_after_last_token(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        rows = f"{BOUNDARY_TOKEN}\t0\n{UNK_TOKEN}\t0\ndog\t2\n"
+        path.write_text(rows + "\ncat\t1\n")
+        with pytest.raises(DataError, match=f"{path}:4: blank line"):
+            read_vocab(path)
+        path.write_text(rows + "\n\n")
+        assert read_vocab(path).decode(range(3)) == [
+            BOUNDARY_TOKEN, UNK_TOKEN, "dog"]
+
     def test_vocab_missing_reserved_rows(self, tmp_path):
         path = tmp_path / "v.tsv"
         path.write_text("dog\t2\ncat\t1\n")

@@ -9,11 +9,13 @@ from bicaption.infer import (GATE_HEADER, Hypothesis, WORDS_HEADER,
                              gate_trace_rows, select_final_caption,
                              words_rows, write_gate_trace)
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
-                             direction_forward, random_model)
+                             direction_forward, image_input, random_model)
 
-from oracles import enumerate_best_hypothesis, greedy_decode_loop
+from oracles import (enumerate_best_hypothesis, greedy_decode_loop,
+                     per_hypothesis_beam)
 
 BI = ArchitectureKind.BI_LSTM
+BIS = ArchitectureKind.BI_S_LSTM
 
 
 class TestDecodeDirection:
@@ -24,9 +26,9 @@ class TestDecodeDirection:
         script = [3, 3, 3, BOUNDARY_ID]
         calls = {"n": 0}
 
-        def fake_step(m, d, state, token, feature):
-            logits = np.zeros(K)
-            logits[script[min(calls["n"], len(script) - 1)]] = 50.0
+        def fake_step(m, d, img, state, tokens):
+            logits = np.zeros((len(tokens), K))
+            logits[:, script[min(calls["n"], len(script) - 1)]] = 50.0
             calls["n"] += 1
             return logits, state, None, None
 
@@ -59,10 +61,11 @@ class TestDecodeDirection:
         for direction in (FORWARD, BACKWARD):
             rec = direction_forward(m, direction, tokens, feature)
             d = m.direction(direction)
+            img = image_input(d, feature)
             state = infer_mod._initial_state(m)
             for t, token in enumerate(tokens):
                 logits, state, _, _ = infer_mod._decode_step(
-                    m, d, state, token, feature)
+                    m, d, img, state, token)
                 assert np.array_equal(logits, rec.logits[t]), (direction, t)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
@@ -74,6 +77,65 @@ class TestDecodeDirection:
         best_tokens, best_lp = enumerate_best_hypothesis(m, FORWARD, feature, 3)
         assert hyp.tokens == best_tokens
         assert abs(hyp.logprob_sum - best_lp) < 1e-9
+
+    @pytest.mark.parametrize("beam_k", [1, 2, 3, 4, 8])  # 8 > vocab size
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_batched_beam_matches_per_hypothesis_reference(self, arch, beam_k):
+        # one batched step per time step keeps the per-hypothesis search's
+        # tokens and tie order; a batch of rows is one matrix product rather
+        # than one per row, so sums may differ by rounding only
+        for seed in range(12):
+            m = random_model(arch, 7, 3, 4, 4, seed=seed, scale=1.2)
+            if seed % 2 == 0:
+                # exact ties: token 5 duplicates token 3 in the softmax and
+                # in both embeddings, so 3 and 5 tie within a hypothesis and
+                # the hypotheses they extend tie at every later step
+                m.softmax_w[5] = m.softmax_w[3]
+                m.softmax_b[[3, 5]] = m.softmax_b.max() + 1.0
+                for d in (m.fwd, m.bwd):
+                    d.embedding[:, 5] = d.embedding[:, 3]
+            feature = np.random.default_rng(seed).uniform(-1, 1, 3)
+            max_len = (1, 2, 3, 5, 8)[seed % 5]
+            for direction in (FORWARD, BACKWARD):
+                hyp = decode_direction(m, direction, feature, beam_k, max_len)
+                tokens, logprob, steps = per_hypothesis_beam(
+                    m, direction, feature, beam_k, max_len)
+                assert hyp.tokens == tokens, (seed, direction)
+                assert abs(hyp.logprob_sum - logprob) <= 1e-12 * abs(logprob)
+                np.testing.assert_allclose(hyp.per_step_logprobs, steps,
+                                           rtol=1e-12, atol=0)
+
+    def test_one_batched_step_per_time_step(self, monkeypatch):
+        calls = {"step": 0, "image": 0}
+        real_step, real_image = infer_mod._decode_step, infer_mod.image_input
+
+        def counting_step(*args):
+            calls["step"] += 1
+            return real_step(*args)
+
+        def counting_image(*args):
+            calls["image"] += 1
+            return real_image(*args)
+
+        monkeypatch.setattr(infer_mod, "_decode_step", counting_step)
+        monkeypatch.setattr(infer_mod, "image_input", counting_image)
+        m = random_model(BIS, 6, 3, 4, 4, seed=3)
+        m.softmax_b[BOUNDARY_ID] = -1e4  # never ends early: three live to the end
+        hyp = decode_direction(m, FORWARD, np.ones(3), beam_k=3, max_len=7)
+        assert len(hyp.tokens) == 7
+        assert calls == {"step": 7, "image": 1}
+
+    def test_top_k_is_stable_argsort_prefix_on_ties(self):
+        rng = np.random.default_rng(0)
+        values = np.array([-0.0, 0.0, -1.0, -2.5, -40.0])
+        checked = 0
+        while checked < 10_000:
+            width = int(rng.integers(1, 30))
+            rows = rng.choice(values, size=(int(rng.integers(1, 5)), width))
+            k = int(rng.integers(1, width + 3))
+            want = np.argsort(-rows, axis=-1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(infer_mod._top_k(rows, k), want)
+            checked += len(rows)
 
     def test_logprob_bookkeeping(self):
         m = random_model(BI, 6, 3, 4, 4, seed=13)
