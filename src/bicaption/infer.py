@@ -13,9 +13,9 @@ import numpy as np
 
 from .data import BOUNDARY_ID, Vocabulary
 from .errors import ConfigError, DataError, ShapeError
-from .lstm import LstmStepTrace, cell_forward
+from .lstm import LstmParams, LstmStepTrace, cell_forward
 from .model import (BACKWARD, CaptionModel, DirectionParams, FORWARD,
-                    ImageInput, image_input, step)
+                    image_input, step)
 from .numcore import log_softmax, softmax
 
 
@@ -49,14 +49,14 @@ def _initial_state(m: CaptionModel) -> _DecodeState:
     return _DecodeState(np.zeros(H), np.zeros(H), np.zeros(H), np.zeros(H))
 
 
-def _decode_step(m: CaptionModel, d: DirectionParams, img: ImageInput,
+def _decode_step(m: CaptionModel, d: DirectionParams, m_cell: LstmParams,
                  state: _DecodeState, tokens):
     """Advance one step: the T-LSTM on the tokens, then the shared
     `model.step`. tokens is one token id with a vector state, or an array
     of ids with one state row per id. Returns (logits, new_state, t_trace,
     m_trace), in rows where the state has rows."""
     t_tr = cell_forward(d.t_lstm, d.embedding.T[tokens], state.h1, state.c1)
-    _, _, m_tr, logits = step(m, d, t_tr.h, state.h2, state.c2, img)
+    _, _, m_tr, logits = step(m, d, t_tr.h, state.h2, state.c2, m_cell)
     return logits, _DecodeState(t_tr.h, t_tr.c, m_tr.h, m_tr.c), t_tr, m_tr
 
 
@@ -93,14 +93,14 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
         )
 
     d = m.direction(direction)
-    img = image_input(d, feature)
+    m_cell = image_input(d, feature)
     live = [Hypothesis([], 0.0, [], False)]
     state = _DecodeState(*np.zeros((4, 1, m.hidden_dim)))
     tokens = np.array([BOUNDARY_ID])
     finished: list[Hypothesis] = []
 
     while live:
-        logits, state, _, _ = _decode_step(m, d, img, state, tokens)
+        logits, state, _, _ = _decode_step(m, d, m_cell, state, tokens)
         logprobs = log_softmax(logits)
         top = _top_k(logprobs, beam_k)
         top_lp = np.take_along_axis(logprobs, top, axis=1)
@@ -179,14 +179,14 @@ def dump_gate_trace(m: CaptionModel, feature: np.ndarray, direction: str,
             f"feature has len {feature.shape[0]}, model expects {m.feature_dim}"
         )
     d = m.direction(direction)
-    img = image_input(d, feature)
+    m_cell = image_input(d, feature)
     state = _initial_state(m)
     token = BOUNDARY_ID
     t_steps: list[LstmStepTrace] = []
     m_steps: list[LstmStepTrace] = []
     words: list[tuple[int, str, int, float]] = []
     for t in range(max_len):
-        logits, state, t_tr, m_tr = _decode_step(m, d, img, state, token)
+        logits, state, t_tr, m_tr = _decode_step(m, d, m_cell, state, token)
         probs = softmax(logits)
         token = int(np.argmax(probs))
         t_steps.append(t_tr)

@@ -4,8 +4,8 @@ The four gates are packed into one 4H-row block in fixed order (i, f, o, g),
 so a step costs two matvecs. Step traces keep every intermediate needed by
 the backward pass, so nothing is recomputed during backpropagation through
 time except tanh(c), which is cheap. A backward step mutates nothing: it
-returns its gate gradient, and the weight gradients are formed once per
-sequence from those stacked rows.
+returns its gate gradient, and the weight and input gradients are formed
+once per sequence from those stacked rows.
 """
 
 from dataclasses import dataclass
@@ -115,9 +115,9 @@ def sequence_forward(p: LstmParams, xs) -> list[LstmStepTrace]:
 
 def cell_backward(p: LstmParams, trace: LstmStepTrace, dh: np.ndarray,
                   dc: np.ndarray):
-    """Backward through one step. Returns (da, dx, dh_prev, dc_prev), where
-    da is the gradient of the gate pre-activations; the weight gradients
-    are formed once per sequence from the stacked da rows (weight_grads)."""
+    """Backward through one step. Returns (da, dh_prev, dc_prev), where da
+    is the gradient of the gate pre-activations; the weight and input
+    gradients are formed once per sequence from the stacked da rows."""
     H = p.hidden_dim
     tanh_c = np.tanh(trace.c)
     do = dh * tanh_c
@@ -132,17 +132,17 @@ def cell_backward(p: LstmParams, trace: LstmStepTrace, dh: np.ndarray,
     da[H:2 * H] = df * trace.f * (1.0 - trace.f)
     da[2 * H:3 * H] = do * trace.o * (1.0 - trace.o)
     da[3 * H:] = dg * (1.0 - trace.g * trace.g)
-    return da, p.Wx.T @ da, p.Wh.T @ da, dc_prev
+    return da, p.Wh.T @ da, dc_prev
 
 
-def weight_grads(p: LstmParams, traces, da: np.ndarray):
+def weight_grads(traces, da: np.ndarray, dWx: np.ndarray):
     """(dWx, dWh, db) summed over a sequence: one product each of the
     (T, 4H) gate gradients with the stacked step inputs and previous
-    hidden states."""
-    T = len(traces)
-    xs = np.array([tr.x for tr in traces]).reshape(T, p.input_dim)
-    h_prevs = np.array([tr.h_prev for tr in traces]).reshape(T, p.hidden_dim)
-    return da.T @ xs, da.T @ h_prevs, da.sum(axis=0)
+    hidden states; dWx is written into `dWx`, as wide as the inputs."""
+    T, H = len(traces), da.shape[1] // 4
+    xs = np.array([tr.x for tr in traces]).reshape(T, dWx.shape[1])
+    h_prevs = np.array([tr.h_prev for tr in traces]).reshape(T, H)
+    return np.matmul(da.T, xs, out=dWx), da.T @ h_prevs, da.sum(axis=0)
 
 
 def sequence_backward(p: LstmParams, traces, dh_seq) -> LstmGrads:
@@ -156,10 +156,9 @@ def sequence_backward(p: LstmParams, traces, dh_seq) -> LstmGrads:
         )
     T, H = len(traces), p.hidden_dim
     da = np.empty((T, 4 * H))
-    dx = np.empty((T, p.input_dim))
     dh_carry = np.zeros(H)
     dc_carry = np.zeros(H)
     for t in range(T - 1, -1, -1):
-        da[t], dx[t], dh_carry, dc_carry = cell_backward(
+        da[t], dh_carry, dc_carry = cell_backward(
             p, traces[t], dh_seq[t] + dh_carry, dc_carry)
-    return LstmGrads(*weight_grads(p, traces, da), dx_seq=dx)
+    return LstmGrads(*weight_grads(traces, da, np.empty_like(p.Wx)), da @ p.Wx)

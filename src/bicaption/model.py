@@ -269,37 +269,26 @@ def bi_f_transition(W: np.ndarray, U: np.ndarray, V: np.ndarray,
     return relu(_bi_f_preact(W, U, V, h_below))
 
 
-@dataclass
-class ImageInput:
-    """An image as one direction's M-LSTM reads it at every step: the
-    feature, and the M-LSTM cell with the feature's columns of Wx folded
-    into its bias (Wx[:, tw:] @ feature + b), so that the cell multiplies
-    only the tw text columns."""
-
-    feature: np.ndarray
-    m_cell: LstmParams
-
-
-def image_input(d: DirectionParams, feature: np.ndarray) -> ImageInput:
-    """Project the image through the M-LSTM once, for a whole sequence."""
+def image_input(d: DirectionParams, feature: np.ndarray) -> LstmParams:
+    """Project the image through the M-LSTM once, for a whole sequence: the
+    M-LSTM cell with Wx[:, tw:] @ feature folded into its bias, so that it
+    multiplies only the tw text columns (its Wx and Wh view the parameters)."""
     p = d.m_lstm
     tw = p.Wx.shape[1] - feature.shape[0]
-    return ImageInput(feature, LstmParams(p.Wx[:, :tw], p.Wh,
-                                          p.Wx[:, tw:] @ feature + p.b))
+    return LstmParams(p.Wx[:, :tw], p.Wh, p.Wx[:, tw:] @ feature + p.b)
 
 
 def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
-         h2: np.ndarray, c2: np.ndarray, img: ImageInput):
+         h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams):
     """One time step above the T-LSTM: the transition on the T-LSTM output
-    h1, the M-LSTM on the transition output and the image from state
-    (h2, c2), and the shared softmax's logits. h1, h2 and c2 are vectors,
-    or (B, H) rows that each advance one sequence.
+    h1, the image-folded M-LSTM cell (`image_input`) on the transition
+    output from state (h2, c2), and the shared softmax's logits. h1, h2 and
+    c2 are vectors, or (B, H) rows that each advance one sequence.
 
     Returns (relu pre-activation | None, transition output | None, M-LSTM
     trace, logits). Training, gradient checking, decoding and gate tracing
     all run this one function, so their numbers agree bit for bit. The
-    M-LSTM trace records the full [text, feature] input that the backward
-    pass reads.
+    M-LSTM trace records the text input alone, the one the cell multiplied.
     """
     pre = act = None
     if m.arch == ArchitectureKind.BI_LSTM:
@@ -309,15 +298,11 @@ def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
     else:
         pre = _bi_f_preact(d.transition.W, d.transition.U, d.transition.V, h1)
         text = act = relu(pre)
-    m_tr = cell_forward(img.m_cell, text, h2, c2)
-    tw = text.shape[-1]
-    m_tr.x = np.empty(text.shape[:-1] + d.m_lstm.Wx.shape[1:])
-    m_tr.x[..., :tw] = text
-    m_tr.x[..., tw:] = img.feature
+    m_tr = cell_forward(m_cell, text, h2, c2)
     return pre, act, m_tr, matvec(m.softmax_w, m_tr.h) + m.softmax_b
 
 
-def unroll(m: CaptionModel, d: DirectionParams, t_traces, feature: np.ndarray):
+def unroll(m: CaptionModel, d: DirectionParams, t_traces, m_cell: LstmParams):
     """Run `step` over a sequence's T-LSTM traces from a zero M-LSTM state.
 
     Returns per-step lists (relu pre-activations, transition outputs, M-LSTM
@@ -330,9 +315,8 @@ def unroll(m: CaptionModel, d: DirectionParams, t_traces, feature: np.ndarray):
     logits_seq: list[np.ndarray] = []
     h2 = np.zeros(m.hidden_dim)
     c2 = np.zeros(m.hidden_dim)
-    img = image_input(d, feature)
     for t_tr in t_traces:
-        pre, act, m_tr, logits = step(m, d, t_tr.h, h2, c2, img)
+        pre, act, m_tr, logits = step(m, d, t_tr.h, h2, c2, m_cell)
         if act is not None:
             acts.append(act)
         if pre is not None:
@@ -381,7 +365,8 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
 
     d = m.direction(direction)
     t_traces = sequence_forward(d.t_lstm, [d.embedding[:, t] for t in tokens])
-    preacts, acts, m_traces, logits_seq = unroll(m, d, t_traces, feature)
+    m_cell = image_input(d, feature)
+    preacts, acts, m_traces, logits_seq = unroll(m, d, t_traces, m_cell)
     return ForwardPassRecord(
         direction=direction, tokens=tokens, feature=feature,
         t_traces=t_traces, m_traces=m_traces,
@@ -395,7 +380,8 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
     """Gradients of the summed cross-entropy  sum_t -log probs[t][targets[t]]
     for the record's direction, keyed by block name (softmax included).
     Each weight gradient is one product over time of per-step rows; only
-    the M-LSTM recurrence runs step by step."""
+    the M-LSTM recurrence runs step by step. The M-LSTM input gradient
+    covers the text columns; the image columns' dWx is db (x) feature."""
     targets = list(targets)
     T = len(rec)
     if len(targets) != T:
@@ -405,6 +391,7 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
     prefix = "fwd" if rec.direction == FORWARD else "bwd"
     H = m.hidden_dim
     tw = d.m_lstm.input_dim - m.feature_dim  # text-side width
+    text_cols = d.m_lstm.Wx[:, :tw]
     tr_params = d.transition
 
     dlogits = np.array(rec.probs).reshape(T, m.vocab_size)
@@ -417,13 +404,17 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
     dh2_carry = np.zeros(H)
     dc2_carry = np.zeros(H)
     for t in range(T - 1, -1, -1):
-        m_da[t], dm_in, dh2_carry, dc2_carry = cell_backward(
+        m_da[t], dh2_carry, dc2_carry = cell_backward(
             d.m_lstm, rec.m_traces[t], dh2_soft[t] + dh2_carry, dc2_carry)
-        d_text[t] = dm_in[:tw]
         if m.arch == ArchitectureKind.BI_S_LSTM:
             # the stacked transition also reads the previous M hidden state
+            d_text[t] = text_cols.T @ m_da[t]
             dh2_carry = dh2_carry + tr_params.V.T @ d_text[t]
-    dmWx, dmWh, dmb = weight_grads(d.m_lstm, rec.m_traces, m_da)
+    if m.arch != ArchitectureKind.BI_S_LSTM:
+        np.matmul(m_da, text_cols, out=d_text)
+    dmWx = np.empty_like(d.m_lstm.Wx)
+    _, dmWh, dmb = weight_grads(rec.m_traces, m_da, dmWx[:, :tw])
+    np.multiply.outer(dmb, rec.feature, out=dmWx[:, tw:])
 
     h1s = np.array([tr.h for tr in rec.t_traces]).reshape(T, H)
     trans = {}

@@ -10,10 +10,10 @@ import numpy as np
 
 from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
-from .lstm import LstmStepTrace, sequence_forward
+from .lstm import LstmParams, LstmStepTrace, sequence_forward
 from .model import (ArchitectureKind, BACKWARD, CaptionModel, FORWARD,
-                    ForwardPassRecord, direction_forward, is_bias_block,
-                    model_backward, unroll)
+                    ForwardPassRecord, direction_forward, image_input,
+                    is_bias_block, model_backward, unroll)
 from .numcore import log_softmax
 
 
@@ -110,10 +110,9 @@ def joint_backward(m: CaptionModel,
     rec_b, tgt_b, lb = _direction_pass(m, ex, BACKWARD)
     grads = model_backward(m, rec_f, tgt_f)
     for name, g in model_backward(m, rec_b, tgt_b).items():
-        if name in grads:
-            grads[name] = grads[name] + g
-        else:
-            grads[name] = g
+        if name in grads:  # the shared softmax, summed in place
+            g += grads[name]
+        grads[name] = g
     return JointLoss(loss_fwd=lf, loss_bwd=lb), grads
 
 
@@ -125,11 +124,13 @@ def mean_joint_loss(m: CaptionModel, examples) -> float:
 
 
 def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
-    """Mean of per-example gradient dicts."""
+    """Mean of per-example gradient dicts; the inputs are left unchanged."""
     if not grad_list:
         raise DataError("no gradients to accumulate")
-    out = {name: g.copy() for name, g in grad_list[0].items()}
-    for grads in grad_list[1:]:
+    first, *rest = grad_list  # the first sum makes the output arrays
+    out = {name: g + rest[0][name] if rest else g.copy()
+           for name, g in first.items()}
+    for grads in rest[1:]:
         for name, g in grads.items():
             out[name] += g
     scale = 1.0 / len(grad_list)
@@ -140,9 +141,13 @@ def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
 
 def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
              cfg: TrainConfig) -> TrainState:
-    """v <- mu*v - eta*(g + lambda*theta); theta <- theta + v.
-    Biases are excluded from the decay term."""
+    """v <- mu*v - eta*(g + lambda*theta); theta <- theta + v, biases without
+    decay. Nothing moves unless every gradient fits a block and is finite."""
+    params = dict(state.model.blocks())
     for name, g in grads.items():
+        shape = params[name].shape if name in params else "absent"
+        if g.shape != shape:
+            raise ShapeError(f"gradient for {name} has shape {g.shape}, model block {shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in block {name}")
 
@@ -152,18 +157,16 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
             scale = cfg.grad_clip / norm
             grads = {name: g * scale for name, g in grads.items()}
 
-    for name, arr in state.model.blocks():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != arr.shape:
-            raise ShapeError(
-                f"gradient for {name} has shape {g.shape}, parameter {arr.shape}"
-            )
-        step = g if is_bias_block(name) else g + cfg.weight_decay * arr
-        v = state.velocity[name]
+    for name, g in grads.items():
+        arr, v = params[name], state.velocity[name]
+        if is_bias_block(name):
+            step = g * cfg.learning_rate
+        else:  # eta*(lambda*theta + g), in one temporary
+            step = cfg.weight_decay * arr
+            step += g
+            step *= cfg.learning_rate
         v *= cfg.momentum
-        v -= cfg.learning_rate * step
+        v -= step
         arr += v
     state.updates += 1
     return state
@@ -232,16 +235,17 @@ def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
 class _FdPass:
     """One direction's finite-difference forward: the negated sum of target
     log-probabilities, the relu transition sign bytes (empty for the other
-    architectures), and the per-step traces of the T-LSTM and the M-LSTM."""
+    architectures), the T-LSTM and M-LSTM step traces and the M-LSTM cell."""
 
     nll: float
     signs: bytes
     t_traces: list[LstmStepTrace]
     m_traces: list[LstmStepTrace]
+    m_cell: LstmParams
 
 
-# The first layer a finite-difference pass recomputes.
-_T_LSTM, _ABOVE_T_LSTM, _SOFTMAX = 0, 1, 2
+# The first layer a finite-difference pass recomputes (_M_CELL: the image fold).
+_T_LSTM, _M_CELL, _ABOVE_T_LSTM, _SOFTMAX = 0, 1, 2, 3
 
 
 def _fd_plan(name: str) -> tuple[tuple[str, ...], int]:
@@ -250,7 +254,8 @@ def _fd_plan(name: str) -> tuple[tuple[str, ...], int]:
     if name.startswith("softmax_"):
         return (FORWARD, BACKWARD), _SOFTMAX
     prefix, layer = name.split(".")[:2]
-    first = _T_LSTM if layer in ("embedding", "t_lstm") else _ABOVE_T_LSTM
+    first = (_T_LSTM if layer in ("embedding", "t_lstm") else
+             _M_CELL if name.endswith(("m_lstm.Wx", "m_lstm.b")) else _ABOVE_T_LSTM)
     return (FORWARD if prefix == "fwd" else BACKWARD,), first
 
 
@@ -262,29 +267,33 @@ def _fd_direction(m: CaptionModel, ex: CaptionedExample, direction: str,
 
     With `base`, a pass of the same direction on the unperturbed model, the
     layers below `first` are taken from it rather than recomputed:
-    _ABOVE_T_LSTM unrolls over its T-LSTM traces, _SOFTMAX runs only the
-    logits over its M-LSTM traces and keeps its relu signs. Everything that
-    is recomputed runs the operations of the full pass in the same order on
-    bitwise equal inputs, so the result is bitwise that of the full pass
-    whenever the reused layers' parameters are those of `base`.
+    _M_CELL and _ABOVE_T_LSTM unroll over its T-LSTM traces, _SOFTMAX runs
+    only the logits over its M-LSTM traces and keeps its relu signs. All but
+    _M_CELL reuse its M-LSTM cell, whose Wx and Wh view the live parameters.
+    Everything that is recomputed runs the operations of the full pass in
+    the same order on bitwise equal inputs, so the result is bitwise that of
+    the full pass whenever the reused layers' parameters are those of `base`.
     """
     inputs, targets = direction_io(ex.tokens, direction)
     if first == _SOFTMAX:
         t_traces, m_traces, signs = base.t_traces, base.m_traces, base.signs
+        m_cell = base.m_cell
         logits_seq = [m.softmax_w @ tr.h + m.softmax_b for tr in m_traces]
     else:
         d = m.direction(direction)
-        if first == _ABOVE_T_LSTM:
+        if first != _T_LSTM:
             t_traces = base.t_traces
         else:
             t_traces = sequence_forward(
                 d.t_lstm, [d.embedding[:, tok] for tok in inputs])
-        preacts, _, m_traces, logits_seq = unroll(m, d, t_traces, ex.feature)
+        refold = base is None or first == _M_CELL
+        m_cell = image_input(d, ex.feature) if refold else base.m_cell
+        preacts, _, m_traces, logits_seq = unroll(m, d, t_traces, m_cell)
         signs = b"".join((pre > 0.0).tobytes() for pre in preacts)
     logprob_sum = 0.0
     for logits, tgt in zip(logits_seq, targets):
         logprob_sum += log_softmax(logits)[tgt]
-    return _FdPass(-logprob_sum, signs, t_traces, m_traces)
+    return _FdPass(-logprob_sum, signs, t_traces, m_traces, m_cell)
 
 
 def _fd_joint(fwd: _FdPass, bwd: _FdPass) -> tuple[float, bytes]:
@@ -397,11 +406,12 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
     perturbation reruns only its own direction and reuses the other one's
     loss and relu signs; an M-LSTM or transition block also reuses its
     direction's T-LSTM states, and a softmax block reruns only the softmax
-    of both directions over their unperturbed M-LSTM states. The reused
-    values come from parameters that the perturbation leaves unchanged (each
-    scalar is restored exactly after use), the recomputed layers run the
-    same operations in the same order, and the two directions are summed
-    as _fd_loss_and_signs sums them, so the report is exactly the one that
+    of both directions over their unperturbed M-LSTM states; only m_lstm.Wx
+    and m_lstm.b refold the image into the M-LSTM cell. The reused values
+    come from parameters that the perturbation leaves unchanged (each scalar
+    is restored exactly after use), the recomputed layers run the same
+    operations in the same order, and the two directions are summed as
+    _fd_loss_and_signs sums them, so the report is exactly the one that
     calling _fd_loss_and_signs for every perturbation would give.
     """
     if not 0.0 < epsilon <= 1e-3:

@@ -61,11 +61,11 @@ class TestDecodeDirection:
         for direction in (FORWARD, BACKWARD):
             rec = direction_forward(m, direction, tokens, feature)
             d = m.direction(direction)
-            img = image_input(d, feature)
+            m_cell = image_input(d, feature)
             state = infer_mod._initial_state(m)
             for t, token in enumerate(tokens):
                 logits, state, _, _ = infer_mod._decode_step(
-                    m, d, img, state, token)
+                    m, d, m_cell, state, token)
                 assert np.array_equal(logits, rec.logits[t]), (direction, t)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])

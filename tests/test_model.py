@@ -5,8 +5,8 @@ from bicaption.data import CaptionedExample
 from bicaption.errors import ConfigError, ShapeError, VocabError
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
                              bi_f_transition, bi_s_transition, build_model,
-                             direction_forward, init_model, model_backward,
-                             random_model)
+                             direction_forward, image_input, init_model,
+                             model_backward, random_model, step)
 from bicaption.train import direction_io, joint_backward, joint_loss
 
 from oracles import (central_difference_grad, inline_bilstm_probs,
@@ -156,6 +156,23 @@ class TestDirectionForward:
         rec = direction_forward(m, FORWARD, [], np.zeros(2))
         assert len(rec) == 0
 
+    @pytest.mark.parametrize("arch", [BI, BIS, BIF])
+    def test_m_lstm_trace_records_text_input(self, arch):
+        # the image is folded into the M-LSTM cell's bias, so a step's trace
+        # holds the text input the cell multiplied, not [text, feature]
+        m = random_model(arch, 6, 3, 4, 4, seed=5)
+        tw = m.fwd.m_lstm.input_dim - m.feature_dim
+        rec = direction_forward(m, FORWARD, [0, 2, 3], np.ones(3))
+        for t, tr in enumerate(rec.m_traces):
+            text = (rec.t_traces[t].h if arch == BI
+                    else rec.transition_activations[t])
+            assert tr.x.shape == (tw,)
+            np.testing.assert_array_equal(tr.x, text)
+        rows = np.ones((2, 4))
+        _, _, m_tr, _ = step(m, m.fwd, rows, 0 * rows, 0 * rows,
+                             image_input(m.fwd, np.ones(3)))
+        assert m_tr.x.shape == (2, tw)
+
 
 class TestSharedSoftmax:
     def test_mutation_affects_both_directions(self):
@@ -259,6 +276,10 @@ class TestModelBackward:
             for direction in (FORWARD, BACKWARD):
                 inputs, targets = direction_io(ex.tokens, direction)
                 rec = direction_forward(m, direction, inputs, ex.feature)
+                # the M-LSTM trace records the text input the image-folded
+                # cell multiplied; the oracle reads the full input
+                for tr in rec.m_traces:
+                    tr.x = np.concatenate([tr.x, ex.feature])
                 ref_loss, ref_grads = rank1_model_backward(m, rec, targets)
                 ref_losses.append(ref_loss)
                 for name, g in ref_grads.items():

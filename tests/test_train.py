@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import bicaption.train as train_mod
 from bicaption.data import CaptionedExample, make_toy_dataset
-from bicaption.errors import ConfigError, DataError, TrainingError
+from bicaption.errors import ConfigError, DataError, ShapeError, TrainingError
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
                              init_model, random_model)
 from bicaption.train import (BlockCheck, TrainConfig, _fd_loss_and_signs,
@@ -158,6 +159,54 @@ class TestSgdStep:
         for name, arr in state.model.blocks():
             assert state.velocity[name].shape == arr.shape
 
+    @pytest.mark.parametrize("bad, named", [
+        ({"fwd.trans.U": np.ones((3, 3)), "sofmax_w": np.ones((5, 3))},
+         "fwd.trans.U"),
+        ({"softmax_b": np.ones(5), "sofmax_w": np.ones((5, 3))}, "sofmax_w"),
+        ({"fwd.embedding": np.ones((3, 5)), "softmax_w": np.ones((3, 5))},
+         "softmax_w"),
+    ])
+    def test_bad_gradient_dict_moves_nothing(self, bad, named):
+        # an unknown block (the bi-lstm model has no transition) or a wrong
+        # shape anywhere in the dict is refused before any parameter or
+        # velocity moves, naming the first bad block
+        state = self.make()
+        before = [a.copy() for _, a in state.model.blocks()]
+        with pytest.raises(ShapeError, match=named):
+            sgd_step(state, bad, TrainConfig())
+        for (_, arr), old in zip(state.model.blocks(), before):
+            np.testing.assert_array_equal(arr, old)
+        assert all(not v.any() for v in state.velocity.values())
+        assert state.updates == 0
+
+    @pytest.mark.parametrize("clip", [None, 0.5])
+    def test_bitwise_reference_update(self, clip):
+        # v = mu*v - lr*(g + wd*theta); theta += v, biases without decay,
+        # on random blocks over three steps
+        lr, mu, wd = 0.03, 0.9, 0.0005
+        cfg = TrainConfig(learning_rate=lr, momentum=mu, weight_decay=wd,
+                          grad_clip=clip)
+        state = make_state(random_model(ArchitectureKind.BI_S_LSTM, 6, 3, 4, 5,
+                                        seed=1))
+        theta = {n: a.copy() for n, a in state.model.blocks()}
+        vel = {n: np.zeros_like(a) for n, a in theta.items()}
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            grads = {n: rng.normal(size=a.shape) for n, a in theta.items()}
+            sgd_step(state, grads, cfg)
+            if clip is not None:
+                norm = math.sqrt(sum(float(np.sum(g * g))
+                                     for g in grads.values()))
+                assert norm > clip
+                grads = {n: g * (clip / norm) for n, g in grads.items()}
+            for n, g in grads.items():
+                decay = 0.0 if n.endswith(".b") or n == "softmax_b" else wd
+                vel[n] = mu * vel[n] - lr * (g + decay * theta[n])
+                theta[n] = theta[n] + vel[n]
+        for n, arr in state.model.blocks():
+            assert arr.tobytes() == theta[n].tobytes(), n
+            assert state.velocity[n].tobytes() == vel[n].tobytes(), n
+
 
 class TestAccumulateGrads:
     def test_mean_of_two(self):
@@ -166,6 +215,25 @@ class TestAccumulateGrads:
         out = accumulate_grads([a, b])
         np.testing.assert_array_equal(out["x"], [3.0])
         np.testing.assert_array_equal(out["y"], [1.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_inputs_unchanged_and_bitwise_mean(self, n):
+        rng = np.random.default_rng(n)
+        grad_list = [{"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+                     for _ in range(n)]
+        grad_list[0]["b"][0] = -0.0
+        kept = [{k: g.copy() for k, g in grads.items()} for grads in grad_list]
+        out = accumulate_grads(grad_list)
+        for grads, old in zip(grad_list, kept):
+            for k in grads:
+                assert grads[k].tobytes() == old[k].tobytes()
+        for k in ("w", "b"):
+            ref = grad_list[0][k].copy()
+            for grads in grad_list[1:]:
+                ref += grads[k]
+            ref *= 1.0 / n
+            assert out[k].tobytes() == ref.tobytes()
+            assert not any(np.shares_memory(out[k], g[k]) for g in grad_list)
 
 
 class TestTrainEpochs:
@@ -307,6 +375,23 @@ class TestGradCheck:
                 assert report.blocks == expected, (arch, epsilon)
                 if arch == ArchitectureKind.BI_F_LSTM and epsilon == 1e-3:
                     assert sum(b.n_rejected for b in expected) > 0
+
+    def test_image_cell_refolded_only_for_its_blocks(self, monkeypatch):
+        # the unperturbed pass's image-folded M-LSTM cell serves every
+        # perturbation except those of m_lstm.Wx and m_lstm.b (two each)
+        calls = []
+        real = train_mod.image_input
+
+        def counting(d, feature):
+            calls.append(1)
+            return real(d, feature)
+
+        monkeypatch.setattr(train_mod, "image_input", counting)
+        m = random_model(ArchitectureKind.BI_F_LSTM, 5, 2, 3, 3, seed=0)
+        grad_check(m, toy_example(0, vocab=5, feat=2, length=2))
+        refolded = sum(arr.size for name, arr in m.blocks()
+                       if name.endswith(("m_lstm.Wx", "m_lstm.b")))
+        assert len(calls) == 2 + 2 * refolded
 
     def test_passes_at_default_tolerance(self):
         m = random_model(BI, 7, 3, 4, 5, seed=0)
