@@ -10,20 +10,22 @@ Layout, all integers little-endian:
     blocks  float64 row-major bytes, declared block order
     digest  8 bytes  blake2b-64 of everything above
 
-load(save(model)) reproduces the model bitwise. A save writes a temp file
+load(save(model)) reproduces the model bitwise. A load checks the payload
+size the header implies before it builds any block. A save writes a temp file
 beside the target and renames it over the target, so a save that fails
 leaves any earlier checkpoint whole.
 """
 
 import contextlib
 import hashlib
+import math
 import os
 import struct
 
 import numpy as np
 
-from .errors import CheckpointError
-from .model import ArchitectureKind, CaptionModel, build_model
+from .errors import CheckpointError, ConfigError
+from .model import ArchitectureKind, CaptionModel, block_shapes, build_model
 
 MAGIC = b"BICAP1"
 VERSION = 1
@@ -72,21 +74,25 @@ def deserialize_model(blob: bytes) -> CaptionModel:
     arch = _CODE_ARCHS[arch_code]
 
     bif_widths = (wu, wv, ww) if arch == ArchitectureKind.BI_F_LSTM else None
-    m = build_model(arch, vocab, feat, embed, hidden, bif_widths=bif_widths)
-
+    try:
+        shapes = block_shapes(arch, vocab, feat, embed, hidden, bif_widths)
+    except ConfigError as e:
+        raise CheckpointError(f"bad checkpoint header: {e}") from None
+    # the size the header implies, in exact integers, before anything is built
     offset = len(MAGIC) + _HEADER.size
+    size = offset + 8 * sum(math.prod(shape) for _, shape in shapes) + 8
+    if size != len(blob):
+        raise CheckpointError(
+            f"checkpoint is {len(blob)} bytes, its header implies {size}")
+
+    m = build_model(arch, vocab, feat, embed, hidden, bif_widths=bif_widths)
     for name, arr in m.blocks():
-        nbytes = arr.size * 8
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"checkpoint truncated in block {name}")
         values = np.frombuffer(payload, dtype="<f8", count=arr.size,
                                offset=offset)
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"non-finite values in block {name}")
         arr[...] = values.reshape(arr.shape)
-        offset += nbytes
-    if offset != len(payload):
-        raise CheckpointError("checkpoint has trailing bytes")
+        offset += arr.size * 8
     return m
 
 

@@ -240,10 +240,6 @@ def make_toy_dataset(n_images: int, vocab_k: int, feat_dim: int,
     return Vocabulary(token_to_id, id_to_token, counts), examples
 
 
-def toy_caption_text(vocab: Vocabulary, ex: CaptionedExample) -> str:
-    return " ".join(vocab.decode(ex.tokens))
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import BOUNDARY_ID, Vocabulary
 from .errors import ConfigError, DataError, ShapeError
-from .lstm import LstmParams, LstmStepTrace, cell_forward
+from .lstm import LstmParams, LstmStepTrace, cell_forward, input_drive
 from .model import (BACKWARD, CaptionModel, DirectionParams, FORWARD,
                     image_input, step)
 from .numcore import log_softmax, softmax
@@ -53,9 +53,12 @@ def _decode_step(m: CaptionModel, d: DirectionParams, m_cell: LstmParams,
                  state: _DecodeState, tokens):
     """Advance one step: the T-LSTM on the tokens, then the shared
     `model.step`. tokens is one token id with a vector state, or an array
-    of ids with one state row per id. Returns (logits, new_state, t_trace,
-    m_trace), in rows where the state has rows."""
-    t_tr = cell_forward(d.t_lstm, d.embedding.T[tokens], state.h1, state.c1)
+    of ids with one state row per id, whose input drives are then one
+    product. Returns (logits, new_state, t_trace, m_trace), in rows where
+    the state has rows."""
+    x = d.embedding.T[tokens]
+    t_tr = cell_forward(d.t_lstm, x, input_drive(d.t_lstm, x), state.h1,
+                        state.c1)
     _, _, m_tr, logits = step(m, d, t_tr.h, state.h2, state.c2, m_cell)
     return logits, _DecodeState(t_tr.h, t_tr.c, m_tr.h, m_tr.c), t_tr, m_tr
 

@@ -1,11 +1,15 @@
 """Single-direction LSTM cell: forward recurrence and its analytic backward pass.
 
-The four gates are packed into one 4H-row block in fixed order (i, f, o, g),
-so a step costs two matvecs. Step traces keep every intermediate needed by
-the backward pass, so nothing is recomputed during backpropagation through
-time except tanh(c), which is cheap. A backward step mutates nothing: it
-returns its gate gradient, and the weight and input gradients are formed
-once per sequence from those stacked rows.
+The four gates are packed into one 4H-row block in fixed order (i, f, o, g).
+A step's input drive Wx @ x + b does not read the carried state, so a
+caller forms it for all the rows it has at once (`input_drive`): a whole
+sequence in `sequence_forward`, the live hypotheses of a decoding step.
+The step itself adds Wh @ h_prev and runs the gate arithmetic. Step traces
+keep every intermediate needed by the backward pass, so nothing is
+recomputed during backpropagation through time except tanh(c), which is
+cheap. A backward step mutates nothing: it returns its gate gradient, and
+the weight and input gradients are formed once per sequence from those
+stacked rows.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numcore import sigmoid, tanh_act
+from .numcore import matvec, sigmoid, tanh_act
 
 
 @dataclass
@@ -34,14 +38,6 @@ class LstmParams:
 
     def copy(self) -> "LstmParams":
         return LstmParams(self.Wx.copy(), self.Wh.copy(), self.b.copy())
-
-
-def zeros_lstm(input_dim: int, hidden_dim: int) -> LstmParams:
-    return LstmParams(
-        Wx=np.zeros((4 * hidden_dim, input_dim)),
-        Wh=np.zeros((4 * hidden_dim, hidden_dim)),
-        b=np.zeros(4 * hidden_dim),
-    )
 
 
 @dataclass
@@ -70,26 +66,32 @@ class LstmGrads:
     dx_seq: np.ndarray
 
 
-def cell_forward(p: LstmParams, x: np.ndarray, h_prev: np.ndarray,
-                 c_prev: np.ndarray) -> LstmStepTrace:
-    """One gated update: i,f,o = sigmoid gates, g = tanh candidate,
-    c = f*c_prev + i*g, h = o*tanh(c). x, h_prev and c_prev are vectors, or
-    (B, .) batches of rows that each step one sequence; the trace then
-    holds rows too."""
+def input_drive(p: LstmParams, x: np.ndarray) -> np.ndarray:
+    """Wx @ x + b, the part of the gate pre-activations that does not read
+    the carried state, for a vector or for (T, D) rows in one product."""
+    return matvec(p.Wx, x) + p.b
+
+
+def cell_forward(p: LstmParams, x: np.ndarray, drive: np.ndarray,
+                 h_prev: np.ndarray, c_prev: np.ndarray) -> LstmStepTrace:
+    """One gated update from the step's input drive (`input_drive` of x,
+    formed by the caller): a = drive + Wh @ h_prev, i,f,o = sigmoid gates,
+    g = tanh candidate, c = f*c_prev + i*g, h = o*tanh(c). x is kept for the
+    weight gradients. x, drive, h_prev and c_prev are vectors, or (B, .)
+    batches of rows that each step one sequence; the trace then holds rows
+    too."""
     H = p.hidden_dim
-    if x.shape[-1] != p.input_dim:
+    if x.shape[-1] != p.input_dim or drive.shape[-1] != 4 * H:
         raise ShapeError(
-            f"cell input has len {x.shape[-1]}, params expect {p.input_dim}"
+            f"cell input/drive have len {x.shape[-1]}/{drive.shape[-1]}, "
+            f"params expect {p.input_dim}/{4 * H}"
         )
     if h_prev.shape[-1] != H or c_prev.shape[-1] != H:
         raise ShapeError(
             f"state has len {h_prev.shape[-1]}/{c_prev.shape[-1]}, "
             f"params expect {H}"
         )
-    if x.ndim == 1:
-        a = p.Wx @ x + p.Wh @ h_prev + p.b
-    else:  # one product for all rows; a small x @ Wx.T costs more than Wx @ x
-        a = x @ p.Wx.T + h_prev @ p.Wh.T + p.b
+    a = drive + (p.Wh @ h_prev if h_prev.ndim == 1 else h_prev @ p.Wh.T)
     gates = sigmoid(a[..., :3 * H])  # one call for the three sigmoid gates
     i = gates[..., :H]
     f = gates[..., H:2 * H]
@@ -102,15 +104,24 @@ def cell_forward(p: LstmParams, x: np.ndarray, h_prev: np.ndarray,
 
 
 def sequence_forward(p: LstmParams, xs) -> list[LstmStepTrace]:
-    """Run the cell over a sequence from a zero initial state."""
-    h = np.zeros(p.hidden_dim)
-    c = np.zeros(p.hidden_dim)
+    """Run the cell over a sequence of inputs ((T, D) rows, or a list of
+    vectors) from a zero initial state. The input drives of all steps are
+    one product; only Wh @ h runs step by step."""
+    if len(xs) == 0:
+        return []
+    xs = np.asarray(xs, dtype=np.float64)
+    h = c = np.zeros(p.hidden_dim)
     traces = []
-    for x in xs:
-        tr = cell_forward(p, x, h, c)
+    for x, drive in zip(xs, input_drive(p, xs)):
+        tr = cell_forward(p, x, drive, h, c)
         traces.append(tr)
         h, c = tr.h, tr.c
     return traces
+
+
+def hidden_rows(traces, hidden_dim: int) -> np.ndarray:
+    """The hidden states of a sequence's step traces as (T, H) rows."""
+    return np.array([tr.h for tr in traces]).reshape(len(traces), hidden_dim)
 
 
 def cell_backward(p: LstmParams, trace: LstmStepTrace, dh: np.ndarray,

@@ -15,13 +15,15 @@ transition fed by the T-LSTM output and the M-LSTM's previous hidden
 state, or a relu layer whose output concatenates a direct projection of
 the T-LSTM output (shortcut) with a two-matrix bottleneck of it.
 
-`step` is the one place that runs a time step above the T-LSTM
-(transition, M-LSTM, softmax logits), and the only place that branches on
-the architecture in the forward direction. `unroll` loops it over a
-sequence's T-LSTM traces. Teacher-forced training (`direction_forward`),
-the finite-difference gradient check and beam/greedy decoding all run it;
-beam search runs it once per time step on a (B, .) batch of rows, one per
-live hypothesis.
+`transition_forward` holds the forward pass's architecture branch. `unroll`
+runs the layers above the T-LSTM over a whole teacher-forced sequence
+(training, gradient checking): every product that does not read a
+recurrent state is one product over the sequence's stacked rows, and only
+the recurrences run step by step; it asks only whether the transition
+reads the M-LSTM state (bi-s-lstm), which decides what can be hoisted. `step` runs one
+time step for decoding, on one row per live hypothesis. A row of a (T, .)
+product rounds differently from a product of that row alone, so the two
+agree to rounding (1e-12 relative), not bit for bit.
 """
 
 import enum
@@ -31,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, VocabError
 from .lstm import (LstmParams, LstmStepTrace, cell_backward, cell_forward,
-                   sequence_backward, sequence_forward, weight_grads,
-                   zeros_lstm)
+                   hidden_rows, input_drive, sequence_backward,
+                   sequence_forward, weight_grads)
 from .numcore import matvec, relu, softmax
 
 FORWARD = "forward"
@@ -145,63 +147,66 @@ def default_bif_widths(hidden_dim: int) -> tuple[int, int, int]:
     return (half, half, half)
 
 
-def text_input_width(arch: ArchitectureKind, hidden_dim: int,
-                     widths: tuple[int, int, int]) -> int:
-    """Width of the text-side vector entering the M-LSTM (before the
-    feature vector is concatenated on)."""
-    if arch == ArchitectureKind.BI_LSTM:
-        return hidden_dim
-    if arch == ArchitectureKind.BI_S_LSTM:
-        return widths[0]
-    return widths[1] + widths[2]  # bottleneck rows + shortcut rows
-
-
-def build_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
-                embed_dim: int, hidden_dim: int,
-                bif_widths: tuple[int, int, int] | None = None) -> CaptionModel:
-    """All-zero model with the architecture's shapes; init_model fills it."""
+def block_shapes(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
+                 embed_dim: int, hidden_dim: int,
+                 bif_widths: tuple[int, int, int] | None = None
+                 ) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter block's name and shape, in declared (checkpoint)
+    order. Nothing is allocated, so a checkpoint header's dimensions can be
+    checked against its size before any block is built."""
     for label, dim in (("vocab_size", vocab_size), ("feature_dim", feature_dim),
                        ("embed_dim", embed_dim), ("hidden_dim", hidden_dim)):
         if dim < 1:
             raise ConfigError(f"{label} must be >= 1, got {dim}")
 
+    H, G = hidden_dim, 4 * hidden_dim
     if arch == ArchitectureKind.BI_LSTM:
-        widths = (0, 0, 0)
+        text_width, trans = H, []
     elif arch == ArchitectureKind.BI_S_LSTM:
-        widths = (hidden_dim, 0, 0)
+        text_width, trans = H, [("U", (H, H)), ("V", (H, H))]
     else:
-        widths = bif_widths or default_bif_widths(hidden_dim)
+        widths = bif_widths or default_bif_widths(H)
         if min(widths) < 1:
             raise ConfigError(f"transition widths must be >= 1, got {widths}")
+        ua, vb, ww = widths
+        text_width = vb + ww  # bottleneck rows + shortcut rows
+        trans = [("U", (ua, H)), ("V", (vb, ua)), ("W", (ww, H))]
+    m_input = text_width + feature_dim  # the feature joins the text input
 
-    m_input = text_input_width(arch, hidden_dim, widths) + feature_dim
+    shapes = []
+    for prefix in ("fwd", "bwd"):
+        shapes.append((f"{prefix}.embedding", (embed_dim, vocab_size)))
+        for lstm, width in (("t_lstm", embed_dim), ("m_lstm", m_input)):
+            shapes += [(f"{prefix}.{lstm}.Wx", (G, width)),
+                       (f"{prefix}.{lstm}.Wh", (G, H)),
+                       (f"{prefix}.{lstm}.b", (G,))]
+        shapes += [(f"{prefix}.trans.{name}", shape) for name, shape in trans]
+    return shapes + [("softmax_w", (vocab_size, H)),
+                     ("softmax_b", (vocab_size,))]
 
-    def make_direction() -> DirectionParams:
-        if arch == ArchitectureKind.BI_LSTM:
-            trans = None
-        elif arch == ArchitectureKind.BI_S_LSTM:
-            trans = TransitionParams(
-                U=np.zeros((hidden_dim, hidden_dim)),
-                V=np.zeros((hidden_dim, hidden_dim)),
-            )
-        else:
-            ua, vb, ww = widths
-            trans = TransitionParams(
-                U=np.zeros((ua, hidden_dim)),
-                V=np.zeros((vb, ua)),
-                W=np.zeros((ww, hidden_dim)),
-            )
-        return DirectionParams(
-            embedding=np.zeros((embed_dim, vocab_size)),
-            t_lstm=zeros_lstm(embed_dim, hidden_dim),
-            m_lstm=zeros_lstm(m_input, hidden_dim),
-            transition=trans,
-        )
+
+def build_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
+                embed_dim: int, hidden_dim: int,
+                bif_widths: tuple[int, int, int] | None = None) -> CaptionModel:
+    """All-zero model with the architecture's shapes (`block_shapes`);
+    init_model fills it."""
+    z = {name: np.zeros(shape) for name, shape in block_shapes(
+        arch, vocab_size, feature_dim, embed_dim, hidden_dim, bif_widths)}
+
+    def make_direction(prefix: str) -> DirectionParams:
+        def lstm(name: str) -> LstmParams:
+            return LstmParams(*(z[f"{prefix}.{name}.{w}"]
+                                for w in ("Wx", "Wh", "b")))
+
+        trans = None if arch == ArchitectureKind.BI_LSTM else TransitionParams(
+            z[f"{prefix}.trans.U"], z[f"{prefix}.trans.V"],
+            z.get(f"{prefix}.trans.W"))
+        return DirectionParams(z[f"{prefix}.embedding"], lstm("t_lstm"),
+                               lstm("m_lstm"), trans)
 
     return CaptionModel(
-        arch=arch, fwd=make_direction(), bwd=make_direction(),
-        softmax_w=np.zeros((vocab_size, hidden_dim)),
-        softmax_b=np.zeros(vocab_size),
+        arch=arch, fwd=make_direction("fwd"), bwd=make_direction("bwd"),
+        softmax_w=z["softmax_w"], softmax_b=z["softmax_b"],
         vocab_size=vocab_size, feature_dim=feature_dim,
         embed_dim=embed_dim, hidden_dim=hidden_dim,
     )
@@ -253,20 +258,22 @@ def bi_s_transition(U: np.ndarray, V: np.ndarray, h_below: np.ndarray,
     return matvec(U, h_below) + matvec(V, h_prev_same)
 
 
-def _bi_f_preact(W: np.ndarray, U: np.ndarray, V: np.ndarray,
-                 h_below: np.ndarray) -> np.ndarray:
-    return np.concatenate([matvec(W, h_below), matvec(V, matvec(U, h_below))],
-                          axis=-1)
-
-
-def bi_f_transition(W: np.ndarray, U: np.ndarray, V: np.ndarray,
-                    h_below: np.ndarray) -> np.ndarray:
-    """Relu transition: relu(concat(W @ h_below, V @ (U @ h_below))).
-
-    The W branch is the shortcut from the layer input; output length is
-    W.rows + V.rows.
-    """
-    return relu(_bi_f_preact(W, U, V, h_below))
+def transition_forward(arch: ArchitectureKind, tp: TransitionParams | None,
+                       h1: np.ndarray, h2: np.ndarray | None):
+    """The M-LSTM's text input from T-LSTM output h1 (a vector or rows): h1
+    itself, U @ h1 + V @ h2 on the previous M-LSTM state h2 (bi-s-lstm, the
+    only reader of h2), or relu(concat(W @ h1, V @ (U @ h1))), whose W
+    branch is the shortcut. Returns (relu pre-activation | None, transition
+    output | None, text input)."""
+    if arch == ArchitectureKind.BI_LSTM:
+        return None, None, h1
+    if arch == ArchitectureKind.BI_S_LSTM:
+        act = bi_s_transition(tp.U, tp.V, h1, h2)
+        return None, act, act
+    pre = np.concatenate([matvec(tp.W, h1), matvec(tp.V, matvec(tp.U, h1))],
+                         axis=-1)
+    act = relu(pre)
+    return pre, act, act
 
 
 def image_input(d: DirectionParams, feature: np.ndarray) -> LstmParams:
@@ -278,6 +285,12 @@ def image_input(d: DirectionParams, feature: np.ndarray) -> LstmParams:
     return LstmParams(p.Wx[:, :tw], p.Wh, p.Wx[:, tw:] @ feature + p.b)
 
 
+def softmax_logits(m: CaptionModel, h2: np.ndarray) -> np.ndarray:
+    """The shared softmax's logits of M-LSTM hidden states, a vector or
+    rows in one product."""
+    return matvec(m.softmax_w, h2) + m.softmax_b
+
+
 def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
          h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams):
     """One time step above the T-LSTM: the transition on the T-LSTM output
@@ -286,61 +299,61 @@ def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
     c2 are vectors, or (B, H) rows that each advance one sequence.
 
     Returns (relu pre-activation | None, transition output | None, M-LSTM
-    trace, logits). Training, gradient checking, decoding and gate tracing
-    all run this one function, so their numbers agree bit for bit. The
-    M-LSTM trace records the text input alone, the one the cell multiplied.
+    trace, logits). The M-LSTM trace records the text input alone, the one
+    the cell multiplied.
     """
-    pre = act = None
-    if m.arch == ArchitectureKind.BI_LSTM:
-        text = h1
-    elif m.arch == ArchitectureKind.BI_S_LSTM:
-        text = act = bi_s_transition(d.transition.U, d.transition.V, h1, h2)
-    else:
-        pre = _bi_f_preact(d.transition.W, d.transition.U, d.transition.V, h1)
-        text = act = relu(pre)
-    m_tr = cell_forward(m_cell, text, h2, c2)
-    return pre, act, m_tr, matvec(m.softmax_w, m_tr.h) + m.softmax_b
+    pre, act, text = transition_forward(m.arch, d.transition, h1, h2)
+    m_tr = cell_forward(m_cell, text, input_drive(m_cell, text), h2, c2)
+    return pre, act, m_tr, softmax_logits(m, m_tr.h)
 
 
-def unroll(m: CaptionModel, d: DirectionParams, t_traces, m_cell: LstmParams):
-    """Run `step` over a sequence's T-LSTM traces from a zero M-LSTM state.
-
-    Returns per-step lists (relu pre-activations, transition outputs, M-LSTM
-    traces, logits); a transition list is empty when the architecture has
-    no such value.
-    """
-    preacts: list[np.ndarray] = []
-    acts: list[np.ndarray] = []
+def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
+           m_cell: LstmParams):
+    """The layers above the T-LSTM over a sequence's (T, H) T-LSTM outputs,
+    from a zero M-LSTM state: the transition and the M-LSTM input drive as
+    one product each over all rows (per step for bi-s-lstm, whose
+    transition reads the previous M-LSTM state), the M-LSTM recurrence, and
+    the logits as one product. Returns (relu pre-activations, transition
+    outputs, M-LSTM traces, (T, V) logits); a transition value is (T, n)
+    rows, or an empty list where the architecture has none."""
+    T, H = len(h1s), m.hidden_dim
+    h2 = c2 = np.zeros(H)
     m_traces: list[LstmStepTrace] = []
-    logits_seq: list[np.ndarray] = []
-    h2 = np.zeros(m.hidden_dim)
-    c2 = np.zeros(m.hidden_dim)
-    for t_tr in t_traces:
-        pre, act, m_tr, logits = step(m, d, t_tr.h, h2, c2, m_cell)
-        if act is not None:
+    if m.arch == ArchitectureKind.BI_S_LSTM:
+        pre, acts = None, []
+        for h1 in h1s:
+            _, act, text = transition_forward(m.arch, d.transition, h1, h2)
+            m_tr = cell_forward(m_cell, text, input_drive(m_cell, text), h2, c2)
             acts.append(act)
-        if pre is not None:
-            preacts.append(pre)
-        m_traces.append(m_tr)
-        logits_seq.append(logits)
-        h2, c2 = m_tr.h, m_tr.c
-    return preacts, acts, m_traces, logits_seq
+            m_traces.append(m_tr)
+            h2, c2 = m_tr.h, m_tr.c
+        act = np.array(acts).reshape(T, m_cell.input_dim)
+    else:
+        pre, act, text = transition_forward(m.arch, d.transition, h1s, None)
+        for x, drive in zip(text, input_drive(m_cell, text)):
+            m_tr = cell_forward(m_cell, x, drive, h2, c2)
+            m_traces.append(m_tr)
+            h2, c2 = m_tr.h, m_tr.c
+    logits = softmax_logits(m, hidden_rows(m_traces, H))
+    return ([] if pre is None else pre, [] if act is None else act,
+            m_traces, logits)
 
 
 @dataclass
 class ForwardPassRecord:
     """Everything one direction's forward pass produced, backward-ready.
-    The transition lists are empty where the architecture has none."""
+    Per-step values are (T, n) rows; the transition values are empty lists
+    where the architecture has none."""
 
     direction: str
     tokens: list[int]
     feature: np.ndarray
     t_traces: list[LstmStepTrace]
     m_traces: list[LstmStepTrace]
-    transition_activations: list[np.ndarray]
-    transition_preacts: list[np.ndarray]
-    logits: list[np.ndarray]
-    probs: list[np.ndarray]
+    transition_activations: np.ndarray | list
+    transition_preacts: np.ndarray | list
+    logits: np.ndarray
+    probs: np.ndarray
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -352,7 +365,8 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
 
     probs[t] is the distribution over the word following tokens[t]. The
     caller supplies tokens already in the direction's reading order; this
-    never reverses.
+    never reverses. The T-LSTM's inputs are the gathered embedding rows;
+    the logits and probabilities are formed for all steps at once.
     """
     if feature.shape[0] != m.feature_dim:
         raise ShapeError(
@@ -364,14 +378,14 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
             raise VocabError(f"token id {t} outside vocabulary of size {m.vocab_size}")
 
     d = m.direction(direction)
-    t_traces = sequence_forward(d.t_lstm, [d.embedding[:, t] for t in tokens])
-    m_cell = image_input(d, feature)
-    preacts, acts, m_traces, logits_seq = unroll(m, d, t_traces, m_cell)
+    t_traces = sequence_forward(d.t_lstm, d.embedding.T[tokens])
+    preacts, acts, m_traces, logits = unroll(
+        m, d, hidden_rows(t_traces, m.hidden_dim), image_input(d, feature))
     return ForwardPassRecord(
         direction=direction, tokens=tokens, feature=feature,
         t_traces=t_traces, m_traces=m_traces,
         transition_activations=acts, transition_preacts=preacts,
-        logits=logits_seq, probs=[softmax(z) for z in logits_seq],
+        logits=logits, probs=softmax(logits),
     )
 
 
@@ -397,7 +411,7 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
     dlogits = np.array(rec.probs).reshape(T, m.vocab_size)
     dlogits[np.arange(T), targets] -= 1.0
     dh2_soft = dlogits @ m.softmax_w
-    h2s = np.array([tr.h for tr in rec.m_traces]).reshape(T, H)
+    h2s = hidden_rows(rec.m_traces, H)
 
     m_da = np.empty((T, 4 * H))
     d_text = np.empty((T, tw))
@@ -416,7 +430,7 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
     _, dmWh, dmb = weight_grads(rec.m_traces, m_da, dmWx[:, :tw])
     np.multiply.outer(dmb, rec.feature, out=dmWx[:, tw:])
 
-    h1s = np.array([tr.h for tr in rec.t_traces]).reshape(T, H)
+    h1s = hidden_rows(rec.t_traces, H)
     trans = {}
     if m.arch == ArchitectureKind.BI_LSTM:
         dh1 = d_text
@@ -427,7 +441,7 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
         dh1 = d_text @ tr_params.U
     else:
         ww = tr_params.W.shape[0]
-        dpre = d_text * (np.array(rec.transition_preacts).reshape(T, tw) > 0.0)
+        dpre = d_text * (np.asarray(rec.transition_preacts).reshape(T, tw) > 0.0)
         dpre_w, dpre_v = dpre[:, :ww], dpre[:, ww:]
         du = dpre_v @ tr_params.V
         trans["U"] = du.T @ h1s

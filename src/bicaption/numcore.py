@@ -2,9 +2,10 @@
 
 Conventions: a matrix is a C-contiguous 2-D float64 ndarray (row-major, which
 is also the on-disk checkpoint layout), a vector is a 1-D float64 ndarray.
-matvec and log_softmax also take a (B, n) batch of rows in place of a
-vector and treat each row as that vector (their shape checks read the last
-axis); the elementwise functions take any shape; softmax takes a vector.
+matvec, softmax and log_softmax also take a (B, n) batch of rows in place of
+a vector and treat each row as that vector (their shape checks read the last
+axis; a row's result is bitwise that of the vector call); the elementwise
+functions take any shape.
 All functions are pure; none mutate their inputs.
 """
 
@@ -43,12 +44,14 @@ def relu(v: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Shift-invariant softmax; output is a probability vector."""
+    """Shift-invariant softmax; output is a probability vector, one per row
+    for a batch."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
+    if z.shape[-1] == 0:
         raise ShapeError("softmax of an empty vector")
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
+    zt = z.T  # as in log_softmax: each reduction over axis 0
+    e = np.exp(zt - np.maximum.reduce(zt))
+    return (e / np.add.reduce(e)).T
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -10,10 +10,10 @@ import numpy as np
 
 from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
-from .lstm import LstmParams, LstmStepTrace, sequence_forward
+from .lstm import LstmParams, LstmStepTrace, hidden_rows, sequence_forward
 from .model import (ArchitectureKind, BACKWARD, CaptionModel, FORWARD,
                     ForwardPassRecord, direction_forward, image_input,
-                    is_bias_block, model_backward, unroll)
+                    is_bias_block, model_backward, softmax_logits, unroll)
 from .numcore import log_softmax
 
 
@@ -80,16 +80,18 @@ class JointLoss:
         return self.loss_fwd + self.loss_bwd
 
 
-def _record_loss(rec: ForwardPassRecord, targets) -> float:
-    # log-probabilities via log-sum-exp; never log of a saturated softmax
-    return -sum(log_softmax(rec.logits[t])[tgt] for t, tgt in enumerate(targets))
+def _target_nll(logits: np.ndarray, targets) -> float:
+    """Negated sum of the targets' log-probabilities under (T, V) logits:
+    one row-wise log-sum-exp (never the log of a saturated softmax), read at
+    the targets and summed in step order."""
+    return -sum(log_softmax(logits)[np.arange(len(targets)), targets])
 
 
 def _direction_pass(m: CaptionModel, ex: CaptionedExample,
                     direction: str) -> tuple[ForwardPassRecord, list[int], float]:
     inputs, targets = direction_io(ex.tokens, direction)
     rec = direction_forward(m, direction, inputs, ex.feature)
-    return rec, targets, _record_loss(rec, targets)
+    return rec, targets, _target_nll(rec.logits, targets)
 
 
 def joint_loss(m: CaptionModel, ex: CaptionedExample) -> JointLoss:
@@ -235,11 +237,12 @@ def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
 class _FdPass:
     """One direction's finite-difference forward: the negated sum of target
     log-probabilities, the relu transition sign bytes (empty for the other
-    architectures), the T-LSTM and M-LSTM step traces and the M-LSTM cell."""
+    architectures), the (T, H) T-LSTM outputs, the M-LSTM step traces and
+    the M-LSTM cell."""
 
     nll: float
     signs: bytes
-    t_traces: list[LstmStepTrace]
+    h1s: np.ndarray
     m_traces: list[LstmStepTrace]
     m_cell: LstmParams
 
@@ -261,39 +264,37 @@ def _fd_plan(name: str) -> tuple[tuple[str, ...], int]:
 
 def _fd_direction(m: CaptionModel, ex: CaptionedExample, direction: str,
                   base: _FdPass | None = None, first: int = _T_LSTM) -> _FdPass:
-    """One direction of the finite-difference forward: the shared
-    `model.unroll` over the direction's T-LSTM traces, without the
-    probabilities that only training's backward pass reads.
+    """One direction of the finite-difference forward: the T-LSTM and the
+    shared `model.unroll` above it, as `direction_forward` runs them,
+    without the probabilities that only training's backward pass reads.
 
     With `base`, a pass of the same direction on the unperturbed model, the
     layers below `first` are taken from it rather than recomputed:
-    _M_CELL and _ABOVE_T_LSTM unroll over its T-LSTM traces, _SOFTMAX runs
-    only the logits over its M-LSTM traces and keeps its relu signs. All but
-    _M_CELL reuse its M-LSTM cell, whose Wx and Wh view the live parameters.
-    Everything that is recomputed runs the operations of the full pass in
-    the same order on bitwise equal inputs, so the result is bitwise that of
-    the full pass whenever the reused layers' parameters are those of `base`.
+    _M_CELL and _ABOVE_T_LSTM unroll over its T-LSTM outputs, _SOFTMAX
+    forms only the logits of its M-LSTM states (with `unroll`'s
+    `softmax_logits`) and keeps its relu signs. All but _M_CELL reuse its
+    M-LSTM cell, whose Wx and Wh view the live parameters. Everything that
+    is recomputed runs the operations of the full pass in the same order on
+    bitwise equal inputs, so the result is bitwise that of the full pass
+    whenever the reused layers' parameters are those of `base`.
     """
     inputs, targets = direction_io(ex.tokens, direction)
     if first == _SOFTMAX:
-        t_traces, m_traces, signs = base.t_traces, base.m_traces, base.signs
+        h1s, m_traces, signs = base.h1s, base.m_traces, base.signs
         m_cell = base.m_cell
-        logits_seq = [m.softmax_w @ tr.h + m.softmax_b for tr in m_traces]
+        logits = softmax_logits(m, hidden_rows(m_traces, m.hidden_dim))
     else:
         d = m.direction(direction)
         if first != _T_LSTM:
-            t_traces = base.t_traces
+            h1s = base.h1s
         else:
-            t_traces = sequence_forward(
-                d.t_lstm, [d.embedding[:, tok] for tok in inputs])
+            h1s = hidden_rows(sequence_forward(d.t_lstm, d.embedding.T[inputs]),
+                              m.hidden_dim)
         refold = base is None or first == _M_CELL
         m_cell = image_input(d, ex.feature) if refold else base.m_cell
-        preacts, _, m_traces, logits_seq = unroll(m, d, t_traces, m_cell)
-        signs = b"".join((pre > 0.0).tobytes() for pre in preacts)
-    logprob_sum = 0.0
-    for logits, tgt in zip(logits_seq, targets):
-        logprob_sum += log_softmax(logits)[tgt]
-    return _FdPass(-logprob_sum, signs, t_traces, m_traces, m_cell)
+        preacts, _, m_traces, logits = unroll(m, d, h1s, m_cell)
+        signs = (np.asarray(preacts) > 0.0).tobytes()
+    return _FdPass(_target_nll(logits, targets), signs, h1s, m_traces, m_cell)
 
 
 def _fd_joint(fwd: _FdPass, bwd: _FdPass) -> tuple[float, bytes]:
@@ -333,7 +334,7 @@ def has_live_relu_branches(m: CaptionModel, ex: CaptionedExample) -> bool:
     ww = m.fwd.transition.W.shape[0]
     for direction in (FORWARD, BACKWARD):
         rec, _, _ = _direction_pass(m, ex, direction)
-        pre = np.stack(rec.transition_preacts)
+        pre = rec.transition_preacts
         if not (np.any(pre[:, :ww] > 0) and np.any(pre[:, ww:] > 0)):
             return False
     return True

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from bicaption.data import BOUNDARY_ID
-from bicaption.model import direction_forward
+from bicaption.lstm import LstmStepTrace
+from bicaption.model import ForwardPassRecord, direction_forward
 from bicaption.numcore import log_softmax
 
 
@@ -82,6 +83,61 @@ def inline_bilstm_probs(E, tWx, tWh, tb, mWx, mWh, mb, Ws, bs, tokens,
         e = np.exp(logits - logits.max())
         probs.append(e / e.sum())
     return probs
+
+
+def _gated_step(Wx, Wh, b, x, h, c):
+    """One LSTM step with one matrix-vector product per weight; the trace
+    model.model_backward reads."""
+    H = h.shape[0]
+    a = Wx @ x + Wh @ h + b
+    z = np.exp(-np.abs(a[:3 * H]))
+    s = np.where(a[:3 * H] >= 0.0, 1.0, z) / (1.0 + z)
+    i, f, o = s[:H], s[H:2 * H], s[2 * H:]
+    g = np.tanh(a[3 * H:])
+    c_new = f * c + i * g
+    return LstmStepTrace(x=x, i=i, f=f, o=o, g=g, c=c_new,
+                         h=o * np.tanh(c_new), c_prev=c, h_prev=h)
+
+
+def per_step_forward(m, direction, tokens, feature):
+    """Teacher-forced pass of one direction, one time step at a time: every
+    product (T-LSTM input, transition, M-LSTM text columns, logits) is one
+    matrix-vector product per step, the image projected once into the
+    M-LSTM bias. Returns a ForwardPassRecord that model.model_backward
+    accepts, its per-step values as lists."""
+    d = m.direction(direction)
+    H = m.hidden_dim
+    tw = d.m_lstm.Wx.shape[1] - m.feature_dim
+    m_b = d.m_lstm.Wx[:, tw:] @ feature + d.m_lstm.b
+    tp = d.transition
+    h1 = c1 = h2 = c2 = np.zeros(H)
+    t_traces, m_traces, acts, preacts, logits, probs = [], [], [], [], [], []
+    for tok in tokens:
+        t_tr = _gated_step(d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b,
+                           d.embedding[:, tok], h1, c1)
+        h1, c1 = t_tr.h, t_tr.c
+        if tp is None:
+            text = h1
+        elif tp.W is None:
+            text = tp.U @ h1 + tp.V @ h2
+            acts.append(text)
+        else:
+            pre = np.concatenate([tp.W @ h1, tp.V @ (tp.U @ h1)])
+            text = np.maximum(0.0, pre)
+            preacts.append(pre)
+            acts.append(text)
+        m_tr = _gated_step(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2)
+        h2, c2 = m_tr.h, m_tr.c
+        z = m.softmax_w @ h2 + m.softmax_b
+        e = np.exp(z - z.max())
+        t_traces.append(t_tr)
+        m_traces.append(m_tr)
+        logits.append(z)
+        probs.append(e / e.sum())
+    return ForwardPassRecord(
+        direction=direction, tokens=list(tokens), feature=feature,
+        t_traces=t_traces, m_traces=m_traces, transition_activations=acts,
+        transition_preacts=preacts, logits=logits, probs=probs)
 
 
 def greedy_decode_loop(m, direction, feature, max_len):

@@ -1,15 +1,36 @@
 import errno
+import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bicaption.checkpoint as checkpoint_mod
 from bicaption.checkpoint import (deserialize_model, load_checkpoint,
                                   save_checkpoint, serialize_model)
 from bicaption.data import make_toy_dataset
-from bicaption.errors import CheckpointError
-from bicaption.model import ArchitectureKind, init_model, random_model
+from bicaption.errors import BicaptionError, CheckpointError
+from bicaption.model import (ArchitectureKind, block_shapes, init_model,
+                             random_model)
 from bicaption.train import TrainConfig, make_state, train_epochs
+
+# magic, then version u32, arch u8 and seven u32 dimensions
+HEADER = struct.Struct("<IB7I")
+HEADER_AT = len(b"BICAP1")
+
+
+def resealed(blob: bytes, fields=None, extra: int = 0) -> bytes:
+    """blob with its header fields replaced by `fields`, its payload cut or
+    zero-padded by `extra` bytes, and a valid digest again, so the checks
+    after the digest see the change."""
+    payload = bytearray(blob[:-8])
+    if fields is not None:
+        HEADER.pack_into(payload, HEADER_AT, *fields)
+    payload = (payload[:len(payload) + extra] if extra < 0
+               else payload + bytes(extra))
+    return bytes(payload) + hashlib.blake2b(payload, digest_size=8).digest()
 
 
 def assert_models_equal(a, b):
@@ -128,3 +149,66 @@ class TestCorruption:
     def test_empty_file_detected(self):
         with pytest.raises(CheckpointError):
             deserialize_model(b"")
+
+    def test_header_dims_too_large_to_allocate(self):
+        # embedding 2^31 x 2^31: numpy refuses such an array outright, so
+        # the header must be checked against the size before any block is
+        # built
+        blob = self.make_blob()
+        fields = list(HEADER.unpack_from(blob, HEADER_AT))
+        fields[2] = fields[4] = 2 ** 31  # vocab and embed
+        with pytest.raises(CheckpointError, match="header implies"):
+            deserialize_model(resealed(blob, fields))
+
+    @pytest.mark.parametrize("extra", [-8, 8])
+    def test_payload_size_differing_from_header(self, extra):
+        with pytest.raises(CheckpointError, match="header implies"):
+            deserialize_model(resealed(self.make_blob(), extra=extra))
+
+    def test_zero_dimension_in_header(self):
+        blob = self.make_blob()
+        fields = list(HEADER.unpack_from(blob, HEADER_AT))
+        fields[5] = 0  # hidden
+        with pytest.raises(CheckpointError, match="hidden_dim"):
+            deserialize_model(resealed(blob, fields))
+
+
+class TestBlockShapes:
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_declared_order_and_shapes_of_built_model(self, arch):
+        m = init_model(arch, 9, 4, 5, 6, bif_widths=(3, 2, 4)
+                       if arch == ArchitectureKind.BI_F_LSTM else None)
+        shapes = block_shapes(arch, 9, 4, 5, 6, (3, 2, 4)
+                              if arch == ArchitectureKind.BI_F_LSTM else None)
+        assert shapes == [(name, arr.shape) for name, arr in m.blocks()]
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """A small valid checkpoint whose header fields and payload length are
+    mutated, then resealed: (blob, mutated)."""
+    arch = draw(st.sampled_from(list(ArchitectureKind)))
+    dims = [draw(st.integers(1, 4)) for _ in range(4)]
+    widths = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    m = random_model(arch, *dims, seed=0, bif_widths=(
+        widths if arch == ArchitectureKind.BI_F_LSTM else None))
+    blob = serialize_model(m)
+    fields = list(HEADER.unpack_from(blob, HEADER_AT))
+    for k in draw(st.sets(st.integers(0, 8), max_size=3)):
+        fields[k] = draw(st.integers(0, 3) if k < 2 else st.integers(0, 6))
+    case = resealed(blob, fields, draw(st.integers(-24, 24)))
+    return case, case != blob
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_checkpoints())
+    def test_mutated_header_or_length_loads_or_raises(self, case):
+        blob, mutated = case
+        try:
+            m = deserialize_model(blob)
+        except BicaptionError:
+            assert mutated
+            return
+        # what loads is consistent: its own blob has the same size
+        assert len(serialize_model(m)) == len(blob)

@@ -1,10 +1,17 @@
+import hashlib
+import struct
+
 import pytest
 
 from bicaption.checkpoint import load_checkpoint, save_checkpoint
 from bicaption.cli import main
-from bicaption.data import (Vocabulary, make_toy_dataset, toy_caption_text,
-                            write_captions, write_features, write_vocab)
+from bicaption.data import (Vocabulary, make_toy_dataset, write_captions,
+                            write_features, write_vocab)
 from bicaption.model import ArchitectureKind
+
+
+def toy_caption_text(vocab, ex):
+    return " ".join(vocab.decode(ex.tokens))
 
 
 def write_corpus(tmp_path, vocab, examples):
@@ -175,6 +182,27 @@ class TestCaptionCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert str(toy_files["dir"]) in err
+
+    def test_checkpoint_header_too_large_to_allocate_exits_2(
+            self, toy_files, capsys, tmp_path):
+        # vocab and embed of 2^31 under a valid digest: numpy refuses the
+        # embedding outright, so the size check must come first
+        header = struct.Struct("<IB7I")
+        payload = bytearray(toy_files["ckpt"].read_bytes()[:-8])
+        fields = list(header.unpack_from(payload, 6))
+        fields[2] = fields[4] = 2 ** 31
+        header.pack_into(payload, 6, *fields)
+        crafted = tmp_path / "crafted.ckpt"
+        crafted.write_bytes(
+            bytes(payload) + hashlib.blake2b(payload, digest_size=8).digest())
+        rc = main(["caption", "--checkpoint", str(crafted),
+                   "--features", str(toy_files["features"]),
+                   "--vocab", str(toy_files["vocab"])])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "header implies" in captured.err
 
     def test_gate_dump_files(self, toy_files, toy_overfit, capsys, tmp_path):
         gates_dir = tmp_path / "gates"

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from bicaption.errors import ShapeError
-from bicaption.lstm import (LstmParams, cell_forward, sequence_backward,
-                            sequence_forward, zeros_lstm)
+from bicaption.lstm import (LstmParams, cell_forward, input_drive,
+                            sequence_backward, sequence_forward)
 
 from oracles import central_difference_grad, max_rel_err, scalar_lstm_forward
+
+
+def zeros_lstm(input_dim, hidden_dim):
+    return LstmParams(
+        Wx=np.zeros((4 * hidden_dim, input_dim)),
+        Wh=np.zeros((4 * hidden_dim, hidden_dim)),
+        b=np.zeros(4 * hidden_dim),
+    )
 
 
 def random_params(input_dim, hidden_dim, seed, scale=0.4):
@@ -19,10 +27,15 @@ def random_params(input_dim, hidden_dim, seed, scale=0.4):
     ), rng
 
 
+def cell(p, x, h_prev, c_prev):
+    """One cell step on a vector input, with its drive formed from x."""
+    return cell_forward(p, x, input_drive(p, x), h_prev, c_prev)
+
+
 class TestCellForward:
     def test_all_zero(self):
         p = zeros_lstm(2, 3)
-        tr = cell_forward(p, np.zeros(2), np.zeros(3), np.zeros(3))
+        tr = cell(p, np.zeros(2), np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(tr.i, np.full(3, 0.5))
         np.testing.assert_array_equal(tr.f, np.full(3, 0.5))
         np.testing.assert_array_equal(tr.o, np.full(3, 0.5))
@@ -33,7 +46,7 @@ class TestCellForward:
     def test_zero_params_halve_previous_cell(self):
         # f = 0.5 halves c_prev, i*g adds nothing; h = 0.5 * tanh(1)
         p = zeros_lstm(1, 1)
-        tr = cell_forward(p, np.zeros(1), np.zeros(1), np.array([2.0]))
+        tr = cell(p, np.zeros(1), np.zeros(1), np.array([2.0]))
         np.testing.assert_allclose(tr.c, [1.0], rtol=0, atol=0)
         np.testing.assert_allclose(tr.h, [0.3807970779778824], rtol=0, atol=1e-15)
 
@@ -41,15 +54,15 @@ class TestCellForward:
         p = zeros_lstm(2, 2)
         p.b[2:4] = -1e9  # forget-gate bias rows
         c_prev = np.array([3.0, -7.0])
-        tr = cell_forward(p, np.ones(2), np.zeros(2), c_prev)
+        tr = cell(p, np.ones(2), np.zeros(2), c_prev)
         np.testing.assert_array_equal(tr.f, np.zeros(2))
         np.testing.assert_array_equal(tr.c, tr.i * tr.g)
 
     def test_gate_ranges(self):
         p, rng = random_params(3, 4, seed=9, scale=2.0)
         for _ in range(20):
-            tr = cell_forward(p, rng.normal(size=3), rng.normal(size=4),
-                              rng.normal(size=4))
+            tr = cell(p, rng.normal(size=3), rng.normal(size=4),
+                      rng.normal(size=4))
             assert np.all((tr.i > 0) & (tr.i < 1))
             assert np.all((tr.f > 0) & (tr.f < 1))
             assert np.all((tr.o > 0) & (tr.o < 1))
@@ -57,17 +70,22 @@ class TestCellForward:
 
     def test_trace_identities_hold_exactly(self):
         p, rng = random_params(3, 4, seed=10)
-        tr = cell_forward(p, rng.normal(size=3), rng.normal(size=4),
-                          rng.normal(size=4))
+        tr = cell(p, rng.normal(size=3), rng.normal(size=4),
+                  rng.normal(size=4))
         np.testing.assert_array_equal(tr.c, tr.f * tr.c_prev + tr.i * tr.g)
         np.testing.assert_array_equal(tr.h, tr.o * np.tanh(tr.c))
 
     def test_shape_errors(self):
         p = zeros_lstm(2, 3)
         with pytest.raises(ShapeError):
-            cell_forward(p, np.zeros(5), np.zeros(3), np.zeros(3))
+            cell_forward(p, np.zeros(5), np.zeros(12), np.zeros(3), np.zeros(3))
         with pytest.raises(ShapeError):
-            cell_forward(p, np.zeros(2), np.zeros(4), np.zeros(3))
+            cell_forward(p, np.zeros(2), np.zeros(12), np.zeros(4), np.zeros(3))
+
+    def test_drive_width_checked(self):
+        p = zeros_lstm(2, 3)
+        with pytest.raises(ShapeError):
+            cell_forward(p, np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(3))
 
 
 class TestSequenceForward:
@@ -75,7 +93,9 @@ class TestSequenceForward:
         p, rng = random_params(2, 3, seed=11)
         x = rng.normal(size=2)
         seq = sequence_forward(p, [x])
-        cell = cell_forward(p, x, np.zeros(3), np.zeros(3))
+        # the drive as sequence_forward forms it: one product over the rows
+        drive = input_drive(p, np.array([x]))[0]
+        cell = cell_forward(p, x, drive, np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(seq[0].h, cell.h)
         np.testing.assert_array_equal(seq[0].c, cell.c)
 
@@ -83,9 +103,10 @@ class TestSequenceForward:
         p, rng = random_params(3, 4, seed=12)
         xs = [rng.normal(size=3) for _ in range(3)]
         seq = sequence_forward(p, xs)
+        drives = input_drive(p, np.array(xs))  # as sequence_forward forms them
         h, c = np.zeros(4), np.zeros(4)
         for t, x in enumerate(xs):
-            tr = cell_forward(p, x, h, c)
+            tr = cell_forward(p, x, drives[t], h, c)
             np.testing.assert_array_equal(seq[t].h, tr.h)
             np.testing.assert_array_equal(seq[t].c, tr.c)
             h, c = tr.h, tr.c

@@ -1,16 +1,20 @@
+import sys
+
 import numpy as np
 import pytest
 
+import bicaption.numcore as numcore
 from bicaption.data import CaptionedExample
 from bicaption.errors import ConfigError, ShapeError, VocabError
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
-                             bi_f_transition, bi_s_transition, build_model,
+                             TransitionParams, bi_s_transition, build_model,
                              direction_forward, image_input, init_model,
-                             model_backward, random_model, step)
+                             model_backward, random_model, step,
+                             transition_forward)
 from bicaption.train import direction_io, joint_backward, joint_loss
 
 from oracles import (central_difference_grad, inline_bilstm_probs,
-                     rank1_model_backward)
+                     per_step_forward, rank1_model_backward)
 
 BI = ArchitectureKind.BI_LSTM
 BIS = ArchitectureKind.BI_S_LSTM
@@ -83,8 +87,9 @@ class TestTransitions:
                             np.ones(2), np.ones(2))
 
     def test_relu_zero_matrices(self):
-        out = bi_f_transition(np.zeros((3, 4)), np.zeros((2, 4)),
-                              np.zeros((2, 2)), np.ones(4))
+        _, out, _ = transition_forward(
+            BIF, TransitionParams(U=np.zeros((2, 4)), V=np.zeros((2, 2)),
+                                  W=np.zeros((3, 4))), np.ones(4), None)
         np.testing.assert_array_equal(out, np.zeros(5))
 
     def test_relu_output_length_contract(self):
@@ -92,13 +97,15 @@ class TestTransitions:
         W = rng.normal(size=(3, 4))
         U = rng.normal(size=(2, 4))
         V = rng.normal(size=(5, 2))
-        out = bi_f_transition(W, U, V, rng.normal(size=4))
+        _, out, _ = transition_forward(BIF, TransitionParams(U=U, V=V, W=W),
+                                       rng.normal(size=4), None)
         assert out.shape == (3 + 5,)
 
     def test_relu_scalar_hand_case(self):
         # W h = [-1]; V (U h) = [3 * (2 * -1)] = [-6]; relu -> [0, 0]
-        out = bi_f_transition(np.array([[1.0]]), np.array([[2.0]]),
-                              np.array([[3.0]]), np.array([-1.0]))
+        _, out, _ = transition_forward(
+            BIF, TransitionParams(U=np.array([[2.0]]), V=np.array([[3.0]]),
+                                  W=np.array([[1.0]])), np.array([-1.0]), None)
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
 
@@ -292,6 +299,76 @@ class TestModelBackward:
                 scale = np.max(np.abs(ref[name]))
                 assert err <= 1e-12 * scale, \
                     f"{arch.value} seed {seed} {name}: {err} of {scale}"
+
+
+def assert_matches_per_step_pass(m, ex):
+    """Teacher forcing (each product over a sequence's stacked rows) agrees
+    with `per_step_forward` (one product per step): logits and losses to
+    1e-12 relative, every model_backward block to 1e-12 of its largest
+    value."""
+    loss = joint_loss(m, ex)
+    for direction, got_loss in ((FORWARD, loss.loss_fwd),
+                                (BACKWARD, loss.loss_bwd)):
+        inputs, targets = direction_io(ex.tokens, direction)
+        rec = direction_forward(m, direction, inputs, ex.feature)
+        ref = per_step_forward(m, direction, inputs, ex.feature)
+        ref_logits = np.array(ref.logits)
+        assert np.max(np.abs(rec.logits - ref_logits)) <= \
+            1e-12 * np.max(np.abs(ref_logits))
+        ref_loss = -sum(numcore.log_softmax(z)[tgt]
+                        for z, tgt in zip(ref.logits, targets))
+        assert abs(got_loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        grads = model_backward(m, rec, targets)
+        ref_grads = model_backward(m, ref, targets)
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            err = np.max(np.abs(g - ref_grads[name]))
+            scale = np.max(np.abs(ref_grads[name]))
+            assert err <= 1e-12 * scale, \
+                f"{m.arch.value} {direction} {name}: {err} of {scale}"
+
+
+class TestPerSequenceForward:
+    @pytest.mark.parametrize("make", [init_model, random_model])
+    @pytest.mark.parametrize("arch", [BI, BIS, BIF])
+    def test_matches_per_step_pass(self, arch, make):
+        for seed in range(3):
+            m = make(arch, 9, 4, 5, 6, seed=seed)
+            rng = np.random.default_rng([seed, 11])
+            assert_matches_per_step_pass(m, CaptionedExample(
+                "x", rng.uniform(-0.5, 0.5, 4),
+                [int(t) for t in rng.integers(1, 9, size=4 + 3 * seed)]))
+
+    @pytest.mark.parametrize("arch", [BI, BIS, BIF])
+    def test_matches_per_step_pass_at_train_mid_widths(self, arch):
+        m = init_model(arch, 2000, 1024, 256, 256, seed=1)
+        rng = np.random.default_rng(1)
+        assert_matches_per_step_pass(m, CaptionedExample(
+            "x", rng.uniform(-1.0, 1.0, 1024),
+            [int(t) for t in rng.integers(1, 2000, size=13)]))
+
+    @pytest.mark.parametrize("arch", [BI, BIF])
+    def test_matvec_calls_do_not_grow_with_caption_length(self, arch,
+                                                          monkeypatch):
+        calls = {"n": 0}
+        real = numcore.matvec
+
+        def counting(*args):
+            calls["n"] += 1
+            return real(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("bicaption")
+                    and getattr(mod, "matvec", None) is real):
+                monkeypatch.setattr(mod, "matvec", counting)
+        m = random_model(arch, 9, 4, 5, 6, seed=2)
+        counts = []
+        for length in (1, 4, 12):
+            calls["n"] = 0
+            direction_forward(m, FORWARD, [0] + [3] * length, np.ones(4))
+            counts.append(calls["n"])
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
 
 
 class TestBlockNaming:

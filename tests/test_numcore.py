@@ -102,6 +102,18 @@ class TestSoftmax:
         with pytest.raises(ShapeError):
             softmax(np.array([]))
 
+    def test_rows_bitwise_equal_vector_calls(self):
+        # a batch of rows gives each row's vector result bit for bit, at
+        # the widths the model uses (up to the 2000-word vocabulary)
+        rng = np.random.default_rng(5)
+        for rows, width in ((1, 1), (1, 7), (3, 20), (12, 2000), (17, 2001)):
+            z = rng.normal(scale=rng.uniform(0.1, 50.0), size=(rows, width))
+            z[0, 0] = 700.0  # near the exp overflow edge, shifted away
+            p = softmax(z)
+            assert p.shape == z.shape
+            for r in range(rows):
+                assert np.array_equal(p[r], softmax(z[r])), (rows, width, r)
+
 
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self):
