@@ -235,10 +235,7 @@ def cmd_retrieve(args) -> int:
     features = data_mod.read_features(args.features)
     _check_feature_dim(m, features, args.features)
 
-    image_ids = []
-    for image_id, _ in captions:
-        if image_id not in image_ids:
-            image_ids.append(image_id)
+    image_ids = list(dict.fromkeys(image_id for image_id, _ in captions))
     for image_id in image_ids:
         if image_id not in features:
             raise DataError(f"no feature vector for image {image_id!r}")

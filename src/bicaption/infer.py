@@ -4,7 +4,9 @@ and gate-state trace export for inspecting the cells over time.
 
 Beam search advances all live hypotheses of a direction as one batch: one
 row of state per hypothesis, one `_decode_step` per time step, and the
-image projected through the M-LSTM once per image and direction.
+image projected through the M-LSTM once per image and direction. It is the
+only decoder: a gate trace is the teacher-forced pass over the greedy
+(beam width 1) caption.
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,8 @@ from .data import BOUNDARY_ID, Vocabulary
 from .errors import ConfigError, DataError, ShapeError
 from .lstm import LstmParams, LstmStepTrace, cell_forward, input_drive
 from .model import (BACKWARD, CaptionModel, DirectionParams, FORWARD,
-                    image_input, step)
-from .numcore import log_softmax, softmax
+                    direction_forward, image_input, softmax_logits, step)
+from .numcore import log_softmax
 
 
 @dataclass
@@ -32,7 +34,7 @@ class Hypothesis:
 
 @dataclass
 class _DecodeState:
-    """Both LSTMs' states: vectors for one hypothesis, or one row each."""
+    """Both LSTMs' states, one row per live hypothesis."""
 
     h1: np.ndarray
     c1: np.ndarray
@@ -44,23 +46,18 @@ class _DecodeState:
                             self.c2[rows])
 
 
-def _initial_state(m: CaptionModel) -> _DecodeState:
-    H = m.hidden_dim
-    return _DecodeState(np.zeros(H), np.zeros(H), np.zeros(H), np.zeros(H))
-
-
 def _decode_step(m: CaptionModel, d: DirectionParams, m_cell: LstmParams,
                  state: _DecodeState, tokens):
-    """Advance one step: the T-LSTM on the tokens, then the shared
-    `model.step`. tokens is one token id with a vector state, or an array
-    of ids with one state row per id, whose input drives are then one
-    product. Returns (logits, new_state, t_trace, m_trace), in rows where
-    the state has rows."""
+    """Advance one step: the T-LSTM on an array of token ids, one state row
+    per id, whose input drives are one product; then the shared
+    `model.step` and the softmax logits. Returns (logits, new_state), in
+    rows."""
     x = d.embedding.T[tokens]
     t_tr = cell_forward(d.t_lstm, x, input_drive(d.t_lstm, x), state.h1,
                         state.c1)
-    _, _, m_tr, logits = step(m, d, t_tr.h, state.h2, state.c2, m_cell)
-    return logits, _DecodeState(t_tr.h, t_tr.c, m_tr.h, m_tr.c), t_tr, m_tr
+    m_tr = step(m, d, t_tr.h, state.h2, state.c2, m_cell)
+    return (softmax_logits(m, m_tr.h),
+            _DecodeState(t_tr.h, t_tr.c, m_tr.h, m_tr.c))
 
 
 def _top_k(rows: np.ndarray, k: int) -> np.ndarray:
@@ -103,7 +100,7 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
     finished: list[Hypothesis] = []
 
     while live:
-        logits, state, _, _ = _decode_step(m, d, m_cell, state, tokens)
+        logits, state = _decode_step(m, d, m_cell, state, tokens)
         logprobs = log_softmax(logits)
         top = _top_k(logprobs, beam_k)
         top_lp = np.take_along_axis(logprobs, top, axis=1)
@@ -161,7 +158,7 @@ def select_final_caption(hf: Hypothesis, hb: Hypothesis) -> SelectedCaption:
 
 @dataclass
 class GateTrace:
-    """Per-step cell internals for both LSTM layers of one greedy decode,
+    """Per-step cell internals for both LSTM layers over one greedy caption,
     plus the emitted word at each step."""
 
     direction: str
@@ -173,33 +170,16 @@ class GateTrace:
 def dump_gate_trace(m: CaptionModel, feature: np.ndarray, direction: str,
                     max_len: int = 50,
                     vocab: Vocabulary | None = None) -> GateTrace:
-    """Greedy-decode while recording every step's gate/cell/hidden vectors
-    for the text and multimodal LSTM layers."""
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    if feature.shape[0] != m.feature_dim:
-        raise ShapeError(
-            f"feature has len {feature.shape[0]}, model expects {m.feature_dim}"
-        )
-    d = m.direction(direction)
-    m_cell = image_input(d, feature)
-    state = _initial_state(m)
-    token = BOUNDARY_ID
-    t_steps: list[LstmStepTrace] = []
-    m_steps: list[LstmStepTrace] = []
-    words: list[tuple[int, str, int, float]] = []
-    for t in range(max_len):
-        logits, state, t_tr, m_tr = _decode_step(m, d, m_cell, state, token)
-        probs = softmax(logits)
-        token = int(np.argmax(probs))
-        t_steps.append(t_tr)
-        m_steps.append(m_tr)
-        word = vocab.id_to_token[token] if vocab is not None else str(token)
-        words.append((t, word, token, float(probs[token])))
-        if token == BOUNDARY_ID:
-            break
-    return GateTrace(direction=direction, t_steps=t_steps, m_steps=m_steps,
-                     words=words)
+    """Greedy-decode (beam width 1), then record every step's
+    gate/cell/hidden vectors for the text and multimodal LSTM layers from
+    the teacher-forced pass over the caption, with each word's
+    probability."""
+    tokens = decode_direction(m, direction, feature, 1, max_len).tokens
+    rec = direction_forward(m, direction, [BOUNDARY_ID] + tokens[:-1], feature)
+    words = [(t, vocab.id_to_token[tok] if vocab is not None else str(tok),
+              tok, float(rec.probs[t, tok])) for t, tok in enumerate(tokens)]
+    return GateTrace(direction=direction, t_steps=rec.t_traces,
+                     m_steps=rec.m_traces, words=words)
 
 
 GATE_HEADER = "step,layer,direction,unit,i,f,o,g,c,h"

@@ -10,6 +10,12 @@ recomputed during backpropagation through time except tanh(c), which is
 cheap. A backward step mutates nothing: it returns its gate gradient, and
 the weight and input gradients are formed once per sequence from those
 stacked rows.
+
+`sequence_forward` and `sequence_backward` are the one recurrence of both
+LSTM layers, text and multimodal, in every architecture. Only the
+bi-s-lstm forward pass steps its multimodal cell through `model.step`,
+because that cell's input reads its own previous hidden state;
+`sequence_backward` takes that feedback matrix.
 """
 
 from dataclasses import dataclass
@@ -35,9 +41,6 @@ class LstmParams:
     @property
     def hidden_dim(self) -> int:
         return self.Wh.shape[1]
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(self.Wx.copy(), self.Wh.copy(), self.b.copy())
 
 
 @dataclass
@@ -156,10 +159,16 @@ def weight_grads(traces, da: np.ndarray, dWx: np.ndarray):
     return np.matmul(da.T, xs, out=dWx), da.T @ h_prevs, da.sum(axis=0)
 
 
-def sequence_backward(p: LstmParams, traces, dh_seq) -> LstmGrads:
+def sequence_backward(p: LstmParams, traces, dh_seq, dWx=None,
+                      V=None) -> LstmGrads:
     """Backpropagation through time over a recorded forward pass.
 
-    dh_seq[t] is the loss gradient flowing into h_t from layers above.
+    dh_seq[t] is the loss gradient flowing into h_t from layers above. The
+    input-weight gradient is written into `dWx` when given (a view of a
+    wider block, say), else into a new array. V is given when the input reads the cell's own
+    previous state, x_t = U @ below_t + V @ h_{t-1}: each step's input
+    gradient Wx.T @ da_t then also flows into h_{t-1} as V.T @ dx_t.
+    Without V, the input gradients are one product after the loop.
     """
     if len(traces) != len(dh_seq):
         raise ShapeError(
@@ -167,9 +176,17 @@ def sequence_backward(p: LstmParams, traces, dh_seq) -> LstmGrads:
         )
     T, H = len(traces), p.hidden_dim
     da = np.empty((T, 4 * H))
+    dx = np.empty((T, p.input_dim))
     dh_carry = np.zeros(H)
     dc_carry = np.zeros(H)
     for t in range(T - 1, -1, -1):
         da[t], dh_carry, dc_carry = cell_backward(
             p, traces[t], dh_seq[t] + dh_carry, dc_carry)
-    return LstmGrads(*weight_grads(traces, da, np.empty_like(p.Wx)), da @ p.Wx)
+        if V is not None:
+            dx[t] = p.Wx.T @ da[t]
+            dh_carry = dh_carry + V.T @ dx[t]
+    if V is None:
+        np.matmul(da, p.Wx, out=dx)
+    if dWx is None:
+        dWx = np.empty_like(p.Wx)
+    return LstmGrads(*weight_grads(traces, da, dWx), dx)

@@ -71,24 +71,10 @@ def _bleu_from_stats(matches, totals, c: int, r: int, n: int) -> BleuReport:
 
 
 def bleu_n(candidate, references, n: int) -> BleuReport:
-    """Sentence-level BLEU-N with uniform 1/N weights and no smoothing;
-    any zero precision yields a zero score."""
-    candidate = list(candidate)
-    references = [list(r) for r in references]
-    if not 1 <= n <= 4:
-        raise MetricError(f"n must be in 1..4, got {n}")
-    if not candidate:
-        raise MetricError("empty candidate")
-    if not references:
-        raise MetricError("need at least one reference")
-    matches, totals = [], []
-    for k in range(1, n + 1):
-        mk, tk = _clipped_counts(candidate, references, k)
-        matches.append(mk)
-        totals.append(tk)
-    c = len(candidate)
-    r = closest_ref_length(c, references)
-    return _bleu_from_stats(matches, totals, c, r, n)
+    """Sentence-level BLEU-N with uniform 1/N weights and no smoothing:
+    `corpus_bleu_n` of the one pair; any zero precision yields a zero
+    score."""
+    return corpus_bleu_n([(candidate, references)], n)
 
 
 def corpus_bleu_n(pairs, n: int) -> BleuReport:
@@ -105,9 +91,9 @@ def corpus_bleu_n(pairs, n: int) -> BleuReport:
     r_sum = 0
     for candidate, references in pairs:
         if not candidate:
-            raise MetricError("empty candidate in corpus")
+            raise MetricError("empty candidate")
         if not references:
-            raise MetricError("candidate without references in corpus")
+            raise MetricError("candidate without references")
         for k in range(1, n + 1):
             mk, tk = _clipped_counts(candidate, references, k)
             matches[k - 1] += mk

@@ -17,24 +17,26 @@ the T-LSTM output (shortcut) with a two-matrix bottleneck of it.
 
 `transition_forward` holds the forward pass's architecture branch. `unroll`
 runs the layers above the T-LSTM over a whole teacher-forced sequence
-(training, gradient checking): every product that does not read a
-recurrent state is one product over the sequence's stacked rows, and only
-the recurrences run step by step; it asks only whether the transition
-reads the M-LSTM state (bi-s-lstm), which decides what can be hoisted. `step` runs one
-time step for decoding, on one row per live hypothesis. A row of a (T, .)
-product rounds differently from a product of that row alone, so the two
-agree to rounding (1e-12 relative), not bit for bit.
+(training, gradient checking, gate traces): the transition is one product
+over the sequence's stacked rows and the M-LSTM runs `lstm.sequence_forward`
+on its output, except for bi-s-lstm, whose transition reads the previous
+M-LSTM state, so that `unroll` calls `step` once per time step. `step` also
+runs each decoding step, on one row per live hypothesis. `model_backward`
+runs `lstm.sequence_backward` for both LSTMs, so each LSTM's recurrence is
+written once, in `lstm`. A row of a (T, .) product rounds differently from
+a product of that row alone, so decoding and teacher forcing agree to
+rounding (1e-12 relative), not bit for bit.
 """
 
+import copy
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, VocabError
-from .lstm import (LstmParams, LstmStepTrace, cell_backward, cell_forward,
-                   hidden_rows, input_drive, sequence_backward,
-                   sequence_forward, weight_grads)
+from .lstm import (LstmParams, LstmStepTrace, cell_forward, hidden_rows,
+                   input_drive, sequence_backward, sequence_forward)
 from .numcore import matvec, relu, softmax
 
 FORWARD = "forward"
@@ -57,12 +59,6 @@ class TransitionParams:
     V: np.ndarray
     W: np.ndarray | None = None
 
-    def copy(self) -> "TransitionParams":
-        return TransitionParams(
-            self.U.copy(), self.V.copy(),
-            None if self.W is None else self.W.copy(),
-        )
-
 
 @dataclass
 class DirectionParams:
@@ -72,12 +68,6 @@ class DirectionParams:
     t_lstm: LstmParams
     m_lstm: LstmParams
     transition: TransitionParams | None
-
-    def copy(self) -> "DirectionParams":
-        return DirectionParams(
-            self.embedding.copy(), self.t_lstm.copy(), self.m_lstm.copy(),
-            None if self.transition is None else self.transition.copy(),
-        )
 
 
 @dataclass
@@ -129,12 +119,7 @@ class CaptionModel:
         return out
 
     def copy(self) -> "CaptionModel":
-        return CaptionModel(
-            arch=self.arch, fwd=self.fwd.copy(), bwd=self.bwd.copy(),
-            softmax_w=self.softmax_w.copy(), softmax_b=self.softmax_b.copy(),
-            vocab_size=self.vocab_size, feature_dim=self.feature_dim,
-            embed_dim=self.embed_dim, hidden_dim=self.hidden_dim,
-        )
+        return copy.deepcopy(self)
 
 
 def is_bias_block(name: str) -> bool:
@@ -248,32 +233,20 @@ def random_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
     return m
 
 
-def bi_s_transition(U: np.ndarray, V: np.ndarray, h_below: np.ndarray,
-                    h_prev_same: np.ndarray) -> np.ndarray:
-    """Stacked transition: U @ h_below + V @ h_prev_same."""
-    if U.shape[0] != V.shape[0]:
-        raise ShapeError(
-            f"transition rows disagree: U {U.shape} vs V {V.shape}"
-        )
-    return matvec(U, h_below) + matvec(V, h_prev_same)
-
-
 def transition_forward(arch: ArchitectureKind, tp: TransitionParams | None,
                        h1: np.ndarray, h2: np.ndarray | None):
     """The M-LSTM's text input from T-LSTM output h1 (a vector or rows): h1
     itself, U @ h1 + V @ h2 on the previous M-LSTM state h2 (bi-s-lstm, the
     only reader of h2), or relu(concat(W @ h1, V @ (U @ h1))), whose W
-    branch is the shortcut. Returns (relu pre-activation | None, transition
-    output | None, text input)."""
+    branch is the shortcut. Returns (relu pre-activation | None, text
+    input)."""
     if arch == ArchitectureKind.BI_LSTM:
-        return None, None, h1
+        return None, h1
     if arch == ArchitectureKind.BI_S_LSTM:
-        act = bi_s_transition(tp.U, tp.V, h1, h2)
-        return None, act, act
+        return None, matvec(tp.U, h1) + matvec(tp.V, h2)
     pre = np.concatenate([matvec(tp.W, h1), matvec(tp.V, matvec(tp.U, h1))],
                          axis=-1)
-    act = relu(pre)
-    return pre, act, act
+    return pre, relu(pre)
 
 
 def image_input(d: DirectionParams, feature: np.ndarray) -> LstmParams:
@@ -292,65 +265,51 @@ def softmax_logits(m: CaptionModel, h2: np.ndarray) -> np.ndarray:
 
 
 def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
-         h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams):
+         h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams) -> LstmStepTrace:
     """One time step above the T-LSTM: the transition on the T-LSTM output
-    h1, the image-folded M-LSTM cell (`image_input`) on the transition
-    output from state (h2, c2), and the shared softmax's logits. h1, h2 and
-    c2 are vectors, or (B, H) rows that each advance one sequence.
-
-    Returns (relu pre-activation | None, transition output | None, M-LSTM
-    trace, logits). The M-LSTM trace records the text input alone, the one
-    the cell multiplied.
-    """
-    pre, act, text = transition_forward(m.arch, d.transition, h1, h2)
-    m_tr = cell_forward(m_cell, text, input_drive(m_cell, text), h2, c2)
-    return pre, act, m_tr, softmax_logits(m, m_tr.h)
+    h1, then the image-folded M-LSTM cell (`image_input`) on its output
+    from state (h2, c2). h1, h2 and c2 are vectors, or (B, H) rows that
+    each advance one sequence. Returns the M-LSTM trace, which records the
+    text input alone, the one the cell multiplied."""
+    _, text = transition_forward(m.arch, d.transition, h1, h2)
+    return cell_forward(m_cell, text, input_drive(m_cell, text), h2, c2)
 
 
 def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
            m_cell: LstmParams):
     """The layers above the T-LSTM over a sequence's (T, H) T-LSTM outputs,
-    from a zero M-LSTM state: the transition and the M-LSTM input drive as
-    one product each over all rows (per step for bi-s-lstm, whose
-    transition reads the previous M-LSTM state), the M-LSTM recurrence, and
-    the logits as one product. Returns (relu pre-activations, transition
-    outputs, M-LSTM traces, (T, V) logits); a transition value is (T, n)
-    rows, or an empty list where the architecture has none."""
-    T, H = len(h1s), m.hidden_dim
-    h2 = c2 = np.zeros(H)
-    m_traces: list[LstmStepTrace] = []
+    from a zero M-LSTM state: the transition as one product over all rows
+    and the M-LSTM as `sequence_forward` on its output, or, for bi-s-lstm,
+    whose transition reads the previous M-LSTM state, one `step` per time
+    step; then the logits as one product. Returns (relu pre-activations,
+    M-LSTM traces, (T, V) logits); the pre-activations are (T, n) rows, or
+    an empty list where the architecture has none."""
+    pre = None
     if m.arch == ArchitectureKind.BI_S_LSTM:
-        pre, acts = None, []
+        h2 = c2 = np.zeros(m.hidden_dim)
+        m_traces: list[LstmStepTrace] = []
         for h1 in h1s:
-            _, act, text = transition_forward(m.arch, d.transition, h1, h2)
-            m_tr = cell_forward(m_cell, text, input_drive(m_cell, text), h2, c2)
-            acts.append(act)
-            m_traces.append(m_tr)
-            h2, c2 = m_tr.h, m_tr.c
-        act = np.array(acts).reshape(T, m_cell.input_dim)
+            m_traces.append(step(m, d, h1, h2, c2, m_cell))
+            h2, c2 = m_traces[-1].h, m_traces[-1].c
     else:
-        pre, act, text = transition_forward(m.arch, d.transition, h1s, None)
-        for x, drive in zip(text, input_drive(m_cell, text)):
-            m_tr = cell_forward(m_cell, x, drive, h2, c2)
-            m_traces.append(m_tr)
-            h2, c2 = m_tr.h, m_tr.c
-    logits = softmax_logits(m, hidden_rows(m_traces, H))
-    return ([] if pre is None else pre, [] if act is None else act,
-            m_traces, logits)
+        pre, text = transition_forward(m.arch, d.transition, h1s, None)
+        m_traces = sequence_forward(m_cell, text)
+    logits = softmax_logits(m, hidden_rows(m_traces, m.hidden_dim))
+    return [] if pre is None else pre, m_traces, logits
 
 
 @dataclass
 class ForwardPassRecord:
     """Everything one direction's forward pass produced, backward-ready.
-    Per-step values are (T, n) rows; the transition values are empty lists
-    where the architecture has none."""
+    Per-step values are (T, n) rows; the relu pre-activations are an empty
+    list where the architecture has none. The transition outputs are the
+    M-LSTM traces' inputs."""
 
     direction: str
     tokens: list[int]
     feature: np.ndarray
     t_traces: list[LstmStepTrace]
     m_traces: list[LstmStepTrace]
-    transition_activations: np.ndarray | list
     transition_preacts: np.ndarray | list
     logits: np.ndarray
     probs: np.ndarray
@@ -379,12 +338,11 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
 
     d = m.direction(direction)
     t_traces = sequence_forward(d.t_lstm, d.embedding.T[tokens])
-    preacts, acts, m_traces, logits = unroll(
+    preacts, m_traces, logits = unroll(
         m, d, hidden_rows(t_traces, m.hidden_dim), image_input(d, feature))
     return ForwardPassRecord(
         direction=direction, tokens=tokens, feature=feature,
-        t_traces=t_traces, m_traces=m_traces,
-        transition_activations=acts, transition_preacts=preacts,
+        t_traces=t_traces, m_traces=m_traces, transition_preacts=preacts,
         logits=logits, probs=softmax(logits),
     )
 
@@ -393,9 +351,9 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
                    targets) -> dict[str, np.ndarray]:
     """Gradients of the summed cross-entropy  sum_t -log probs[t][targets[t]]
     for the record's direction, keyed by block name (softmax included).
-    Each weight gradient is one product over time of per-step rows; only
-    the M-LSTM recurrence runs step by step. The M-LSTM input gradient
-    covers the text columns; the image columns' dWx is db (x) feature."""
+    Each LSTM runs `sequence_backward`, the M-LSTM on its text columns
+    alone: their input gradient feeds the transition, and the image
+    columns' dWx is db (x) feature."""
     targets = list(targets)
     T = len(rec)
     if len(targets) != T:
@@ -405,36 +363,24 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
     prefix = "fwd" if rec.direction == FORWARD else "bwd"
     H = m.hidden_dim
     tw = d.m_lstm.input_dim - m.feature_dim  # text-side width
-    text_cols = d.m_lstm.Wx[:, :tw]
     tr_params = d.transition
+    bi_s = m.arch == ArchitectureKind.BI_S_LSTM
 
     dlogits = np.array(rec.probs).reshape(T, m.vocab_size)
     dlogits[np.arange(T), targets] -= 1.0
-    dh2_soft = dlogits @ m.softmax_w
-    h2s = hidden_rows(rec.m_traces, H)
-
-    m_da = np.empty((T, 4 * H))
-    d_text = np.empty((T, tw))
-    dh2_carry = np.zeros(H)
-    dc2_carry = np.zeros(H)
-    for t in range(T - 1, -1, -1):
-        m_da[t], dh2_carry, dc2_carry = cell_backward(
-            d.m_lstm, rec.m_traces[t], dh2_soft[t] + dh2_carry, dc2_carry)
-        if m.arch == ArchitectureKind.BI_S_LSTM:
-            # the stacked transition also reads the previous M hidden state
-            d_text[t] = text_cols.T @ m_da[t]
-            dh2_carry = dh2_carry + tr_params.V.T @ d_text[t]
-    if m.arch != ArchitectureKind.BI_S_LSTM:
-        np.matmul(m_da, text_cols, out=d_text)
     dmWx = np.empty_like(d.m_lstm.Wx)
-    _, dmWh, dmb = weight_grads(rec.m_traces, m_da, dmWx[:, :tw])
-    np.multiply.outer(dmb, rec.feature, out=dmWx[:, tw:])
+    m_grads = sequence_backward(
+        LstmParams(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, d.m_lstm.b),
+        rec.m_traces, dlogits @ m.softmax_w, dmWx[:, :tw],
+        tr_params.V if bi_s else None)
+    np.multiply.outer(m_grads.db, rec.feature, out=dmWx[:, tw:])
+    d_text = m_grads.dx_seq
 
     h1s = hidden_rows(rec.t_traces, H)
     trans = {}
     if m.arch == ArchitectureKind.BI_LSTM:
         dh1 = d_text
-    elif m.arch == ArchitectureKind.BI_S_LSTM:
+    elif bi_s:
         h2_prevs = np.array([tr.h_prev for tr in rec.m_traces]).reshape(T, H)
         trans["U"] = d_text.T @ h1s
         trans["V"] = d_text.T @ h2_prevs
@@ -459,9 +405,9 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
         f"{prefix}.t_lstm.Wh": t_grads.dWh,
         f"{prefix}.t_lstm.b": t_grads.db,
         f"{prefix}.m_lstm.Wx": dmWx,
-        f"{prefix}.m_lstm.Wh": dmWh,
-        f"{prefix}.m_lstm.b": dmb,
-        "softmax_w": dlogits.T @ h2s,
+        f"{prefix}.m_lstm.Wh": m_grads.dWh,
+        f"{prefix}.m_lstm.b": m_grads.db,
+        "softmax_w": dlogits.T @ hidden_rows(rec.m_traces, H),
         "softmax_b": dlogits.sum(axis=0),
         **{f"{prefix}.trans.{name}": g for name, g in trans.items()},
     }

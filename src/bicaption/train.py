@@ -292,7 +292,7 @@ def _fd_direction(m: CaptionModel, ex: CaptionedExample, direction: str,
                               m.hidden_dim)
         refold = base is None or first == _M_CELL
         m_cell = image_input(d, ex.feature) if refold else base.m_cell
-        preacts, _, m_traces, logits = unroll(m, d, h1s, m_cell)
+        preacts, m_traces, logits = unroll(m, d, h1s, m_cell)
         signs = (np.asarray(preacts) > 0.0).tobytes()
     return _FdPass(_target_nll(logits, targets), signs, h1s, m_traces, m_cell)
 

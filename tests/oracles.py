@@ -99,6 +99,17 @@ def _gated_step(Wx, Wh, b, x, h, c):
                          h=o * np.tanh(c_new), c_prev=c, h_prev=h)
 
 
+def _transition(tp, h1, h2):
+    """(relu pre-activation | None, M-LSTM text input) of one step, one
+    matrix-vector product per matrix."""
+    if tp is None:
+        return None, h1
+    if tp.W is None:
+        return None, tp.U @ h1 + tp.V @ h2
+    pre = np.concatenate([tp.W @ h1, tp.V @ (tp.U @ h1)])
+    return pre, np.maximum(0.0, pre)
+
+
 def per_step_forward(m, direction, tokens, feature):
     """Teacher-forced pass of one direction, one time step at a time: every
     product (T-LSTM input, transition, M-LSTM text columns, logits) is one
@@ -111,21 +122,14 @@ def per_step_forward(m, direction, tokens, feature):
     m_b = d.m_lstm.Wx[:, tw:] @ feature + d.m_lstm.b
     tp = d.transition
     h1 = c1 = h2 = c2 = np.zeros(H)
-    t_traces, m_traces, acts, preacts, logits, probs = [], [], [], [], [], []
+    t_traces, m_traces, preacts, logits, probs = [], [], [], [], []
     for tok in tokens:
         t_tr = _gated_step(d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b,
                            d.embedding[:, tok], h1, c1)
         h1, c1 = t_tr.h, t_tr.c
-        if tp is None:
-            text = h1
-        elif tp.W is None:
-            text = tp.U @ h1 + tp.V @ h2
-            acts.append(text)
-        else:
-            pre = np.concatenate([tp.W @ h1, tp.V @ (tp.U @ h1)])
-            text = np.maximum(0.0, pre)
+        pre, text = _transition(tp, h1, h2)
+        if pre is not None:
             preacts.append(pre)
-            acts.append(text)
         m_tr = _gated_step(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2)
         h2, c2 = m_tr.h, m_tr.c
         z = m.softmax_w @ h2 + m.softmax_b
@@ -136,8 +140,39 @@ def per_step_forward(m, direction, tokens, feature):
         probs.append(e / e.sum())
     return ForwardPassRecord(
         direction=direction, tokens=list(tokens), feature=feature,
-        t_traces=t_traces, m_traces=m_traces, transition_activations=acts,
-        transition_preacts=preacts, logits=logits, probs=probs)
+        t_traces=t_traces, m_traces=m_traces, transition_preacts=preacts,
+        logits=logits, probs=probs)
+
+
+def greedy_gate_loop(m, direction, feature, max_len):
+    """Greedy decode one step at a time on vector states, recording every
+    step's T-LSTM and M-LSTM traces and the emitted token's probability.
+    Returns (tokens, t_traces, m_traces, probs)."""
+    d = m.direction(direction)
+    H = m.hidden_dim
+    tw = d.m_lstm.Wx.shape[1] - m.feature_dim
+    m_b = d.m_lstm.Wx[:, tw:] @ feature + d.m_lstm.b
+    h1 = c1 = h2 = c2 = np.zeros(H)
+    tok = BOUNDARY_ID
+    tokens, t_traces, m_traces, probs = [], [], [], []
+    for _ in range(max_len):
+        t_tr = _gated_step(d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b,
+                           d.embedding[:, tok], h1, c1)
+        h1, c1 = t_tr.h, t_tr.c
+        _, text = _transition(d.transition, h1, h2)
+        m_tr = _gated_step(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2)
+        h2, c2 = m_tr.h, m_tr.c
+        z = m.softmax_w @ h2 + m.softmax_b
+        e = np.exp(z - z.max())
+        p = e / e.sum()
+        tok = int(np.argmax(p))
+        tokens.append(tok)
+        t_traces.append(t_tr)
+        m_traces.append(m_tr)
+        probs.append(float(p[tok]))
+        if tok == BOUNDARY_ID:
+            break
+    return tokens, t_traces, m_traces, probs
 
 
 def greedy_decode_loop(m, direction, feature, max_len):

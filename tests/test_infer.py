@@ -12,7 +12,7 @@ from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
                              direction_forward, image_input, random_model)
 
 from oracles import (enumerate_best_hypothesis, greedy_decode_loop,
-                     per_hypothesis_beam)
+                     greedy_gate_loop, per_hypothesis_beam)
 
 BI = ArchitectureKind.BI_LSTM
 BIS = ArchitectureKind.BI_S_LSTM
@@ -30,7 +30,7 @@ class TestDecodeDirection:
             logits = np.zeros((len(tokens), K))
             logits[:, script[min(calls["n"], len(script) - 1)]] = 50.0
             calls["n"] += 1
-            return logits, state, None, None
+            return logits, state
 
         monkeypatch.setattr(infer_mod, "_decode_step", fake_step)
         m = build_model(BI, K, 2, 3, 3)
@@ -63,11 +63,11 @@ class TestDecodeDirection:
             rec = direction_forward(m, direction, tokens, feature)
             d = m.direction(direction)
             m_cell = image_input(d, feature)
-            state = infer_mod._initial_state(m)
+            state = infer_mod._DecodeState(*np.zeros((4, 1, m.hidden_dim)))
             for t, token in enumerate(tokens):
-                logits, state, _, _ = infer_mod._decode_step(
-                    m, d, m_cell, state, token)
-                np.testing.assert_allclose(logits, rec.logits[t], rtol=1e-12,
+                logits, state = infer_mod._decode_step(
+                    m, d, m_cell, state, np.array([token]))
+                np.testing.assert_allclose(logits[0], rec.logits[t], rtol=1e-12,
                                            atol=0, err_msg=f"{direction} {t}")
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
@@ -227,6 +227,29 @@ class TestGateTrace:
             np.testing.assert_array_equal(tr.o, np.full(3, 0.5))
             np.testing.assert_array_equal(tr.c, np.zeros(3))
             np.testing.assert_array_equal(tr.h, np.zeros(3))
+
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_matches_step_by_step_greedy_loop(self, arch):
+        # the trace is the teacher-forced pass over the greedy caption; it
+        # forms each product over all steps' rows at once, so it agrees with
+        # a one-step-at-a-time greedy loop to rounding
+        for seed in range(8):
+            m = random_model(arch, 7, 3, 4, 4, seed=seed, scale=0.8)
+            feature = np.random.default_rng(seed).uniform(-1, 1, 3)
+            for direction in (FORWARD, BACKWARD):
+                trace = dump_gate_trace(m, feature, direction, max_len=8)
+                tokens, t_ref, m_ref, probs = greedy_gate_loop(
+                    m, direction, feature, 8)
+                assert [w[2] for w in trace.words] == tokens, (seed, direction)
+                for got, want in zip(trace.t_steps + trace.m_steps,
+                                     t_ref + m_ref):
+                    for name in ("i", "f", "o", "g", "c", "h"):
+                        want_v = getattr(want, name)
+                        err = np.max(np.abs(getattr(got, name) - want_v))
+                        assert err <= 1e-12 * np.max(np.abs(want_v)), \
+                            (seed, direction, name)
+                np.testing.assert_allclose([w[3] for w in trace.words], probs,
+                                           rtol=1e-12, atol=0)
 
     def test_first_step_cell_is_input_times_candidate(self):
         # c_prev = 0 at step 0, so the forget gate cannot contribute

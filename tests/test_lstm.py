@@ -218,6 +218,47 @@ class TestSequenceBackward:
         np.testing.assert_allclose(g_full.dWh, g_short.dWh, rtol=0, atol=1e-15)
         np.testing.assert_allclose(g_full.db, g_short.db, rtol=0, atol=1e-15)
 
+    def test_writes_dwx_into_given_block(self):
+        p, rng = random_params(3, 4, seed=19)
+        xs = [rng.normal(size=3) for _ in range(3)]
+        dh_seq = [rng.normal(size=4) for _ in range(3)]
+        traces = sequence_forward(p, xs)
+        wide = np.full((16, 5), 7.0)
+        g = sequence_backward(p, traces, dh_seq, wide[:, :3])
+        assert np.shares_memory(g.dWx, wide)
+        np.testing.assert_array_equal(
+            wide[:, :3], sequence_backward(p, traces, dh_seq).dWx)
+        np.testing.assert_array_equal(wide[:, 3:], 7.0)
+
+    def test_feedback_input_matches_finite_differences(self):
+        # the cell's input reads its own previous state: u_t = U x_t + V h_{t-1}
+        p, rng = random_params(3, 4, seed=20)
+        U = rng.uniform(-0.4, 0.4, size=(3, 5))
+        V = rng.uniform(-0.4, 0.4, size=(3, 4))
+        xs = [rng.normal(size=5) for _ in range(5)]
+        dh_seq = [rng.normal(size=4) for _ in range(5)]
+
+        def forward():
+            h = c = np.zeros(4)
+            traces = []
+            for x in xs:
+                traces.append(cell(p, U @ x + V @ h, h, c))
+                h, c = traces[-1].h, traces[-1].c
+            return traces
+
+        def loss():
+            return sum(float(w @ tr.h) for w, tr in zip(dh_seq, forward()))
+
+        traces = forward()
+        g = sequence_backward(p, traces, dh_seq, V=V)
+        h_prevs = np.array([tr.h_prev for tr in traces])
+        blocks = ((g.dWx, p.Wx), (g.dWh, p.Wh), (g.db, p.b),
+                  (g.dx_seq.T @ np.array(xs), U), (g.dx_seq.T @ h_prevs, V))
+        for analytic, arr in blocks:
+            numeric = central_difference_grad(loss, arr)
+            err = np.max(np.abs(analytic - numeric))
+            assert err / np.max(np.abs(numeric)) < 1e-6
+
     def test_length_mismatch(self):
         p = zeros_lstm(2, 3)
         traces = sequence_forward(p, [np.zeros(2)] * 2)

@@ -1,16 +1,18 @@
+import copy
 import sys
 
 import numpy as np
 import pytest
 
+import bicaption.model as model_mod
 import bicaption.numcore as numcore
 from bicaption.data import CaptionedExample
 from bicaption.errors import ConfigError, ShapeError, VocabError
+from bicaption.lstm import hidden_rows
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
-                             TransitionParams, bi_s_transition, build_model,
-                             direction_forward, image_input, init_model,
-                             model_backward, random_model, step,
-                             transition_forward)
+                             TransitionParams, build_model, direction_forward,
+                             image_input, init_model, model_backward,
+                             random_model, step, transition_forward)
 from bicaption.train import direction_io, joint_backward, joint_loss
 
 from oracles import (central_difference_grad, inline_bilstm_probs,
@@ -65,29 +67,27 @@ class TestInitModel:
 
 class TestTransitions:
     def test_stacked_zero(self):
-        out = bi_s_transition(np.zeros((2, 2)), np.zeros((2, 2)),
-                              np.ones(2), np.ones(2))
+        _, out = transition_forward(
+            BIS, TransitionParams(np.zeros((2, 2)), np.zeros((2, 2))),
+            np.ones(2), np.ones(2))
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_stacked_passthrough(self):
         h = np.array([0.3, -0.7])
-        out = bi_s_transition(np.eye(2), np.zeros((2, 2)), h, np.ones(2))
+        _, out = transition_forward(
+            BIS, TransitionParams(np.eye(2), np.zeros((2, 2))), h, np.ones(2))
         np.testing.assert_array_equal(out, h)
 
     def test_stacked_hand_case(self):
         # U @ [1,1] = [1,2]; V @ [2,3] = [5,3]; sum = [6,5]
         U = np.array([[1.0, 0.0], [0.0, 2.0]])
         V = np.array([[1.0, 1.0], [0.0, 1.0]])
-        out = bi_s_transition(U, V, np.array([1.0, 1.0]), np.array([2.0, 3.0]))
+        _, out = transition_forward(BIS, TransitionParams(U, V),
+                                    np.array([1.0, 1.0]), np.array([2.0, 3.0]))
         np.testing.assert_array_equal(out, [6.0, 5.0])
 
-    def test_stacked_shape_error(self):
-        with pytest.raises(ShapeError):
-            bi_s_transition(np.zeros((2, 2)), np.zeros((3, 2)),
-                            np.ones(2), np.ones(2))
-
     def test_relu_zero_matrices(self):
-        _, out, _ = transition_forward(
+        _, out = transition_forward(
             BIF, TransitionParams(U=np.zeros((2, 4)), V=np.zeros((2, 2)),
                                   W=np.zeros((3, 4))), np.ones(4), None)
         np.testing.assert_array_equal(out, np.zeros(5))
@@ -97,13 +97,13 @@ class TestTransitions:
         W = rng.normal(size=(3, 4))
         U = rng.normal(size=(2, 4))
         V = rng.normal(size=(5, 2))
-        _, out, _ = transition_forward(BIF, TransitionParams(U=U, V=V, W=W),
-                                       rng.normal(size=4), None)
+        _, out = transition_forward(BIF, TransitionParams(U=U, V=V, W=W),
+                                    rng.normal(size=4), None)
         assert out.shape == (3 + 5,)
 
     def test_relu_scalar_hand_case(self):
         # W h = [-1]; V (U h) = [3 * (2 * -1)] = [-6]; relu -> [0, 0]
-        _, out, _ = transition_forward(
+        _, out = transition_forward(
             BIF, TransitionParams(U=np.array([[2.0]]), V=np.array([[3.0]]),
                                   W=np.array([[1.0]])), np.array([-1.0]), None)
         np.testing.assert_array_equal(out, [0.0, 0.0])
@@ -126,7 +126,7 @@ class TestDirectionForward:
 
     def test_palindrome_with_mirrored_params(self):
         m = init_model(BI, 6, 3, 4, 4, seed=4)
-        m.bwd = m.fwd.copy()
+        m.bwd = copy.deepcopy(m.fwd)
         tokens = [0, 2, 3, 2]  # palindromic input sequence
         feature = np.array([0.1, -0.2, 0.3])
         rec_f = direction_forward(m, FORWARD, tokens, feature)
@@ -170,14 +170,19 @@ class TestDirectionForward:
         m = random_model(arch, 6, 3, 4, 4, seed=5)
         tw = m.fwd.m_lstm.input_dim - m.feature_dim
         rec = direction_forward(m, FORWARD, [0, 2, 3], np.ones(3))
-        for t, tr in enumerate(rec.m_traces):
-            text = (rec.t_traces[t].h if arch == BI
-                    else rec.transition_activations[t])
+        h1s = hidden_rows(rec.t_traces, 4)
+        # the bi-s-lstm transition runs per step, the others over all rows
+        if arch == BIS:
+            texts = [transition_forward(arch, m.fwd.transition, h1, tr.h_prev)[1]
+                     for h1, tr in zip(h1s, rec.m_traces)]
+        else:
+            _, texts = transition_forward(arch, m.fwd.transition, h1s, None)
+        for tr, text in zip(rec.m_traces, texts):
             assert tr.x.shape == (tw,)
             np.testing.assert_array_equal(tr.x, text)
         rows = np.ones((2, 4))
-        _, _, m_tr, _ = step(m, m.fwd, rows, 0 * rows, 0 * rows,
-                             image_input(m.fwd, np.ones(3)))
+        m_tr = step(m, m.fwd, rows, 0 * rows, 0 * rows,
+                    image_input(m.fwd, np.ones(3)))
         assert m_tr.x.shape == (2, tw)
 
 
@@ -216,8 +221,9 @@ class TestStackedDegeneratesToPlain:
         rec_plain = direction_forward(plain, FORWARD, tokens, feature)
         rec_stacked = direction_forward(stacked, FORWARD, tokens, feature)
         # the transition collapses to a pass-through of the text hidden state
-        for trans, t_tr in zip(rec_stacked.transition_activations,
-                               rec_stacked.t_traces):
+        for t_tr, m_tr in zip(rec_stacked.t_traces, rec_stacked.m_traces):
+            _, trans = transition_forward(BIS, stacked.fwd.transition, t_tr.h,
+                                          m_tr.h_prev)
             np.testing.assert_array_equal(trans, t_tr.h)
         for pp, ps in zip(rec_plain.probs, rec_stacked.probs):
             assert np.max(np.abs(pp - ps)) < 1e-12
@@ -299,6 +305,34 @@ class TestModelBackward:
                 scale = np.max(np.abs(ref[name]))
                 assert err <= 1e-12 * scale, \
                     f"{arch.value} seed {seed} {name}: {err} of {scale}"
+
+
+class TestOneRecurrencePerLstm:
+    @pytest.mark.parametrize("arch", [BI, BIS, BIF])
+    def test_both_lstms_run_the_lstm_module_loops(self, arch, monkeypatch):
+        # each LSTM's recurrence is lstm.sequence_forward/sequence_backward;
+        # only the bi-s-lstm forward steps its M-LSTM through model.step
+        calls = {"sequence_forward": 0, "sequence_backward": 0, "step": 0}
+
+        def counting(name):
+            real = getattr(model_mod, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(model_mod, name, counting(name))
+        m = random_model(arch, 9, 4, 5, 6, seed=1)
+        tokens = [0, 3, 5, 2]
+        rec = direction_forward(m, FORWARD, tokens, np.ones(4))
+        bi_s = arch == BIS
+        assert calls == {"sequence_forward": 1 if bi_s else 2,
+                         "sequence_backward": 0,
+                         "step": len(tokens) if bi_s else 0}
+        model_backward(m, rec, tokens[1:] + [0])
+        assert calls["sequence_backward"] == 2
 
 
 def assert_matches_per_step_pass(m, ex):

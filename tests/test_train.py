@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -55,7 +56,7 @@ class TestJointLoss:
 
     def test_palindrome_mirrored_params_symmetry(self):
         m = init_model(BI, 7, 3, 4, 4, seed=3)
-        m.bwd = m.fwd.copy()
+        m.bwd = copy.deepcopy(m.fwd)
         ex = CaptionedExample("x", np.array([0.2, -0.4, 0.1]), [3, 5, 3])
         loss = joint_loss(m, ex)
         assert loss.loss_fwd == loss.loss_bwd
