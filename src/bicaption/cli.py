@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Commands: train, caption, retrieve, eval-bleu, gradcheck, augment-plan,
-dump-gates. Every command accepts --config with key=value lines; explicit
-flags win over config values. All errors exit nonzero with one diagnostic
-line on stderr (2 for data/config problems, 3 for shape mismatches).
+dump-gates. Each command's *_KEYS table declares its options once: every
+key is both a flag (`--` + key, `_` as `-`) and a key of the key=value
+file that --config reads, and both are converted by the same code.
+Explicit flags win over config values. Every error, a malformed argument
+included, exits nonzero with one diagnostic line on stderr (2 for
+data/config/argument problems, 3 for shape mismatches).
 """
 
 import argparse
@@ -31,6 +34,16 @@ PROFILES = {
 }
 
 
+def _convert(where, kind, value):
+    """A flag or config value as its key's type; `where` names it in the
+    one-line error."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(
+            f"{where} needs a {kind.__name__} value, got {value!r}") from None
+
+
 def _load_config_file(path, keys: dict) -> dict:
     """Parse key=value lines into values of each key's type."""
     cfg: dict = {}
@@ -44,30 +57,21 @@ def _load_config_file(path, keys: dict) -> dict:
         key, value = key.strip(), value.strip()
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            cfg[key] = keys[key](value)
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: {key} needs a {keys[key].__name__} "
-                f"value, got {value!r}"
-            ) from None
+        cfg[key] = _convert(f"{path}:{lineno}: {key}", keys[key], value)
     return cfg
 
 
-class Options:
-    """Merged view of flags, config-file values, and defaults (flags win)."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
-    def __init__(self, args, keys: dict):
-        self._cfg = {}
-        if getattr(args, "config", None):
-            self._cfg = _load_config_file(args.config, keys)
-        self._args = args
 
-    def get(self, key, default=None):
-        flag = getattr(self._args, key, None)
-        if flag is not None:
-            return flag
-        return self._cfg.get(key, default)
+def _options(args, keys: dict) -> dict:
+    """The values set by flag or config file (flags win), each converted to
+    its key's type before the command starts; commands `.get` a default."""
+    flags = {key: _convert(_flag(key), kind, getattr(args, key))
+             for key, kind in keys.items() if getattr(args, key) is not None}
+    cfg = _load_config_file(args.config, keys) if args.config else {}
+    return {**cfg, **flags}
 
 
 def _parse_arch(name: str) -> ArchitectureKind:
@@ -78,29 +82,24 @@ def _parse_arch(name: str) -> ArchitectureKind:
     return ARCH_BY_NAME[name]
 
 
-def _read_corpus(captions_path, features_path):
-    captions = data_mod.read_captions(captions_path)
-    features = data_mod.read_features(features_path)
-    return captions, features
-
-
-def _read_vocab(path, m):
-    """The vocab file, which must have one row per checkpoint vocab id."""
-    vocab = data_mod.read_vocab(path)
-    if vocab.size != m.vocab_size:
-        raise DataError(
-            f"{path}: vocab has {vocab.size} words, checkpoint has {m.vocab_size}"
-        )
-    return vocab
-
-
-def _check_feature_dim(m, features, path):
+def _load_model_inputs(args):
+    """The checkpoint, its vocab (None without --vocab) and the features,
+    with the vocab size and every feature's dim checked against it."""
+    m = load_checkpoint(args.checkpoint)
+    vocab = None
+    if args.vocab:
+        vocab = data_mod.read_vocab(args.vocab)
+        if vocab.size != m.vocab_size:
+            raise DataError(f"{args.vocab}: vocab has {vocab.size} words, "
+                            f"checkpoint has {m.vocab_size}")
+    features = data_mod.read_features(args.features)
     for image_id, vec in features.items():
         if vec.shape[0] != m.feature_dim:
             raise ShapeError(
-                f"{path}: feature for {image_id!r} has dim {vec.shape[0]}, "
-                f"checkpoint expects {m.feature_dim}"
+                f"{args.features}: feature for {image_id!r} has dim "
+                f"{vec.shape[0]}, checkpoint expects {m.feature_dim}"
             )
+    return m, vocab, features
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +115,15 @@ TRAIN_KEYS = {
 
 
 def cmd_train(args) -> int:
-    opt = Options(args, TRAIN_KEYS)
+    opt = _options(args, TRAIN_KEYS)
     profile_name = opt.get("profile", "toy")
     profile = PROFILES.get(profile_name)
     if profile is None:
         raise ConfigError(f"unknown profile {profile_name!r}")
+    arch = _parse_arch(opt.get("arch", "bi-lstm"))
 
-    captions, features = _read_corpus(args.captions, args.features)
+    captions = data_mod.read_captions(args.captions)
+    features = data_mod.read_features(args.features)
     if args.val_captions:
         val_captions = data_mod.read_captions(args.val_captions)
         val_features = data_mod.read_features(args.val_features or args.features)
@@ -138,8 +139,6 @@ def cmd_train(args) -> int:
     hidden_dim = opt.get("hidden_dim", profile["hidden_dim"])
     embed_dim = opt.get("embed_dim", hidden_dim)
     seed = opt.get("seed", 0)
-    arch = _parse_arch(opt.get("arch", "bi-lstm"))
-
     patience = opt.get("patience", profile["patience"])
     cfg = TrainConfig(
         learning_rate=opt.get("lr", 0.01),
@@ -181,18 +180,10 @@ CAPTION_KEYS = {"beam": int, "max_len": int}
 
 
 def cmd_caption(args) -> int:
-    opt = Options(args, CAPTION_KEYS)
+    opt = _options(args, CAPTION_KEYS)
     beam_k = opt.get("beam", 1)
     max_len = opt.get("max_len", 50)
-    m = load_checkpoint(args.checkpoint)
-    vocab = _read_vocab(args.vocab, m)
-    features = data_mod.read_features(args.features)
-    _check_feature_dim(m, features, args.features)
-
-    gates_dir = Path(args.dump_gates) if args.dump_gates else None
-    if gates_dir is not None:
-        gates_dir.mkdir(parents=True, exist_ok=True)
-
+    m, vocab, features = _load_model_inputs(args)
     for image_id, feature in features.items():
         hf = infer.decode_direction(m, FORWARD, feature, beam_k=beam_k,
                                     max_len=max_len)
@@ -202,15 +193,6 @@ def cmd_caption(args) -> int:
         text = " ".join(vocab.decode(sel.caption))
         print(f"{image_id}\t{sel.chosen}\t{hf.logprob_sum:.6f}"
               f"\t{hb.logprob_sum:.6f}\t{text}")
-        if gates_dir is not None:
-            for direction in (FORWARD, BACKWARD):
-                tr = infer.dump_gate_trace(m, feature, direction,
-                                           max_len=max_len, vocab=vocab)
-                infer.write_gate_trace(
-                    tr,
-                    gates_dir / f"{image_id}.{direction}.gates.csv",
-                    gates_dir / f"{image_id}.{direction}.words.csv",
-                )
     return 0
 
 
@@ -222,18 +204,15 @@ RETRIEVE_KEYS = {"k_list": str}
 
 
 def cmd_retrieve(args) -> int:
-    opt = Options(args, RETRIEVE_KEYS)
+    opt = _options(args, RETRIEVE_KEYS)
     k_text = opt.get("k_list", "1,5,10")
     try:
         k_list = [int(k) for k in k_text.split(",")]
     except ValueError:
         raise ConfigError(
             f"k_list needs comma-separated integers, got {k_text!r}") from None
-    m = load_checkpoint(args.checkpoint)
-    vocab = _read_vocab(args.vocab, m)
+    m, vocab, features = _load_model_inputs(args)
     captions = data_mod.read_captions(args.captions)
-    features = data_mod.read_features(args.features)
-    _check_feature_dim(m, features, args.features)
 
     image_ids = list(dict.fromkeys(image_id for image_id, _ in captions))
     for image_id in image_ids:
@@ -271,7 +250,7 @@ EVAL_BLEU_KEYS = {"max_n": int}
 
 
 def cmd_eval_bleu(args) -> int:
-    opt = Options(args, EVAL_BLEU_KEYS)
+    opt = _options(args, EVAL_BLEU_KEYS)
     max_n = opt.get("max_n", 4)
     candidates = data_mod.read_captions(args.candidates)
     references = data_mod.read_captions(args.references)
@@ -304,7 +283,7 @@ GRADCHECK_KEYS = {
 
 
 def cmd_gradcheck(args) -> int:
-    opt = Options(args, GRADCHECK_KEYS)
+    opt = _options(args, GRADCHECK_KEYS)
     arch = _parse_arch(opt.get("arch", "bi-lstm"))
     vocab_size = opt.get("vocab_size", 7)
     feature_dim = opt.get("feature_dim", 3)
@@ -314,6 +293,11 @@ def cmd_gradcheck(args) -> int:
     seed = opt.get("seed", 0)
     tolerance = opt.get("tolerance", 1e-5)
     epsilon = opt.get("epsilon", 1e-6)
+    # ids 0 and 1 are reserved, so the caption draws from 2..vocab_size-1
+    if vocab_size < 3:
+        raise ConfigError(f"vocab_size must be >= 3, got {vocab_size}")
+    if caption_len < 1:
+        raise ConfigError(f"caption_len must be >= 1, got {caption_len}")
 
     # unit-scale weights keep every block resolvable by central differences
     m = random_model(arch, vocab_size, feature_dim, embed_dim, hidden_dim,
@@ -337,7 +321,7 @@ AUGMENT_KEYS = {"base": int, "crop": int, "crop_small": int}
 
 
 def cmd_augment_plan(args) -> int:
-    opt = Options(args, AUGMENT_KEYS)
+    opt = _options(args, AUGMENT_KEYS)
     base = opt.get("base", 256)
     crop = opt.get("crop", 227)
     crop_small = opt.get("crop_small", 196)
@@ -379,15 +363,12 @@ DUMP_GATES_KEYS = {"direction": str, "max_len": int}
 
 
 def cmd_dump_gates(args) -> int:
-    opt = Options(args, DUMP_GATES_KEYS)
+    opt = _options(args, DUMP_GATES_KEYS)
     direction = opt.get("direction", FORWARD)
     if direction not in (FORWARD, BACKWARD):
         raise ConfigError(f"direction must be forward or backward, got {direction!r}")
     max_len = opt.get("max_len", 50)
-    m = load_checkpoint(args.checkpoint)
-    vocab = _read_vocab(args.vocab, m) if args.vocab else None
-    features = data_mod.read_features(args.features)
-    _check_feature_dim(m, features, args.features)
+    m, vocab, features = _load_model_inputs(args)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -407,98 +388,76 @@ def cmd_dump_gates(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse with the CLI's error contract: one stderr line, exit 2.
+    Subparsers are made from this class too."""
+
+    def error(self, message):
+        # an unrecognized argument is quoted raw and may hold a newline
+        message = " ".join(message.splitlines())
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="bicaption",
         description="Bidirectional multimodal LSTM captioning toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func, keys, help):
+        """A subcommand with --config and one untyped flag per key; each
+        value is converted and checked by _options, as config values are."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value file; flags win on conflict")
+        for key, kind in keys.items():
+            p.add_argument(_flag(key), metavar=kind.__name__.upper())
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
-    add_common(p)
-    p.add_argument("--seed", type=int)
+    p = command("train", cmd_train, TRAIN_KEYS,
+                "train a model and write a checkpoint")
     p.add_argument("--captions", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--val-captions")
     p.add_argument("--val-features")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--arch", choices=sorted(ARCH_BY_NAME))
-    p.add_argument("--profile", choices=sorted(PROFILES))
-    p.add_argument("--hidden-dim", type=int)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--min-count", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--grad-clip", type=float)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("caption", help="generate captions for feature vectors")
-    add_common(p)
+    p = command("caption", cmd_caption, CAPTION_KEYS,
+                "generate captions for feature vectors")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--beam", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--dump-gates", metavar="DIR")
-    p.set_defaults(func=cmd_caption)
 
-    p = sub.add_parser("retrieve", help="image/sentence retrieval metrics")
-    add_common(p)
+    p = command("retrieve", cmd_retrieve, RETRIEVE_KEYS,
+                "image/sentence retrieval metrics")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--captions", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--k-list")
     p.add_argument("--matrix-out")
-    p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("eval-bleu", help="corpus BLEU of candidates vs references")
-    add_common(p)
+    p = command("eval-bleu", cmd_eval_bleu, EVAL_BLEU_KEYS,
+                "corpus BLEU of candidates vs references")
     p.add_argument("--candidates", required=True)
     p.add_argument("--references", required=True)
-    p.add_argument("--max-n", type=int)
-    p.set_defaults(func=cmd_eval_bleu)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--arch", choices=sorted(ARCH_BY_NAME))
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--feature-dim", type=int)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--hidden-dim", type=int)
-    p.add_argument("--caption-len", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.set_defaults(func=cmd_gradcheck)
+    command("gradcheck", cmd_gradcheck, GRADCHECK_KEYS,
+            "finite-difference gradient check")
 
-    p = sub.add_parser("augment-plan", help="emit crop/scale/mirror variants")
-    add_common(p)
+    p = command("augment-plan", cmd_augment_plan, AUGMENT_KEYS,
+                "emit crop/scale/mirror variants")
     p.add_argument("--dims-file")
     p.add_argument("--image-id", default="image")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
-    p.add_argument("--base", type=int)
-    p.add_argument("--crop", type=int)
-    p.add_argument("--crop-small", type=int)
-    p.set_defaults(func=cmd_augment_plan)
 
-    p = sub.add_parser("dump-gates", help="export gate/cell state traces")
-    add_common(p)
+    p = command("dump-gates", cmd_dump_gates, DUMP_GATES_KEYS,
+                "export gate/cell state traces")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--vocab")
-    p.add_argument("--direction")
-    p.add_argument("--max-len", type=int)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_dump_gates)
 
     return parser
 

@@ -141,6 +141,9 @@ def augment_plan(image_w: int, image_h: int, base: int = 256,
     """
     if image_w < 1 or image_h < 1:
         raise PlanError(f"image dims must be >= 1, got {image_w}x{image_h}")
+    if min(base, crop, crop_small) < 1:
+        raise PlanError(f"base, crop and crop_small must be >= 1, "
+                        f"got {base}, {crop}, {crop_small}")
     if crop > base:
         raise PlanError(f"crop {crop} exceeds base size {base}")
 

@@ -2,11 +2,15 @@ import hashlib
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from bicaption import cli
 from bicaption.checkpoint import load_checkpoint, save_checkpoint
 from bicaption.cli import main
 from bicaption.data import (Vocabulary, make_toy_dataset, write_captions,
                             write_features, write_vocab)
+from bicaption.errors import BicaptionError
 from bicaption.model import ArchitectureKind
 
 
@@ -204,19 +208,6 @@ class TestCaptionCommand:
         assert captured.err.count("\n") == 1
         assert "header implies" in captured.err
 
-    def test_gate_dump_files(self, toy_files, toy_overfit, capsys, tmp_path):
-        gates_dir = tmp_path / "gates"
-        rc = main(["caption", "--checkpoint", str(toy_files["ckpt"]),
-                   "--features", str(toy_files["features"]),
-                   "--vocab", str(toy_files["vocab"]),
-                   "--dump-gates", str(gates_dir)])
-        assert rc == 0
-        capsys.readouterr()
-        first = toy_overfit.examples[0].image_id
-        for direction in ("forward", "backward"):
-            assert (gates_dir / f"{first}.{direction}.gates.csv").exists()
-            assert (gates_dir / f"{first}.{direction}.words.csv").exists()
-
 
 class TestRetrieveCommand:
     def test_overfit_model_retrieves_perfectly(self, toy_files, capsys):
@@ -365,6 +356,20 @@ class TestDumpGatesCommand:
         words = (out_dir / f"{first}.backward.words.csv").read_text()
         assert words.startswith("step,token,vocab_index,prob")
 
+    def test_gate_dump_files(self, toy_files, toy_overfit, capsys, tmp_path):
+        gates_dir = tmp_path / "gates"
+        for direction in ("forward", "backward"):
+            rc = main(["dump-gates", "--checkpoint", str(toy_files["ckpt"]),
+                       "--features", str(toy_files["features"]),
+                       "--vocab", str(toy_files["vocab"]),
+                       "--direction", direction, "--out-dir", str(gates_dir)])
+            assert rc == 0
+        capsys.readouterr()
+        first = toy_overfit.examples[0].image_id
+        for direction in ("forward", "backward"):
+            assert (gates_dir / f"{first}.{direction}.gates.csv").exists()
+            assert (gates_dir / f"{first}.{direction}.words.csv").exists()
+
     def test_bad_direction_rejected(self, toy_files, capsys):
         rc = main(["dump-gates", "--checkpoint", str(toy_files["ckpt"]),
                    "--features", str(toy_files["features"]),
@@ -442,6 +447,118 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert str(bad) in err
+
+
+def run_cli(argv, capsys):
+    """Exit code and stderr of one run, argparse's SystemExit included."""
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    return rc, capsys.readouterr().err
+
+
+# each command with valid required arguments; "{name}" is a toy_files entry
+MODEL_ARGS = ["--checkpoint", "{ckpt}", "--features", "{features}",
+              "--vocab", "{vocab}"]
+BASE_ARGV = {
+    "train": ["train", "--captions", "{captions}", "--features", "{features}",
+              "--out-dir", "{dir}/run"],
+    "caption": ["caption", *MODEL_ARGS],
+    "retrieve": ["retrieve", *MODEL_ARGS, "--captions", "{captions}"],
+    "eval-bleu": ["eval-bleu", "--candidates", "{captions}",
+                  "--references", "{captions}"],
+    "gradcheck": ["gradcheck"],
+    "augment-plan": ["augment-plan", "--width", "64", "--height", "64"],
+    "dump-gates": ["dump-gates", *MODEL_ARGS, "--out-dir", "{dir}/traces"],
+}
+COMMAND_KEYS = {
+    "train": cli.TRAIN_KEYS, "caption": cli.CAPTION_KEYS,
+    "retrieve": cli.RETRIEVE_KEYS, "eval-bleu": cli.EVAL_BLEU_KEYS,
+    "gradcheck": cli.GRADCHECK_KEYS, "augment-plan": cli.AUGMENT_KEYS,
+    "dump-gates": cli.DUMP_GATES_KEYS,
+}
+MALFORMED_ARGV = [
+    ["gradcheck", "--seed", "abc"],
+    ["gradcheck", "--tolerance", "tight"],
+    ["gradcheck", "--arch", "nope"],
+    ["gradcheck", "--caption-len", "-1"],
+    ["gradcheck", "--vocab-size", "2"],
+    ["gradcheck", "--vocab-size", "1"],
+    [*BASE_ARGV["train"], "--lr", "fast"],
+    [*BASE_ARGV["train"], "--batch-size", "2.5"],
+    [*BASE_ARGV["train"], "--profile", "huge"],
+    [*BASE_ARGV["train"], "--arch", "nope"],
+    [*BASE_ARGV["caption"], "--beam", "wide"],
+    [*BASE_ARGV["dump-gates"], "--direction", "sideways"],
+    [*BASE_ARGV["eval-bleu"], "--max-n", "1.5"],
+    ["augment-plan", "--width", "ten", "--height", "5"],
+    [*BASE_ARGV["augment-plan"], "--crop", "-5"],
+    [*BASE_ARGV["caption"], "--bogus"],
+    ["gradcheck", "a\nb"],
+    ["retrieve"],
+    [],
+    ["frobnicate"],
+]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv", MALFORMED_ARGV,
+        ids=lambda argv: " ".join(a for a in argv if "{" not in a) or "none")
+    def test_one_line_exit_2(self, argv, toy_files, capsys):
+        rc, err = run_cli([a.format(**toy_files) for a in argv], capsys)
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in COMMAND_KEYS.items()
+        for key in keys])
+    def test_flag_and_config_value_fail_alike(self, command, key, toy_files,
+                                              tmp_path, capsys):
+        base = [a.format(**toy_files) for a in BASE_ARGV[command]]
+        flag = "--" + key.replace("_", "-")
+        rc_flag, err_flag = run_cli(base + [flag, "abc"], capsys)
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key}=abc\n")
+        rc_cfg, err_cfg = run_cli(base + ["--config", str(config)], capsys)
+        assert rc_flag == rc_cfg == 2
+        assert err_flag.count("\n") == err_cfg.count("\n") == 1
+        assert key in err_cfg
+        # the same message, located by the flag or by the file and line
+        assert (err_flag.replace(flag, key)
+                == err_cfg.replace(f"{config}:1: ", ""))
+
+
+FUZZ_KEYS = {"seed": int, "lr": float, "arch": str}
+config_lines = st.one_of(
+    st.text(max_size=12),
+    st.tuples(st.sampled_from(["seed", " lr ", "arch", "#seed", "Seed", ""])
+              | st.text(max_size=4),
+              st.sampled_from(["=", " = ", "==", ""]),
+              st.text(max_size=8) | st.integers().map(str)
+              | st.floats().map(str)).map("".join),
+)
+
+
+class TestConfigFileFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(config_lines, max_size=6).map(
+               lambda lines: "\n".join(lines).encode("utf-8"))
+           | st.binary(max_size=40))
+    def test_parses_to_declared_types_or_raises(self, tmp_path, blob):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(blob)
+        try:
+            cfg = cli._load_config_file(path, FUZZ_KEYS)
+        except BicaptionError:
+            return
+        assert set(cfg) <= set(FUZZ_KEYS)
+        for key, value in cfg.items():
+            assert type(value) is FUZZ_KEYS[key]
 
 
 class TestSeedFlag:

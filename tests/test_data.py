@@ -131,6 +131,12 @@ class TestAugmentPlan:
         with pytest.raises(PlanError):
             augment_plan(0, 10)
 
+    @pytest.mark.parametrize("sizes", [dict(crop=-5), dict(crop_small=0),
+                                       dict(base=0, crop=0, crop_small=0)])
+    def test_sizes_below_one_rejected(self, sizes):
+        with pytest.raises(PlanError, match=">= 1"):
+            augment_plan(64, 64, **sizes)
+
     def test_export_lines(self):
         plan = augment_plan(10, 10)
         lines = augment_plan_lines("img7", plan)

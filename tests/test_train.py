@@ -318,6 +318,16 @@ class TestTrainEpochs:
         with pytest.raises(ConfigError):
             TrainConfig(momentum=1.0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ("grad_clip", math.nan),
+    ])
+    def test_non_finite_setting_rejected(self, field, value):
+        # a NaN grad_clip would turn clipping off: norm > nan is False
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
 
 class TestOverfitCapacity:
     def test_toy_set_memorized_within_budget(self, toy_overfit):
@@ -421,7 +431,9 @@ class TestGradCheck:
         with pytest.raises(ConfigError):
             grad_check(m, toy_example(0, vocab=5, feat=2), epsilon=1e-2)
 
-    def test_subsample_floor(self):
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-5, math.nan])
+    def test_tolerance_must_be_positive(self, tolerance):
+        # a NaN tolerance would mark every block FAIL
         m = random_model(BI, 5, 2, 3, 3, seed=0)
-        with pytest.raises(ConfigError):
-            grad_check(m, toy_example(0, vocab=5, feat=2), max_per_block=100)
+        with pytest.raises(ConfigError, match="tolerance"):
+            grad_check(m, toy_example(0, vocab=5, feat=2), tolerance=tolerance)
