@@ -122,6 +122,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"unknown profile {profile_name!r}")
     arch = _parse_arch(opt.get("arch", "bi-lstm"))
 
+    if args.val_features and not args.val_captions:
+        raise ConfigError("--val-features needs --val-captions")
     captions = data_mod.read_captions(args.captions)
     features = data_mod.read_features(args.features)
     if args.val_captions:
@@ -160,6 +162,8 @@ def cmd_train(args) -> int:
         log.write(f"0\tnan\t{mean_joint_loss(model, val_set):.17g}\n")
 
         def hook(epoch, train_loss, val_loss):
+            print(f"epoch {epoch} train_loss {train_loss:.6f} "
+                  f"val_loss {val_loss:.6f}")
             log.write(f"{epoch}\t{train_loss:.17g}\t{val_loss:.17g}\n")
 
         state = train_epochs(make_state(model), train_set, val_set, cfg,
@@ -252,6 +256,8 @@ EVAL_BLEU_KEYS = {"max_n": int}
 def cmd_eval_bleu(args) -> int:
     opt = _options(args, EVAL_BLEU_KEYS)
     max_n = opt.get("max_n", 4)
+    if not 1 <= max_n <= 4:
+        raise ConfigError(f"max_n must be in 1..4, got {max_n}")
     candidates = data_mod.read_captions(args.candidates)
     references = data_mod.read_captions(args.references)
     refs_by_image: dict[str, list[list[str]]] = {}

@@ -139,8 +139,9 @@ def block_shapes(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
     """Every parameter block's name and shape, in declared (checkpoint)
     order. Nothing is allocated, so a checkpoint header's dimensions can be
     checked against its size before any block is built."""
+    # hidden_dim before embed_dim, which defaults to it in the CLI
     for label, dim in (("vocab_size", vocab_size), ("feature_dim", feature_dim),
-                       ("embed_dim", embed_dim), ("hidden_dim", hidden_dim)):
+                       ("hidden_dim", hidden_dim), ("embed_dim", embed_dim)):
         if dim < 1:
             raise ConfigError(f"{label} must be >= 1, got {dim}")
 

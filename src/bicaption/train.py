@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
-from .lstm import LstmParams, LstmStepTrace, hidden_rows, sequence_forward
+from .lstm import hidden_rows, sequence_forward
 from .model import (ArchitectureKind, BACKWARD, CaptionModel, FORWARD,
                     ForwardPassRecord, direction_forward, image_input,
                     is_bias_block, model_backward, softmax_logits, unroll)
@@ -178,7 +178,7 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
 
 
 def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
-                 epoch_hook=None, verbose: bool = True) -> TrainState:
+                 epoch_hook=None) -> TrainState:
     """Mini-batch SGD with per-epoch reseeded shuffles and early stopping on
     validation joint loss. Returns the state holding the best-val model."""
     cfg.validate()
@@ -211,8 +211,6 @@ def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
 
         train_loss = loss_sum / n
         val_loss = mean_joint_loss(state.model, val_set) if val_set else math.nan
-        if verbose:
-            print(f"epoch {epoch} train_loss {train_loss:.6f} val_loss {val_loss:.6f}")
         if epoch_hook is not None:
             epoch_hook(epoch, train_loss, val_loss)
 
@@ -236,77 +234,21 @@ def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
 # gradient checking
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _FdPass:
-    """One direction's finite-difference forward: the negated sum of target
-    log-probabilities, the relu transition sign bytes (empty for the other
-    architectures), the (T, H) T-LSTM outputs, the M-LSTM step traces and
-    the M-LSTM cell."""
-
-    nll: float
-    signs: bytes
-    h1s: np.ndarray
-    m_traces: list[LstmStepTrace]
-    m_cell: LstmParams
-
-
-# The first layer a finite-difference pass recomputes (_M_CELL: the image fold).
-_T_LSTM, _M_CELL, _ABOVE_T_LSTM, _SOFTMAX = 0, 1, 2, 3
-
-
-def _fd_plan(name: str) -> tuple[tuple[str, ...], int]:
-    """The directions whose loss a perturbation of block `name` changes,
-    and the first layer of theirs it feeds."""
-    if name.startswith("softmax_"):
-        return (FORWARD, BACKWARD), _SOFTMAX
-    prefix, layer = name.split(".")[:2]
-    first = (_T_LSTM if layer in ("embedding", "t_lstm") else
-             _M_CELL if name.endswith(("m_lstm.Wx", "m_lstm.b")) else _ABOVE_T_LSTM)
-    return (FORWARD if prefix == "fwd" else BACKWARD,), first
-
-
 def _fd_direction(m: CaptionModel, ex: CaptionedExample, direction: str,
-                  base: _FdPass | None = None, first: int = _T_LSTM) -> _FdPass:
-    """One direction of the finite-difference forward: the T-LSTM and the
-    shared `model.unroll` above it, as `direction_forward` runs them,
-    without the probabilities that only training's backward pass reads.
-
-    With `base`, a pass of the same direction on the unperturbed model, the
-    layers below `first` are taken from it rather than recomputed:
-    _M_CELL and _ABOVE_T_LSTM unroll over its T-LSTM outputs, _SOFTMAX
-    forms only the logits of its M-LSTM states (with `unroll`'s
-    `softmax_logits`) and keeps its relu signs. All but _M_CELL reuse its
-    M-LSTM cell, whose Wx and Wh view the live parameters. Everything that
-    is recomputed runs the operations of the full pass in the same order on
-    bitwise equal inputs, so the result is bitwise that of the full pass
-    whenever the reused layers' parameters are those of `base`.
-    """
+                  h1s: np.ndarray | None = None):
+    """One direction of the finite-difference forward: the T-LSTM, unless
+    its (T, H) output rows `h1s` are given, and the shared `model.unroll`
+    above it, as `direction_forward` runs them, without the probabilities.
+    Returns (negated sum of target log-probabilities, relu transition sign
+    bytes (empty for the other architectures), h1s, M-LSTM traces)."""
     inputs, targets = direction_io(ex.tokens, direction)
-    if first == _SOFTMAX:
-        h1s, m_traces, signs = base.h1s, base.m_traces, base.signs
-        m_cell = base.m_cell
-        logits = softmax_logits(m, hidden_rows(m_traces, m.hidden_dim))
-    else:
-        d = m.direction(direction)
-        if first != _T_LSTM:
-            h1s = base.h1s
-        else:
-            h1s = hidden_rows(sequence_forward(d.t_lstm, d.embedding.T[inputs]),
-                              m.hidden_dim)
-        refold = base is None or first == _M_CELL
-        m_cell = image_input(d, ex.feature) if refold else base.m_cell
-        preacts, m_traces, logits = unroll(m, d, h1s, m_cell)
-        signs = (np.asarray(preacts) > 0.0).tobytes()
-    return _FdPass(_target_nll(logits, targets), signs, h1s, m_traces, m_cell)
-
-
-def _fd_joint(fwd: _FdPass, bwd: _FdPass) -> tuple[float, bytes]:
-    """Both directions' passes combined into the joint loss (summed in a
-    fixed order) and the joint sign pattern."""
-    total = 0.0
-    total += fwd.nll
-    total += bwd.nll
-    return total, fwd.signs + bwd.signs
+    d = m.direction(direction)
+    if h1s is None:
+        h1s = hidden_rows(sequence_forward(d.t_lstm, d.embedding.T[inputs]),
+                          m.hidden_dim)
+    preacts, m_traces, logits = unroll(m, d, h1s, image_input(d, ex.feature))
+    signs = (np.asarray(preacts) > 0.0).tobytes()
+    return _target_nll(logits, targets), signs, h1s, m_traces
 
 
 def _fd_loss_and_signs(m: CaptionModel, ex: CaptionedExample):
@@ -316,13 +258,11 @@ def _fd_loss_and_signs(m: CaptionModel, ex: CaptionedExample):
 
     Each direction runs the shared `model.unroll` that joint_loss runs
     through direction_forward, minus the probabilities, so the arithmetic
-    is identical and a test pins the two to exact equality. grad_check gets
-    the same numbers from _fd_direction while recomputing only what a
-    perturbation changes.
+    is identical and a test pins the two to exact equality.
     """
-    total, signs = _fd_joint(_fd_direction(m, ex, FORWARD),
-                             _fd_direction(m, ex, BACKWARD))
-    return total, (signs if m.arch == ArchitectureKind.BI_F_LSTM else None)
+    (lf, sf, _, _), (lb, sb, _, _) = (_fd_direction(m, ex, direction)
+                                      for direction in (FORWARD, BACKWARD))
+    return lf + lb, (sf + sb if m.arch == ArchitectureKind.BI_F_LSTM else None)
 
 
 def has_live_relu_branches(m: CaptionModel, ex: CaptionedExample) -> bool:
@@ -401,20 +341,12 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
     largest discrepancy, relative to the block's gradient scale
     max(|analytic|, |numeric|, 1e-8), is below the tolerance.
 
-    Each finite-difference loss is the one _fd_loss_and_signs gives, bit
-    for bit, but only the work a perturbation can change is redone. Both
-    directions are unrolled once on the unperturbed model with the shared
-    `model.unroll`, which every rerun calls again. A fwd.* or bwd.*
-    perturbation reruns only its own direction and reuses the other one's
-    loss and relu signs; an M-LSTM or transition block also reuses its
-    direction's T-LSTM states, and a softmax block reruns only the softmax
-    of both directions over their unperturbed M-LSTM states; only m_lstm.Wx
-    and m_lstm.b refold the image into the M-LSTM cell. The reused values
-    come from parameters that the perturbation leaves unchanged (each scalar
-    is restored exactly after use), the recomputed layers run the same
-    operations in the same order, and the two directions are summed as
-    _fd_loss_and_signs sums them, so the report is exactly the one that
-    calling _fd_loss_and_signs for every perturbation would give.
+    Each finite-difference loss is bitwise the one _fd_loss_and_signs
+    gives, but a perturbation reruns only the direction its block feeds and
+    takes the other's loss and signs from the unperturbed pass. Blocks above
+    the T-LSTM reuse its unperturbed output rows; a softmax block reruns
+    only the logits and the loss of both directions' unperturbed M-LSTM
+    states.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ConfigError(f"epsilon must be in (0, 1e-3], got {epsilon}")
@@ -425,17 +357,28 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
     report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
     base = {direction: _fd_direction(m, ex, direction)
             for direction in (FORWARD, BACKWARD)}
+    h2s = {direction: hidden_rows(p[3], m.hidden_dim)
+           for direction, p in base.items()}
+    targets = {direction: direction_io(ex.tokens, direction)[1]
+               for direction in base}
 
     for name, arr in m.blocks():
         grad = analytic[name]
-        rerun, first = _fd_plan(name)
+        if name.startswith("softmax_"):
+            def fd_loss_and_signs():
+                lf, lb = (_target_nll(softmax_logits(m, h2s[d]), targets[d])
+                          for d in base)
+                return lf + lb, base[FORWARD][1] + base[BACKWARD][1]
+        else:
+            prefix, _, layer = name.partition(".")
+            rerun = FORWARD if prefix == "fwd" else BACKWARD
+            h1s = (None if layer.startswith(("embedding", "t_lstm."))
+                   else base[rerun][2])
 
-        def fd_loss_and_signs():
-            passes = dict(base)
-            for direction in rerun:
-                passes[direction] = _fd_direction(m, ex, direction,
-                                                  base[direction], first)
-            return _fd_joint(passes[FORWARD], passes[BACKWARD])
+            def fd_loss_and_signs():
+                passes = {**base, rerun: _fd_direction(m, ex, rerun, h1s)}
+                (lf, sf, _, _), (lb, sb, _, _) = passes.values()
+                return lf + lb, sf + sb
 
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)

@@ -61,7 +61,7 @@ def toy_overfit() -> ToyOverfit:
                        embed_dim=16, hidden_dim=16, seed=7)
     t0 = time.perf_counter()
     state = train_epochs(make_state(model), examples, examples,
-                         TOY_TRAIN_CONFIG, verbose=False)
+                         TOY_TRAIN_CONFIG)
     elapsed = time.perf_counter() - t0
     return ToyOverfit(
         vocab=vocab,

@@ -207,8 +207,7 @@ def test_determinism_and_roundtrip(tmp_path):
         m = init_model(ArchitectureKind.BI_S_LSTM, 12, 7, 8, 8, seed=4)
         cfg = TrainConfig(batch_size=2, max_epochs=3,
                           early_stop_patience=None, seed=6)
-        state = train_epochs(make_state(m), examples, examples, cfg,
-                             verbose=False)
+        state = train_epochs(make_state(m), examples, examples, cfg)
         finals.append(state.model)
     train_ok = all(
         np.array_equal(a, b)

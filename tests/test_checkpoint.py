@@ -100,8 +100,7 @@ class TestRoundTrip:
         m = init_model(ArchitectureKind.BI_LSTM, 10, 7, 8, 8, seed=2)
         cfg = TrainConfig(batch_size=2, max_epochs=2,
                           early_stop_patience=None, seed=3)
-        state = train_epochs(make_state(m), examples, examples, cfg,
-                             verbose=False)
+        state = train_epochs(make_state(m), examples, examples, cfg)
         path = tmp_path / "m.ckpt"
         save_checkpoint(state.model, path)
         loaded = load_checkpoint(path)
@@ -109,8 +108,7 @@ class TestRoundTrip:
         # the loaded model trains one more epoch without trouble
         cfg2 = TrainConfig(batch_size=2, max_epochs=1,
                            early_stop_patience=None, seed=3)
-        resumed = train_epochs(make_state(loaded), examples, examples, cfg2,
-                               verbose=False)
+        resumed = train_epochs(make_state(loaded), examples, examples, cfg2)
         assert resumed.epoch == 1
 
 

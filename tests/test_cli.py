@@ -57,8 +57,10 @@ class TestTrainCommand:
         initial_val = float(log_rows[0].split("\t")[2])
         final_val = float(log_rows[-1].split("\t")[2])
         assert final_val < initial_val
-        out = capsys.readouterr().out
-        assert "epoch 1 train_loss" in out
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 4 + 1  # one per epoch, then the checkpoint
+        assert lines[0].startswith("epoch 1 train_loss ")
+        assert " val_loss " in lines[0]
 
     def test_arch_round_trips_through_checkpoint(self, tmp_path):
         vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
@@ -115,6 +117,34 @@ class TestTrainCommand:
         assert rc == 0
         rows = (out_dir / "train_log.tsv").read_text().strip().splitlines()
         assert rows[-1].startswith("2\t")  # flag wins over the config value
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_hidden_dim_below_one_names_hidden_dim(self, value, tmp_path,
+                                                  capsys):
+        # embed_dim defaults to hidden_dim, so both are below one
+        vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
+        captions, features, _ = write_corpus(tmp_path, vocab, examples)
+        rc = main(["train", "--captions", str(captions), "--features",
+                   str(features), "--out-dir", str(tmp_path / "run"),
+                   "--hidden-dim", value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: hidden_dim must be >= 1, got {value}\n"
+
+    def test_val_features_without_val_captions_rejected(self, tmp_path,
+                                                        capsys):
+        vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
+        captions, features, _ = write_corpus(tmp_path, vocab, examples)
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--captions", str(captions), "--features",
+                   str(features), "--val-features", str(features),
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "--val-captions" in err
+        assert not out_dir.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
@@ -279,6 +309,18 @@ class TestEvalBleuCommand:
         rc = main(["eval-bleu", "--candidates", str(cands),
                    "--references", str(refs)])
         assert rc == 2
+
+    @pytest.mark.parametrize("max_n", ["0", "-1", "5"])
+    def test_max_n_outside_1_to_4_refused_before_output(self, max_n,
+                                                        tmp_path, capsys):
+        refs = tmp_path / "refs.tsv"
+        write_captions(refs, [("i1", "the cat is on the mat")])
+        rc = main(["eval-bleu", "--candidates", str(refs),
+                   "--references", str(refs), "--max-n", max_n])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: max_n must be in 1..4, got {max_n}\n"
 
 
 class TestGradcheckCommand:

@@ -245,8 +245,7 @@ class TestTrainEpochs:
             m = init_model(BI, 10, 7, 8, 8, seed=2)
             cfg = TrainConfig(batch_size=2, max_epochs=3,
                               early_stop_patience=None, seed=9)
-            state = train_epochs(make_state(m), examples, examples, cfg,
-                                 verbose=False)
+            state = train_epochs(make_state(m), examples, examples, cfg)
             results.append({n: a.copy() for n, a in state.model.blocks()})
         for name in results[0]:
             np.testing.assert_array_equal(results[0][name], results[1][name])
@@ -257,8 +256,7 @@ class TestTrainEpochs:
         initial = mean_joint_loss(m, examples)
         cfg = TrainConfig(batch_size=2, max_epochs=10,
                           early_stop_patience=None, seed=9)
-        state = train_epochs(make_state(m), examples, examples, cfg,
-                             verbose=False)
+        state = train_epochs(make_state(m), examples, examples, cfg)
         assert mean_joint_loss(state.model, examples) < initial
 
     def test_patience_zero_stops_after_first_worse_epoch(self):
@@ -268,24 +266,12 @@ class TestTrainEpochs:
         m = init_model(BI, 10, 7, 8, 8, seed=2)
         cfg = TrainConfig(learning_rate=50.0, batch_size=2, max_epochs=20,
                           early_stop_patience=0, seed=9)
-        state = train_epochs(make_state(m), examples, examples, cfg,
-                             verbose=False)
+        state = train_epochs(make_state(m), examples, examples, cfg)
         assert state.epoch == 1
         # the returned model is the pre-divergence best
         ref = init_model(BI, 10, 7, 8, 8, seed=2)
         for (name, arr), (_, ref_arr) in zip(state.model.blocks(), ref.blocks()):
             np.testing.assert_array_equal(arr, ref_arr)
-
-    def test_progress_lines_on_stdout(self, capsys):
-        _, examples = make_toy_dataset(4, 10, 7, seed=5)
-        m = init_model(BI, 10, 7, 8, 8, seed=2)
-        cfg = TrainConfig(batch_size=2, max_epochs=2,
-                          early_stop_patience=None, seed=9)
-        train_epochs(make_state(m), examples, examples, cfg)
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("epoch 1 train_loss ")
-        assert " val_loss " in lines[0]
 
     def test_descent_along_negative_gradient(self):
         # one sufficiently small plain-SGD step along -g reduces batch loss
@@ -387,22 +373,27 @@ class TestGradCheck:
                 if arch == ArchitectureKind.BI_F_LSTM and epsilon == 1e-3:
                     assert sum(b.n_rejected for b in expected) > 0
 
-    def test_image_cell_refolded_only_for_its_blocks(self, monkeypatch):
-        # the unperturbed pass's image-folded M-LSTM cell serves every
-        # perturbation except those of m_lstm.Wx and m_lstm.b (two each)
-        calls = []
-        real = train_mod.image_input
-
-        def counting(d, feature):
-            calls.append(1)
-            return real(d, feature)
-
-        monkeypatch.setattr(train_mod, "image_input", counting)
-        m = random_model(ArchitectureKind.BI_F_LSTM, 5, 2, 3, 3, seed=0)
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_reruns_only_the_layers_a_perturbation_feeds(self, arch,
+                                                         monkeypatch):
+        # one run of each direction on the unperturbed model, then two per
+        # scalar: the T-LSTM only for its own and the embedding's scalars,
+        # model.unroll for every scalar but the softmax's
+        calls = {"sequence_forward": 0, "unroll": 0}
+        for fn in calls:
+            def counting(*args, _fn=fn, _real=getattr(train_mod, fn)):
+                calls[_fn] += 1
+                return _real(*args)
+            monkeypatch.setattr(train_mod, fn, counting)
+        m = random_model(arch, 5, 2, 3, 3, seed=0)
         grad_check(m, toy_example(0, vocab=5, feat=2, length=2))
-        refolded = sum(arr.size for name, arr in m.blocks()
-                       if name.endswith(("m_lstm.Wx", "m_lstm.b")))
-        assert len(calls) == 2 + 2 * refolded
+        sizes = {name: arr.size for name, arr in m.blocks()}
+        below = sum(size for name, size in sizes.items()
+                    if name.split(".")[1:2] in (["embedding"], ["t_lstm"]))
+        directional = sum(size for name, size in sizes.items()
+                          if name.startswith(("fwd.", "bwd.")))
+        assert calls == {"sequence_forward": 2 + 2 * below,
+                         "unroll": 2 + 2 * directional}
 
     def test_passes_at_default_tolerance(self):
         m = random_model(BI, 7, 3, 4, 5, seed=0)
