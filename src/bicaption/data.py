@@ -290,7 +290,10 @@ def read_features(path) -> dict[str, np.ndarray]:
             or header[1] != str(FEATURE_VERSION)
             or not all(n.isascii() and n.isdigit() for n in header[2:])):
         raise DataError(f"{path}: bad feature header")
-    count, dim = int(header[2]), int(header[3])
+    try:
+        count, dim = int(header[2]), int(header[3])
+    except ValueError:  # more digits than int() converts
+        raise DataError(f"{path}: bad feature header") from None
     out: dict[str, np.ndarray] = {}
     for lineno in range(2, count + 2):
         line = next(lines, "")

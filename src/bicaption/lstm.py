@@ -94,7 +94,7 @@ def cell_forward(p: LstmParams, x: np.ndarray, drive: np.ndarray,
             f"state has len {h_prev.shape[-1]}/{c_prev.shape[-1]}, "
             f"params expect {H}"
         )
-    a = drive + (p.Wh @ h_prev if h_prev.ndim == 1 else h_prev @ p.Wh.T)
+    a = drive + (p.Wh @ h_prev if h_prev.ndim == 1 else matvec(p.Wh, h_prev))
     gates = sigmoid(a[..., :3 * H])  # one call for the three sigmoid gates
     i = gates[..., :H]
     f = gates[..., H:2 * H]

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bicaption.data import (AUGMENT_CORNERS, AUGMENT_MIRRORS, AUGMENT_SCALES,
-                            BOUNDARY_ID, BOUNDARY_TOKEN, UNK_ID, UNK_TOKEN,
-                            augment_plan, augment_plan_lines,
+                            BOUNDARY_ID, BOUNDARY_TOKEN, FEATURE_MAGIC,
+                            UNK_ID, UNK_TOKEN, augment_plan, augment_plan_lines,
                             build_vocab, encode_example, make_toy_dataset,
                             read_captions, read_features, read_vocab,
                             tokenize, write_captions, write_features,
                             write_vocab)
-from bicaption.errors import ConfigError, DataError, PlanError
+from bicaption.errors import (BicaptionError, ConfigError, DataError,
+                              PlanError)
 
 
 class TestTokenize:
@@ -253,6 +256,13 @@ class TestFileFormats:
         with pytest.raises(DataError, match="header"):
             read_features(path)
 
+    def test_feature_header_count_past_int_digit_limit_rejected(self, tmp_path):
+        # int() refuses more than 4300 digits with a ValueError
+        path = tmp_path / "f.feat"
+        path.write_text(f"BICAP-FEAT 1 {'9' * 5000} 2\nx\t0 0\n")
+        with pytest.raises(DataError, match="header"):
+            read_features(path)
+
     def test_vocab_non_integer_count_rejected(self, tmp_path):
         path = tmp_path / "v.tsv"
         path.write_text(f"{BOUNDARY_TOKEN}\t0\n{UNK_TOKEN}\t0\nw02\tmany\n")
@@ -281,3 +291,75 @@ class TestFileFormats:
         path.write_text("dog\t2\ncat\t1\n")
         with pytest.raises(DataError):
             read_vocab(path)
+
+
+# pieces of near-valid files: each format's own words, numbers in every
+# form int() and float() read or refuse (one past int()'s digit limit),
+# and line and field separators, Unicode ones included
+pieces = st.one_of(
+    st.sampled_from([
+        FEATURE_MAGIC, BOUNDARY_TOKEN, UNK_TOKEN, "0", "1", "2", "-1", "+2",
+        "1e308", "1e999", "nan", "-inf", "0x10", "1_0", "\u00b2", "\u0663",
+        "9" * 5000, " ", "\t", "\n", "\r", "\r\n", "\x00", "\x0b", "\x85",
+        "\u2028", "\ufeff"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=5),
+)
+
+
+def fuzz_files(prefixes):
+    """File contents: one of `prefixes` then joined pieces, or raw bytes."""
+    return (st.tuples(st.sampled_from(prefixes), st.lists(pieces, max_size=24))
+            .map(lambda t: (t[0] + "".join(t[1])).encode("utf-8"))
+            | st.binary(max_size=60))
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReaderFuzz:
+    """Any file either parses into what its reader promises or raises a
+    BicaptionError."""
+
+    @FUZZ
+    @given(fuzz_files(["", f"{FEATURE_MAGIC} 1 ", f"{FEATURE_MAGIC} 1 1 2\n",
+                       f"{FEATURE_MAGIC} 1 2 1\nimg\t"]))
+    def test_read_features(self, tmp_path, blob):
+        path = tmp_path / "fuzz.feat"
+        path.write_bytes(blob)
+        try:
+            feats = read_features(path)
+        except BicaptionError:
+            return
+        dims = {vec.shape for vec in feats.values()}
+        assert feats and len(dims) == 1
+        assert all(np.all(np.isfinite(vec)) for vec in feats.values())
+
+    @FUZZ
+    @given(fuzz_files(["", "img\t", "img\ta dog\n"]))
+    def test_read_captions(self, tmp_path, blob):
+        path = tmp_path / "fuzz.tsv"
+        path.write_bytes(blob)
+        try:
+            captions = read_captions(path)
+        except BicaptionError:
+            return
+        assert captions
+        assert all(isinstance(image_id, str) and isinstance(text, str)
+                   for image_id, text in captions)
+
+    @FUZZ
+    @given(fuzz_files(["", f"{BOUNDARY_TOKEN}\t0\n{UNK_TOKEN}\t0\n",
+                       f"{BOUNDARY_TOKEN}\t0\n{UNK_TOKEN}\t"]))
+    def test_read_vocab(self, tmp_path, blob):
+        path = tmp_path / "fuzz.tsv"
+        path.write_bytes(blob)
+        try:
+            vocab = read_vocab(path)
+        except BicaptionError:
+            return
+        assert vocab.decode(range(2)) == [BOUNDARY_TOKEN, UNK_TOKEN]
+        assert all(vocab.token_to_id[tok] == i
+                   for i, tok in vocab.id_to_token.items())

@@ -10,12 +10,38 @@ from bicaption.infer import (GATE_HEADER, Hypothesis, WORDS_HEADER,
                              words_rows, write_gate_trace)
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
                              direction_forward, image_input, random_model)
+from bicaption.numcore import PANEL_HEIGHT
 
 from oracles import (enumerate_best_hypothesis, greedy_decode_loop,
                      greedy_gate_loop, per_hypothesis_beam)
 
 BI = ArchitectureKind.BI_LSTM
 BIS = ArchitectureKind.BI_S_LSTM
+
+
+def tie(m, token, twin, lead=1.0):
+    """Exact ties: `twin` duplicates `token` in the softmax and in both
+    embeddings, and the two lead the softmax bias by `lead`, so they tie
+    within a hypothesis and the hypotheses they extend tie at every later
+    step."""
+    m.softmax_w[twin] = m.softmax_w[token]
+    m.softmax_b[[token, twin]] = m.softmax_b.max() + lead
+    for d in (m.fwd, m.bwd):
+        d.embedding[:, twin] = d.embedding[:, token]
+
+
+def assert_beam_matches_reference(m, feature, beam_k, max_len, seed):
+    """The batched search keeps the per-hypothesis search's tokens and tie
+    order; a batch of rows is one matrix product (or one per row panel)
+    rather than one per row, so sums may differ by rounding only."""
+    for direction in (FORWARD, BACKWARD):
+        hyp = decode_direction(m, direction, feature, beam_k, max_len)
+        tokens, logprob, steps = per_hypothesis_beam(
+            m, direction, feature, beam_k, max_len)
+        assert hyp.tokens == tokens, (seed, direction)
+        assert abs(hyp.logprob_sum - logprob) <= 1e-12 * abs(logprob)
+        np.testing.assert_allclose(hyp.per_step_logprobs, steps,
+                                   rtol=1e-12, atol=0)
 
 
 class TestDecodeDirection:
@@ -83,29 +109,30 @@ class TestDecodeDirection:
     @pytest.mark.parametrize("beam_k", [1, 2, 3, 4, 8])  # 8 > vocab size
     @pytest.mark.parametrize("arch", list(ArchitectureKind))
     def test_batched_beam_matches_per_hypothesis_reference(self, arch, beam_k):
-        # one batched step per time step keeps the per-hypothesis search's
-        # tokens and tie order; a batch of rows is one matrix product rather
-        # than one per row, so sums may differ by rounding only
         for seed in range(12):
             m = random_model(arch, 7, 3, 4, 4, seed=seed, scale=1.2)
             if seed % 2 == 0:
-                # exact ties: token 5 duplicates token 3 in the softmax and
-                # in both embeddings, so 3 and 5 tie within a hypothesis and
-                # the hypotheses they extend tie at every later step
-                m.softmax_w[5] = m.softmax_w[3]
-                m.softmax_b[[3, 5]] = m.softmax_b.max() + 1.0
-                for d in (m.fwd, m.bwd):
-                    d.embedding[:, 5] = d.embedding[:, 3]
+                tie(m, 3, 5)
             feature = np.random.default_rng(seed).uniform(-1, 1, 3)
-            max_len = (1, 2, 3, 5, 8)[seed % 5]
-            for direction in (FORWARD, BACKWARD):
-                hyp = decode_direction(m, direction, feature, beam_k, max_len)
-                tokens, logprob, steps = per_hypothesis_beam(
-                    m, direction, feature, beam_k, max_len)
-                assert hyp.tokens == tokens, (seed, direction)
-                assert abs(hyp.logprob_sum - logprob) <= 1e-12 * abs(logprob)
-                np.testing.assert_allclose(hyp.per_step_logprobs, steps,
-                                           rtol=1e-12, atol=0)
+            assert_beam_matches_reference(m, feature, beam_k,
+                                          (1, 2, 3, 5, 8)[seed % 5], seed)
+
+    @pytest.mark.parametrize("beam_k", [2, 3, 4])
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_beam_over_panel_products_matches_reference(self, arch, beam_k):
+        # 160 gate rows and a 300-word softmax: every gate and logit product
+        # of a step of 2-4 rows runs in row panels (numcore.matvec); tokens
+        # 3 and 260 sit in different panels of the softmax and still tie
+        # (the lead of 3 makes them win some steps and lose others)
+        for seed in range(6):
+            m = random_model(arch, 300, 5, 8, 40, seed=seed, scale=1.2)
+            assert m.softmax_w.shape[0] > 2 * PANEL_HEIGHT
+            assert 4 * m.hidden_dim > PANEL_HEIGHT
+            if seed % 2 == 0:
+                tie(m, 3, 260, lead=3.0)
+            feature = np.random.default_rng(seed).uniform(-1, 1, 5)
+            assert_beam_matches_reference(m, feature, beam_k,
+                                          (2, 3, 5)[seed % 3], seed)
 
     def test_one_batched_step_per_time_step(self, monkeypatch):
         calls = {"step": 0, "image": 0}

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from bicaption.errors import ShapeError
-from bicaption.numcore import (log_softmax, matvec, relu, sigmoid, softmax,
-                               tanh_act)
+from bicaption.numcore import (PANEL_HEIGHT, PANEL_MAX_ROWS, log_softmax,
+                               matvec, relu, sigmoid, softmax, tanh_act)
+
+
+def assert_rows_close(got, want):
+    """Within 1e-12 relative, each row against its largest magnitude: a
+    matrix product and the matrix-vector products of its rows round
+    differently."""
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 class TestMatvec:
@@ -33,6 +42,46 @@ class TestMatvec:
             rhs = matvec(m, a) + matvec(m, b)
             denom = np.maximum(np.abs(lhs), 1e-300)
             assert np.max(np.abs(lhs - rhs) / denom) < 1e-12
+
+    def test_vector_bitwise_equal_plain_product(self):
+        rng = np.random.default_rng(6)
+        for height, width in ((3, 2), (PANEL_HEIGHT + 1, 16), (300, 40)):
+            m = rng.normal(size=(height, width))
+            v = rng.normal(size=width)
+            assert np.array_equal(matvec(m, v), m @ v)
+
+    @pytest.mark.parametrize("rows", range(1, PANEL_MAX_ROWS + 3))
+    def test_rows_match_one_product_and_vector_calls(self, rows):
+        # a batch agrees to rounding with one product and with each row's
+        # vector call: below, at and above one panel's height, over several
+        # panels with a ragged last one, on a strided view of the text
+        # columns of a wider matrix (as model.image_input hands over), and
+        # at the 2000-word vocabulary
+        rng = np.random.default_rng(rows)
+        wide = rng.normal(size=(2 * PANEL_HEIGHT + 44, 64))
+        for m in (rng.normal(size=(64, 16)), wide[:PANEL_HEIGHT],
+                  wide[:PANEL_HEIGHT + 1], wide, wide[:, :24],
+                  rng.normal(size=(2000, 256))):
+            v = rng.normal(size=(rows, m.shape[1]))
+            got = matvec(m, v)
+            assert_rows_close(got, v @ m.T)
+            assert_rows_close(got, np.array([matvec(m, row) for row in v]))
+
+    @pytest.mark.parametrize("rows", range(1, PANEL_MAX_ROWS + 3))
+    def test_panels_only_for_few_rows_against_a_tall_matrix(self, rows):
+        # 2..PANEL_MAX_ROWS rows against a matrix taller than one panel run
+        # panel by panel; every other batch is one product
+        rng = np.random.default_rng(rows)
+        for height in (PANEL_HEIGHT, PANEL_HEIGHT + 1, 300):
+            m = rng.normal(size=(height, 32))
+            v = rng.normal(size=(rows, 32))
+            if 2 <= rows <= PANEL_MAX_ROWS and height > PANEL_HEIGHT:
+                want = np.concatenate(
+                    [v @ m[s:s + PANEL_HEIGHT].T
+                     for s in range(0, height, PANEL_HEIGHT)], axis=1)
+            else:
+                want = v @ m.T
+            assert np.array_equal(matvec(m, v), want), height
 
 
 class TestSigmoid:
@@ -109,10 +158,11 @@ class TestSoftmax:
         for rows, width in ((1, 1), (1, 7), (3, 20), (12, 2000), (17, 2001)):
             z = rng.normal(scale=rng.uniform(0.1, 50.0), size=(rows, width))
             z[0, 0] = 700.0  # near the exp overflow edge, shifted away
-            p = softmax(z)
-            assert p.shape == z.shape
-            for r in range(rows):
-                assert np.array_equal(p[r], softmax(z[r])), (rows, width, r)
+            for fn in (softmax, log_softmax):
+                p = fn(z)
+                assert p.shape == z.shape
+                for r in range(rows):
+                    assert np.array_equal(p[r], fn(z[r])), (fn, rows, width, r)
 
 
 class TestLogSoftmax:
