@@ -386,7 +386,7 @@ def cmd_dump_gates(args) -> int:
             out_dir / f"{image_id}.{direction}.gates.csv",
             out_dir / f"{image_id}.{direction}.words.csv",
         )
-        print(f"{image_id}\t{len(trace.t_steps)} steps")
+        print(f"{image_id}\t{len(trace.t_trace)} steps")
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import BOUNDARY_ID, Vocabulary
 from .errors import ConfigError, DataError, ShapeError
-from .lstm import LstmParams, LstmStepTrace, cell_forward, input_drive
+from .lstm import LstmParams, LstmTrace, cell_forward, gates, input_drive
 from .model import (BACKWARD, CaptionModel, DirectionParams, FORWARD,
                     direction_forward, image_input, softmax_logits, step)
 from .numcore import log_softmax
@@ -53,11 +53,10 @@ def _decode_step(m: CaptionModel, d: DirectionParams, m_cell: LstmParams,
     `model.step` and the softmax logits. Returns (logits, new_state), in
     rows."""
     x = d.embedding.T[tokens]
-    t_tr = cell_forward(d.t_lstm, x, input_drive(d.t_lstm, x), state.h1,
-                        state.c1)
-    m_tr = step(m, d, t_tr.h, state.h2, state.c2, m_cell)
-    return (softmax_logits(m, m_tr.h),
-            _DecodeState(t_tr.h, t_tr.c, m_tr.h, m_tr.c))
+    _, c1, h1 = cell_forward(d.t_lstm, input_drive(d.t_lstm, x), state.h1,
+                             state.c1)
+    _, _, c2, h2 = step(m, d, h1, state.h2, state.c2, m_cell)
+    return softmax_logits(m, h2), _DecodeState(h1, c1, h2, c2)
 
 
 def _top_k(rows: np.ndarray, k: int) -> np.ndarray:
@@ -158,12 +157,12 @@ def select_final_caption(hf: Hypothesis, hb: Hypothesis) -> SelectedCaption:
 
 @dataclass
 class GateTrace:
-    """Per-step cell internals for both LSTM layers over one greedy caption,
-    plus the emitted word at each step."""
+    """Both LSTM layers' traces of the teacher-forced pass over one greedy
+    caption, plus the emitted word at each step."""
 
     direction: str
-    t_steps: list[LstmStepTrace]
-    m_steps: list[LstmStepTrace]
+    t_trace: LstmTrace
+    m_trace: LstmTrace
     words: list[tuple[int, str, int, float]]  # (step, token, vocab index, prob)
 
 
@@ -178,8 +177,8 @@ def dump_gate_trace(m: CaptionModel, feature: np.ndarray, direction: str,
     rec = direction_forward(m, direction, [BOUNDARY_ID] + tokens[:-1], feature)
     words = [(t, vocab.id_to_token[tok] if vocab is not None else str(tok),
               tok, float(rec.probs[t, tok])) for t, tok in enumerate(tokens)]
-    return GateTrace(direction=direction, t_steps=rec.t_traces,
-                     m_steps=rec.m_traces, words=words)
+    return GateTrace(direction=direction, t_trace=rec.t_trace,
+                     m_trace=rec.m_trace, words=words)
 
 
 GATE_HEADER = "step,layer,direction,unit,i,f,o,g,c,h"
@@ -187,15 +186,15 @@ WORDS_HEADER = "step,token,vocab_index,prob"
 
 
 def gate_trace_rows(trace: GateTrace) -> list[str]:
+    """One row per step, layer and unit: the gate activations (`gates` of
+    the step's pre-activations), then the cell and hidden state."""
+    layers = [(layer, (*gates(tr.a), tr.cs[1:], tr.hs[1:])) for layer, tr in
+              (("t_lstm", trace.t_trace), ("m_lstm", trace.m_trace))]
     rows = [GATE_HEADER]
-    for step in range(len(trace.t_steps)):
-        for layer, tr in (("t_lstm", trace.t_steps[step]),
-                          ("m_lstm", trace.m_steps[step])):
-            for unit in range(tr.h.shape[0]):
-                vals = ",".join(
-                    format(vec[unit], ".17g")
-                    for vec in (tr.i, tr.f, tr.o, tr.g, tr.c, tr.h)
-                )
+    for step in range(len(trace.t_trace)):
+        for layer, blocks in layers:
+            for unit in range(blocks[-1].shape[1]):
+                vals = ",".join(format(b[step, unit], ".17g") for b in blocks)
                 rows.append(f"{step},{layer},{trace.direction},{unit},{vals}")
     return rows
 

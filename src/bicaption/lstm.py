@@ -4,12 +4,20 @@ The four gates are packed into one 4H-row block in fixed order (i, f, o, g).
 A step's input drive Wx @ x + b does not read the carried state, so a
 caller forms it for all the rows it has at once (`input_drive`): a whole
 sequence in `sequence_forward`, the live hypotheses of a decoding step.
-The step itself adds Wh @ h_prev and runs the gate arithmetic. Step traces
-keep every intermediate needed by the backward pass, so nothing is
-recomputed during backpropagation through time except tanh(c), which is
-cheap. A backward step mutates nothing: it returns its gate gradient, and
-the weight and input gradients are formed once per sequence from those
-stacked rows.
+The step itself adds Wh @ h_prev and runs the gate arithmetic.
+
+A sequence's forward pass is one `LstmTrace` of four row blocks: the inputs
+x (T, D), the gate pre-activations a (T, 4H), and the cell and hidden
+states cs/hs (T+1, H), whose zero first row is the initial state, so the
+previous states are the shifted views cs[:-1]/hs[:-1]. A step writes only
+its a, c and h rows. The gate activations are not stored: `gates(a)` forms
+them again, for the backward pass over all steps at once and for gate
+traces. Every gate function is elementwise, so the activations it forms on
+a row of a (T, 4H) block are bit for bit those the step formed on that row
+alone. The backward pass forms every factor that does not read the carried
+gradients (the activations, tanh(c) and the gate slopes) once per
+sequence; a step does only the arithmetic on the carried dh and dc, and the
+weight and input gradients are formed once per sequence from its rows.
 
 `sequence_forward` and `sequence_backward` are the one recurrence of both
 LSTM layers, text and multimodal, in every architecture. Only the
@@ -44,18 +52,18 @@ class LstmParams:
 
 
 @dataclass
-class LstmStepTrace:
-    """One step's record: gate activations plus the states that produced them."""
+class LstmTrace:
+    """One sequence's forward pass in rows: the inputs x (T, D), the gate
+    pre-activations a (T, 4H), and the cell and hidden states cs/hs
+    (T+1, H), whose first row is the zero initial state."""
 
     x: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
-    c_prev: np.ndarray
-    h_prev: np.ndarray
+    a: np.ndarray
+    cs: np.ndarray
+    hs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
 
 
 @dataclass
@@ -75,91 +83,63 @@ def input_drive(p: LstmParams, x: np.ndarray) -> np.ndarray:
     return matvec(p.Wx, x) + p.b
 
 
-def cell_forward(p: LstmParams, x: np.ndarray, drive: np.ndarray,
-                 h_prev: np.ndarray, c_prev: np.ndarray) -> LstmStepTrace:
-    """One gated update from the step's input drive (`input_drive` of x,
-    formed by the caller): a = drive + Wh @ h_prev, i,f,o = sigmoid gates,
-    g = tanh candidate, c = f*c_prev + i*g, h = o*tanh(c). x is kept for the
-    weight gradients. x, drive, h_prev and c_prev are vectors, or (B, .)
-    batches of rows that each step one sequence; the trace then holds rows
-    too."""
+def gates(a: np.ndarray):
+    """(i, f, o, g) of gate pre-activations, a 4H vector or (., 4H) rows:
+    the sigmoid of the first three H-wide blocks, in one call, and the tanh
+    of the last."""
+    H = a.shape[-1] // 4
+    s = sigmoid(a[..., :3 * H])
+    return s[..., :H], s[..., H:2 * H], s[..., 2 * H:], tanh_act(a[..., 3 * H:])
+
+
+def cell_forward(p: LstmParams, drive: np.ndarray, h_prev: np.ndarray,
+                 c_prev: np.ndarray):
+    """One gated update from the step's input drive (`input_drive` of its
+    input, formed by the caller): a = drive + Wh @ h_prev, then with
+    (i, f, o, g) = gates(a), c = f*c_prev + i*g and h = o*tanh(c). drive,
+    h_prev and c_prev are vectors, or (B, .) batches of rows that each step
+    one sequence. Returns (a, c, h)."""
     H = p.hidden_dim
-    if x.shape[-1] != p.input_dim or drive.shape[-1] != 4 * H:
+    if drive.shape[-1] != 4 * H:
         raise ShapeError(
-            f"cell input/drive have len {x.shape[-1]}/{drive.shape[-1]}, "
-            f"params expect {p.input_dim}/{4 * H}"
-        )
+            f"cell drive has len {drive.shape[-1]}, params expect {4 * H}")
     if h_prev.shape[-1] != H or c_prev.shape[-1] != H:
         raise ShapeError(
             f"state has len {h_prev.shape[-1]}/{c_prev.shape[-1]}, "
             f"params expect {H}"
         )
     a = drive + (p.Wh @ h_prev if h_prev.ndim == 1 else matvec(p.Wh, h_prev))
-    gates = sigmoid(a[..., :3 * H])  # one call for the three sigmoid gates
-    i = gates[..., :H]
-    f = gates[..., H:2 * H]
-    o = gates[..., 2 * H:]
-    g = tanh_act(a[..., 3 * H:])
+    i, f, o, g = gates(a)
     c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return LstmStepTrace(x=x, i=i, f=f, o=o, g=g, c=c, h=h,
-                         c_prev=c_prev, h_prev=h_prev)
+    return a, c, o * np.tanh(c)
 
 
-def sequence_forward(p: LstmParams, xs) -> list[LstmStepTrace]:
+def sequence_forward(p: LstmParams, xs) -> LstmTrace:
     """Run the cell over a sequence of inputs ((T, D) rows, or a list of
     vectors) from a zero initial state. The input drives of all steps are
-    one product; only Wh @ h runs step by step."""
-    if len(xs) == 0:
-        return []
-    xs = np.asarray(xs, dtype=np.float64)
-    h = c = np.zeros(p.hidden_dim)
-    traces = []
-    for x, drive in zip(xs, input_drive(p, xs)):
-        tr = cell_forward(p, x, drive, h, c)
-        traces.append(tr)
-        h, c = tr.h, tr.c
-    return traces
+    one product, written into the pre-activation rows that each step
+    completes with its Wh @ h."""
+    T, H = len(xs), p.hidden_dim
+    x = np.asarray(xs, dtype=np.float64) if T else np.empty((0, p.input_dim))
+    a, cs, hs = input_drive(p, x), np.zeros((T + 1, H)), np.zeros((T + 1, H))
+    for t in range(T):
+        a[t], cs[t + 1], hs[t + 1] = cell_forward(p, a[t], hs[t], cs[t])
+    return LstmTrace(x, a, cs, hs)
 
 
-def hidden_rows(traces, hidden_dim: int) -> np.ndarray:
-    """The hidden states of a sequence's step traces as (T, H) rows."""
-    return np.array([tr.h for tr in traces]).reshape(len(traces), hidden_dim)
+def cell_backward(p: LstmParams, rows, dh: np.ndarray, dc: np.ndarray):
+    """Backward through one step, from its rows of the factors that
+    `sequence_backward` forms once per sequence: (o, 1 - tanh(c)^2, f, and
+    the three 4H-wide factors of da). Only the arithmetic on the carried dh
+    and dc is left. Returns (da, dh_prev, dc_prev), where da is the
+    gradient of the gate pre-activations."""
+    o, dtanh_c, f, partner, s, slope = rows
+    dc_total = dc + dh * o * dtanh_c
+    da = np.concatenate((dc_total, dc_total, dh, dc_total)) * partner * s * slope
+    return da, p.Wh.T @ da, dc_total * f
 
 
-def cell_backward(p: LstmParams, trace: LstmStepTrace, dh: np.ndarray,
-                  dc: np.ndarray):
-    """Backward through one step. Returns (da, dh_prev, dc_prev), where da
-    is the gradient of the gate pre-activations; the weight and input
-    gradients are formed once per sequence from the stacked da rows."""
-    H = p.hidden_dim
-    tanh_c = np.tanh(trace.c)
-    do = dh * tanh_c
-    dc_total = dc + dh * trace.o * (1.0 - tanh_c * tanh_c)
-    df = dc_total * trace.c_prev
-    di = dc_total * trace.g
-    dg = dc_total * trace.i
-    dc_prev = dc_total * trace.f
-
-    da = np.empty(4 * H)
-    da[:H] = di * trace.i * (1.0 - trace.i)
-    da[H:2 * H] = df * trace.f * (1.0 - trace.f)
-    da[2 * H:3 * H] = do * trace.o * (1.0 - trace.o)
-    da[3 * H:] = dg * (1.0 - trace.g * trace.g)
-    return da, p.Wh.T @ da, dc_prev
-
-
-def weight_grads(traces, da: np.ndarray, dWx: np.ndarray):
-    """(dWx, dWh, db) summed over a sequence: one product each of the
-    (T, 4H) gate gradients with the stacked step inputs and previous
-    hidden states; dWx is written into `dWx`, as wide as the inputs."""
-    T, H = len(traces), da.shape[1] // 4
-    xs = np.array([tr.x for tr in traces]).reshape(T, dWx.shape[1])
-    h_prevs = np.array([tr.h_prev for tr in traces]).reshape(T, H)
-    return np.matmul(da.T, xs, out=dWx), da.T @ h_prevs, da.sum(axis=0)
-
-
-def sequence_backward(p: LstmParams, traces, dh_seq, dWx=None,
+def sequence_backward(p: LstmParams, tr: LstmTrace, dh_seq, dWx=None,
                       V=None) -> LstmGrads:
     """Backpropagation through time over a recorded forward pass.
 
@@ -168,20 +148,30 @@ def sequence_backward(p: LstmParams, traces, dh_seq, dWx=None,
     wider block, say), else into a new array. V is given when the input reads the cell's own
     previous state, x_t = U @ below_t + V @ h_{t-1}: each step's input
     gradient Wx.T @ da_t then also flows into h_{t-1} as V.T @ dx_t.
-    Without V, the input gradients are one product after the loop.
+    Without V, the input gradients are one product after the loop. The
+    weight gradients are one product each with the trace's input and
+    previous hidden rows.
     """
-    if len(traces) != len(dh_seq):
-        raise ShapeError(
-            f"{len(traces)} traces but {len(dh_seq)} upstream gradients"
-        )
-    T, H = len(traces), p.hidden_dim
+    T, H = len(tr), p.hidden_dim
+    if len(dh_seq) != T:
+        raise ShapeError(f"{T} steps but {len(dh_seq)} upstream gradients")
+    i, f, o, g = gates(tr.a)
+    tanh_c = np.tanh(tr.cs[1:])
+    # A gate's da is its output's gradient (dc_total, or dh for o), times
+    # the value the gate multiplies in the forward pass, times s, times
+    # 1 - s, multiplied in that order. The candidate g takes s = 1 (an
+    # exact product) and 1 - g*g for 1 - s.
+    rows = zip(o, 1.0 - tanh_c * tanh_c, f,
+               np.concatenate((g, tr.cs[:-1], tanh_c, i), axis=1),
+               np.concatenate((i, f, o, np.ones_like(g)), axis=1),
+               1.0 - np.concatenate((i, f, o, g * g), axis=1))
     da = np.empty((T, 4 * H))
     dx = np.empty((T, p.input_dim))
     dh_carry = np.zeros(H)
     dc_carry = np.zeros(H)
-    for t in range(T - 1, -1, -1):
+    for t, step_rows in reversed(list(enumerate(rows))):
         da[t], dh_carry, dc_carry = cell_backward(
-            p, traces[t], dh_seq[t] + dh_carry, dc_carry)
+            p, step_rows, dh_seq[t] + dh_carry, dc_carry)
         if V is not None:
             dx[t] = p.Wx.T @ da[t]
             dh_carry = dh_carry + V.T @ dx[t]
@@ -189,4 +179,5 @@ def sequence_backward(p: LstmParams, traces, dh_seq, dWx=None,
         np.matmul(da, p.Wx, out=dx)
     if dWx is None:
         dWx = np.empty_like(p.Wx)
-    return LstmGrads(*weight_grads(traces, da, dWx), dx)
+    return LstmGrads(np.matmul(da.T, tr.x, out=dWx), da.T @ tr.hs[:-1],
+                     da.sum(axis=0), dx)

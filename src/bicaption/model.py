@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, VocabError
-from .lstm import (LstmParams, LstmStepTrace, cell_forward, hidden_rows,
-                   input_drive, sequence_backward, sequence_forward)
+from .lstm import (LstmParams, LstmTrace, cell_forward, input_drive,
+                   sequence_backward, sequence_forward)
 from .numcore import matvec, relu, softmax
 
 FORWARD = "forward"
@@ -266,14 +266,14 @@ def softmax_logits(m: CaptionModel, h2: np.ndarray) -> np.ndarray:
 
 
 def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
-         h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams) -> LstmStepTrace:
+         h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams):
     """One time step above the T-LSTM: the transition on the T-LSTM output
     h1, then the image-folded M-LSTM cell (`image_input`) on its output
     from state (h2, c2). h1, h2 and c2 are vectors, or (B, H) rows that
-    each advance one sequence. Returns the M-LSTM trace, which records the
-    text input alone, the one the cell multiplied."""
+    each advance one sequence. Returns (text input, a, c, h) of the M-LSTM:
+    the text input alone is the one the cell multiplied."""
     _, text = transition_forward(m.arch, d.transition, h1, h2)
-    return cell_forward(m_cell, text, input_drive(m_cell, text), h2, c2)
+    return (text, *cell_forward(m_cell, input_drive(m_cell, text), h2, c2))
 
 
 def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
@@ -282,21 +282,24 @@ def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
     from a zero M-LSTM state: the transition as one product over all rows
     and the M-LSTM as `sequence_forward` on its output, or, for bi-s-lstm,
     whose transition reads the previous M-LSTM state, one `step` per time
-    step; then the logits as one product. Returns (relu pre-activations,
-    M-LSTM traces, (T, V) logits); the pre-activations are (T, n) rows, or
-    an empty list where the architecture has none."""
+    step, each writing its rows of the trace; then the logits as one
+    product. Returns (relu pre-activations, M-LSTM trace, (T, V) logits);
+    the pre-activations are (T, n) rows, or an empty list where the
+    architecture has none."""
     pre = None
     if m.arch == ArchitectureKind.BI_S_LSTM:
-        h2 = c2 = np.zeros(m.hidden_dim)
-        m_traces: list[LstmStepTrace] = []
-        for h1 in h1s:
-            m_traces.append(step(m, d, h1, h2, c2, m_cell))
-            h2, c2 = m_traces[-1].h, m_traces[-1].c
+        T, H = len(h1s), m.hidden_dim
+        x, a = np.empty((T, m_cell.input_dim)), np.empty((T, 4 * H))
+        cs, hs = np.zeros((T + 1, H)), np.zeros((T + 1, H))
+        for t, h1 in enumerate(h1s):
+            x[t], a[t], cs[t + 1], hs[t + 1] = step(m, d, h1, hs[t], cs[t],
+                                                    m_cell)
+        m_trace = LstmTrace(x, a, cs, hs)
     else:
         pre, text = transition_forward(m.arch, d.transition, h1s, None)
-        m_traces = sequence_forward(m_cell, text)
-    logits = softmax_logits(m, hidden_rows(m_traces, m.hidden_dim))
-    return [] if pre is None else pre, m_traces, logits
+        m_trace = sequence_forward(m_cell, text)
+    logits = softmax_logits(m, m_trace.hs[1:])
+    return [] if pre is None else pre, m_trace, logits
 
 
 @dataclass
@@ -304,13 +307,13 @@ class ForwardPassRecord:
     """Everything one direction's forward pass produced, backward-ready.
     Per-step values are (T, n) rows; the relu pre-activations are an empty
     list where the architecture has none. The transition outputs are the
-    M-LSTM traces' inputs."""
+    M-LSTM trace's inputs."""
 
     direction: str
     tokens: list[int]
     feature: np.ndarray
-    t_traces: list[LstmStepTrace]
-    m_traces: list[LstmStepTrace]
+    t_trace: LstmTrace
+    m_trace: LstmTrace
     transition_preacts: np.ndarray | list
     logits: np.ndarray
     probs: np.ndarray
@@ -338,12 +341,12 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
             raise VocabError(f"token id {t} outside vocabulary of size {m.vocab_size}")
 
     d = m.direction(direction)
-    t_traces = sequence_forward(d.t_lstm, d.embedding.T[tokens])
-    preacts, m_traces, logits = unroll(
-        m, d, hidden_rows(t_traces, m.hidden_dim), image_input(d, feature))
+    t_trace = sequence_forward(d.t_lstm, d.embedding.T[tokens])
+    preacts, m_trace, logits = unroll(m, d, t_trace.hs[1:],
+                                      image_input(d, feature))
     return ForwardPassRecord(
         direction=direction, tokens=tokens, feature=feature,
-        t_traces=t_traces, m_traces=m_traces, transition_preacts=preacts,
+        t_trace=t_trace, m_trace=m_trace, transition_preacts=preacts,
         logits=logits, probs=softmax(logits),
     )
 
@@ -362,33 +365,31 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
 
     d = m.direction(rec.direction)
     prefix = "fwd" if rec.direction == FORWARD else "bwd"
-    H = m.hidden_dim
     tw = d.m_lstm.input_dim - m.feature_dim  # text-side width
     tr_params = d.transition
     bi_s = m.arch == ArchitectureKind.BI_S_LSTM
 
-    dlogits = np.array(rec.probs).reshape(T, m.vocab_size)
+    dlogits = rec.probs.copy()
     dlogits[np.arange(T), targets] -= 1.0
     dmWx = np.empty_like(d.m_lstm.Wx)
     m_grads = sequence_backward(
         LstmParams(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, d.m_lstm.b),
-        rec.m_traces, dlogits @ m.softmax_w, dmWx[:, :tw],
+        rec.m_trace, dlogits @ m.softmax_w, dmWx[:, :tw],
         tr_params.V if bi_s else None)
     np.multiply.outer(m_grads.db, rec.feature, out=dmWx[:, tw:])
     d_text = m_grads.dx_seq
 
-    h1s = hidden_rows(rec.t_traces, H)
+    h1s = rec.t_trace.hs[1:]
     trans = {}
     if m.arch == ArchitectureKind.BI_LSTM:
         dh1 = d_text
     elif bi_s:
-        h2_prevs = np.array([tr.h_prev for tr in rec.m_traces]).reshape(T, H)
         trans["U"] = d_text.T @ h1s
-        trans["V"] = d_text.T @ h2_prevs
+        trans["V"] = d_text.T @ rec.m_trace.hs[:-1]
         dh1 = d_text @ tr_params.U
     else:
         ww = tr_params.W.shape[0]
-        dpre = d_text * (np.asarray(rec.transition_preacts).reshape(T, tw) > 0.0)
+        dpre = d_text * (rec.transition_preacts > 0.0)
         dpre_w, dpre_v = dpre[:, :ww], dpre[:, ww:]
         du = dpre_v @ tr_params.V
         trans["U"] = du.T @ h1s
@@ -396,7 +397,7 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
         trans["W"] = dpre_w.T @ h1s
         dh1 = dpre_w @ tr_params.W + du @ tr_params.U
 
-    t_grads = sequence_backward(d.t_lstm, rec.t_traces, dh1)
+    t_grads = sequence_backward(d.t_lstm, rec.t_trace, dh1)
     d_emb = np.zeros_like(d.embedding)
     np.add.at(d_emb.T, rec.tokens, t_grads.dx_seq)
 
@@ -408,7 +409,7 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
         f"{prefix}.m_lstm.Wx": dmWx,
         f"{prefix}.m_lstm.Wh": m_grads.dWh,
         f"{prefix}.m_lstm.b": m_grads.db,
-        "softmax_w": dlogits.T @ hidden_rows(rec.m_traces, H),
+        "softmax_w": dlogits.T @ rec.m_trace.hs[1:],
         "softmax_b": dlogits.sum(axis=0),
         **{f"{prefix}.trans.{name}": g for name, g in trans.items()},
     }

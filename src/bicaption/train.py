@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
-from .lstm import hidden_rows, sequence_forward
+from .lstm import sequence_forward
 from .model import (ArchitectureKind, BACKWARD, CaptionModel, FORWARD,
                     ForwardPassRecord, direction_forward, image_input,
                     is_bias_block, model_backward, softmax_logits, unroll)
@@ -240,29 +240,14 @@ def _fd_direction(m: CaptionModel, ex: CaptionedExample, direction: str,
     its (T, H) output rows `h1s` are given, and the shared `model.unroll`
     above it, as `direction_forward` runs them, without the probabilities.
     Returns (negated sum of target log-probabilities, relu transition sign
-    bytes (empty for the other architectures), h1s, M-LSTM traces)."""
+    bytes (empty for the other architectures), h1s, M-LSTM trace)."""
     inputs, targets = direction_io(ex.tokens, direction)
     d = m.direction(direction)
     if h1s is None:
-        h1s = hidden_rows(sequence_forward(d.t_lstm, d.embedding.T[inputs]),
-                          m.hidden_dim)
-    preacts, m_traces, logits = unroll(m, d, h1s, image_input(d, ex.feature))
+        h1s = sequence_forward(d.t_lstm, d.embedding.T[inputs]).hs[1:]
+    preacts, m_trace, logits = unroll(m, d, h1s, image_input(d, ex.feature))
     signs = (np.asarray(preacts) > 0.0).tobytes()
-    return _target_nll(logits, targets), signs, h1s, m_traces
-
-
-def _fd_loss_and_signs(m: CaptionModel, ex: CaptionedExample):
-    """Joint loss for the finite-difference loop, plus (for the relu
-    architecture) the sign pattern of every transition pre-activation, used
-    to reject kink-crossing perturbations.
-
-    Each direction runs the shared `model.unroll` that joint_loss runs
-    through direction_forward, minus the probabilities, so the arithmetic
-    is identical and a test pins the two to exact equality.
-    """
-    (lf, sf, _, _), (lb, sb, _, _) = (_fd_direction(m, ex, direction)
-                                      for direction in (FORWARD, BACKWARD))
-    return lf + lb, (sf + sb if m.arch == ArchitectureKind.BI_F_LSTM else None)
+    return _target_nll(logits, targets), signs, h1s, m_trace
 
 
 def has_live_relu_branches(m: CaptionModel, ex: CaptionedExample) -> bool:
@@ -341,8 +326,8 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
     largest discrepancy, relative to the block's gradient scale
     max(|analytic|, |numeric|, 1e-8), is below the tolerance.
 
-    Each finite-difference loss is bitwise the one _fd_loss_and_signs
-    gives, but a perturbation reruns only the direction its block feeds and
+    Each finite-difference loss is bitwise the full recompute of both
+    directions (`tests/oracles.py::_fd_loss_and_signs`), but a perturbation reruns only the direction its block feeds and
     takes the other's loss and signs from the unperturbed pass. Blocks above
     the T-LSTM reuse its unperturbed output rows; a softmax block reruns
     only the logits and the loss of both directions' unperturbed M-LSTM
@@ -350,15 +335,15 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ConfigError(f"epsilon must be in (0, 1e-3], got {epsilon}")
-    if not tolerance > 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < math.inf:  # written so that NaN fails it
+        raise ConfigError(f"tolerance must be positive and finite, "
+                          f"got {tolerance}")
 
     _, analytic = joint_backward(m, ex)
     report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
     base = {direction: _fd_direction(m, ex, direction)
             for direction in (FORWARD, BACKWARD)}
-    h2s = {direction: hidden_rows(p[3], m.hidden_dim)
-           for direction, p in base.items()}
+    h2s = {direction: p[3].hs[1:] for direction, p in base.items()}
     targets = {direction: direction_io(ex.tokens, direction)[1]
                for direction in base}
 

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own code paths: the LSTM
 oracle is scalar Python loops, the full-stack oracle is straight-line numpy,
 the decoding oracles re-run the forward pass from scratch on every prefix,
 one hypothesis at a time, and BLEU-style counts are done by hand where
-needed.
+needed. The finite-difference loss is the exception: it is the library's
+own forward pass, rerun in full for both directions, the reference that
+grad_check's reuse of unperturbed rows must match bit for bit.
 """
 
 import math
@@ -12,9 +14,11 @@ import math
 import numpy as np
 
 from bicaption.data import BOUNDARY_ID
-from bicaption.lstm import LstmStepTrace
-from bicaption.model import ForwardPassRecord, direction_forward
+from bicaption.lstm import LstmTrace
+from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
+                             ForwardPassRecord, direction_forward)
 from bicaption.numcore import log_softmax
+from bicaption.train import _fd_direction
 
 
 def scalar_sigmoid(x: float) -> float:
@@ -85,18 +89,40 @@ def inline_bilstm_probs(E, tWx, tWh, tb, mWx, mWh, mb, Ws, bs, tokens,
     return probs
 
 
-def _gated_step(Wx, Wh, b, x, h, c):
-    """One LSTM step with one matrix-vector product per weight; the trace
-    model.model_backward reads."""
-    H = h.shape[0]
-    a = Wx @ x + Wh @ h + b
+def gate_activations(a):
+    """(i, f, o, g) of one step's gate pre-activations."""
+    H = a.shape[0] // 4
     z = np.exp(-np.abs(a[:3 * H]))
     s = np.where(a[:3 * H] >= 0.0, 1.0, z) / (1.0 + z)
-    i, f, o = s[:H], s[H:2 * H], s[2 * H:]
-    g = np.tanh(a[3 * H:])
+    return s[:H], s[H:2 * H], s[2 * H:], np.tanh(a[3 * H:])
+
+
+def _gated_step(Wx, Wh, b, x, h, c):
+    """One LSTM step with one matrix-vector product per weight; returns
+    (a, c, h)."""
+    a = Wx @ x + Wh @ h + b
+    i, f, o, g = gate_activations(a)
     c_new = f * c + i * g
-    return LstmStepTrace(x=x, i=i, f=f, o=o, g=g, c=c_new,
-                         h=o * np.tanh(c_new), c_prev=c, h_prev=h)
+    return a, c_new, o * np.tanh(c_new)
+
+
+class _TraceRows:
+    """A sequence's per-step lists, stacked into the LstmTrace that
+    model.model_backward and the gate tests read."""
+
+    def __init__(self, H):
+        self.x, self.a, self.cs, self.hs = [], [], [np.zeros(H)], [np.zeros(H)]
+
+    def append(self, x, step):
+        a, c, h = step
+        self.x.append(x)
+        self.a.append(a)
+        self.cs.append(c)
+        self.hs.append(h)
+        return h, c
+
+    def trace(self):
+        return LstmTrace(*map(np.array, (self.x, self.a, self.cs, self.hs)))
 
 
 def _transition(tp, h1, h2):
@@ -115,64 +141,63 @@ def per_step_forward(m, direction, tokens, feature):
     product (T-LSTM input, transition, M-LSTM text columns, logits) is one
     matrix-vector product per step, the image projected once into the
     M-LSTM bias. Returns a ForwardPassRecord that model.model_backward
-    accepts, its per-step values as lists."""
+    accepts, its per-step values stacked into rows."""
     d = m.direction(direction)
     H = m.hidden_dim
     tw = d.m_lstm.Wx.shape[1] - m.feature_dim
     m_b = d.m_lstm.Wx[:, tw:] @ feature + d.m_lstm.b
     tp = d.transition
     h1 = c1 = h2 = c2 = np.zeros(H)
-    t_traces, m_traces, preacts, logits, probs = [], [], [], [], []
+    t_rows, m_rows = _TraceRows(H), _TraceRows(H)
+    preacts, logits, probs = [], [], []
     for tok in tokens:
-        t_tr = _gated_step(d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b,
-                           d.embedding[:, tok], h1, c1)
-        h1, c1 = t_tr.h, t_tr.c
+        x = d.embedding[:, tok]
+        h1, c1 = t_rows.append(x, _gated_step(
+            d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b, x, h1, c1))
         pre, text = _transition(tp, h1, h2)
         if pre is not None:
             preacts.append(pre)
-        m_tr = _gated_step(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2)
-        h2, c2 = m_tr.h, m_tr.c
+        h2, c2 = m_rows.append(text, _gated_step(
+            d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2))
         z = m.softmax_w @ h2 + m.softmax_b
         e = np.exp(z - z.max())
-        t_traces.append(t_tr)
-        m_traces.append(m_tr)
         logits.append(z)
         probs.append(e / e.sum())
     return ForwardPassRecord(
         direction=direction, tokens=list(tokens), feature=feature,
-        t_traces=t_traces, m_traces=m_traces, transition_preacts=preacts,
-        logits=logits, probs=probs)
+        t_trace=t_rows.trace(), m_trace=m_rows.trace(),
+        transition_preacts=np.array(preacts) if preacts else [],
+        logits=np.array(logits), probs=np.array(probs))
 
 
 def greedy_gate_loop(m, direction, feature, max_len):
     """Greedy decode one step at a time on vector states, recording every
-    step's T-LSTM and M-LSTM traces and the emitted token's probability.
-    Returns (tokens, t_traces, m_traces, probs)."""
+    step's T-LSTM and M-LSTM rows and the emitted token's probability.
+    Returns (tokens, T-LSTM trace, M-LSTM trace, probs)."""
     d = m.direction(direction)
     H = m.hidden_dim
     tw = d.m_lstm.Wx.shape[1] - m.feature_dim
     m_b = d.m_lstm.Wx[:, tw:] @ feature + d.m_lstm.b
     h1 = c1 = h2 = c2 = np.zeros(H)
     tok = BOUNDARY_ID
-    tokens, t_traces, m_traces, probs = [], [], [], []
+    t_rows, m_rows = _TraceRows(H), _TraceRows(H)
+    tokens, probs = [], []
     for _ in range(max_len):
-        t_tr = _gated_step(d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b,
-                           d.embedding[:, tok], h1, c1)
-        h1, c1 = t_tr.h, t_tr.c
+        x = d.embedding[:, tok]
+        h1, c1 = t_rows.append(x, _gated_step(
+            d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b, x, h1, c1))
         _, text = _transition(d.transition, h1, h2)
-        m_tr = _gated_step(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2)
-        h2, c2 = m_tr.h, m_tr.c
+        h2, c2 = m_rows.append(text, _gated_step(
+            d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2))
         z = m.softmax_w @ h2 + m.softmax_b
         e = np.exp(z - z.max())
         p = e / e.sum()
         tok = int(np.argmax(p))
         tokens.append(tok)
-        t_traces.append(t_tr)
-        m_traces.append(m_tr)
         probs.append(float(p[tok]))
         if tok == BOUNDARY_ID:
             break
-    return tokens, t_traces, m_traces, probs
+    return tokens, t_rows.trace(), m_rows.trace(), probs
 
 
 def greedy_decode_loop(m, direction, feature, max_len):
@@ -247,6 +272,21 @@ def enumerate_best_hypothesis(m, direction, feature, max_len):
     return best_tokens, best_lp
 
 
+def _fd_loss_and_signs(m, ex):
+    """Joint loss for the finite-difference loop, plus (for the relu
+    architecture) the sign pattern of every transition pre-activation, used
+    to reject kink-crossing perturbations: both directions recomputed in
+    full, the reference for train.grad_check's reuse of unperturbed rows.
+
+    Each direction runs the shared `model.unroll` that joint_loss runs
+    through direction_forward, minus the probabilities, so the arithmetic
+    is identical and a test pins the two to exact equality.
+    """
+    (lf, sf, _, _), (lb, sb, _, _) = (_fd_direction(m, ex, direction)
+                                      for direction in (FORWARD, BACKWARD))
+    return lf + lb, (sf + sb if m.arch == ArchitectureKind.BI_F_LSTM else None)
+
+
 def central_difference_grad(loss_fn, arr, eps=1e-6):
     """Numeric gradient of loss_fn() with respect to every entry of arr
     (perturbed in place and restored)."""
@@ -269,21 +309,23 @@ def max_rel_err(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def _rank1_lstm_step(Wx, Wh, tr, dh, dc, grads):
-    """One LSTM step backward that adds its rank-1 weight terms into
-    grads = [dWx, dWh, db]; returns (dx, dh_prev, dc_prev)."""
-    tanh_c = np.tanh(tr.c)
-    dc_total = dc + dh * tr.o * (1.0 - tanh_c * tanh_c)
+def _rank1_lstm_step(Wx, Wh, tr, t, x, dh, dc, grads):
+    """Step t of an LstmTrace backward, on its input x, adding its rank-1
+    weight terms into grads = [dWx, dWh, db]; returns (dx, dh_prev,
+    dc_prev)."""
+    i, f, o, g = gate_activations(tr.a[t])
+    tanh_c = np.tanh(tr.cs[t + 1])
+    dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
     da = np.concatenate([
-        dc_total * tr.g * tr.i * (1.0 - tr.i),
-        dc_total * tr.c_prev * tr.f * (1.0 - tr.f),
-        dh * tanh_c * tr.o * (1.0 - tr.o),
-        dc_total * tr.i * (1.0 - tr.g * tr.g),
+        dc_total * g * i * (1.0 - i),
+        dc_total * tr.cs[t] * f * (1.0 - f),
+        dh * tanh_c * o * (1.0 - o),
+        dc_total * i * (1.0 - g * g),
     ])
-    grads[0] += np.outer(da, tr.x)
-    grads[1] += np.outer(da, tr.h_prev)
+    grads[0] += np.outer(da, x)
+    grads[1] += np.outer(da, tr.hs[t])
     grads[2] += da
-    return Wx.T @ da, Wh.T @ da, dc_total * tr.f
+    return Wx.T @ da, Wh.T @ da, dc_total * f
 
 
 def rank1_model_backward(m, rec, targets):
@@ -311,23 +353,27 @@ def rank1_model_backward(m, rec, targets):
 
     loss = -sum(log_softmax(rec.logits[t])[tgt] for t, tgt in enumerate(targets))
     T = len(targets)
+    t_tr, m_tr = rec.t_trace, rec.m_trace
     dh1_seq = [np.zeros(H) for _ in range(T)]
     dh2_carry, dc2_carry = np.zeros(H), np.zeros(H)
     for t in range(T - 1, -1, -1):
         dlogit = rec.probs[t].copy()
         dlogit[targets[t]] -= 1.0
-        g["softmax_w"] += np.outer(dlogit, rec.m_traces[t].h)
+        g["softmax_w"] += np.outer(dlogit, m_tr.hs[t + 1])
         g["softmax_b"] += dlogit
         dh2 = m.softmax_w.T @ dlogit + dh2_carry
+        # the trace holds the text input the image-folded cell multiplied;
+        # the full M-LSTM input appends the feature
         dm_in, dh2_carry, dc2_carry = _rank1_lstm_step(
-            d.m_lstm.Wx, d.m_lstm.Wh, rec.m_traces[t], dh2, dc2_carry, m_acc)
+            d.m_lstm.Wx, d.m_lstm.Wh, m_tr, t,
+            np.concatenate([m_tr.x[t], rec.feature]), dh2, dc2_carry, m_acc)
         d_text = dm_in[:tw]
-        h1 = rec.t_traces[t].h
+        h1 = t_tr.hs[t + 1]
         if tr_p is None:
             dh1_seq[t] += d_text
         elif tr_p.W is None:
             g[f"{prefix}.trans.U"] += np.outer(d_text, h1)
-            g[f"{prefix}.trans.V"] += np.outer(d_text, rec.m_traces[t].h_prev)
+            g[f"{prefix}.trans.V"] += np.outer(d_text, m_tr.hs[t])
             dh1_seq[t] += tr_p.U.T @ d_text
             dh2_carry = dh2_carry + tr_p.V.T @ d_text
         else:
@@ -343,7 +389,7 @@ def rank1_model_backward(m, rec, targets):
     dh1_carry, dc1_carry = np.zeros(H), np.zeros(H)
     for t in range(T - 1, -1, -1):
         dx, dh1_carry, dc1_carry = _rank1_lstm_step(
-            d.t_lstm.Wx, d.t_lstm.Wh, rec.t_traces[t],
+            d.t_lstm.Wx, d.t_lstm.Wh, t_tr, t, t_tr.x[t],
             dh1_seq[t] + dh1_carry, dc1_carry, t_acc)
         g[f"{prefix}.embedding"][:, rec.tokens[t]] += dx
     return loss, g

@@ -72,14 +72,14 @@ def test_cell_oracle_equivalence():
             b=rng.uniform(-0.7, 0.7, size=4 * H),
         )
         xs = [rng.normal(size=D) for _ in range(T)]
-        traces = sequence_forward(p, xs)
+        tr = sequence_forward(p, xs)
         oracle = scalar_lstm_forward(p.Wx.tolist(), p.Wh.tolist(),
                                      p.b.tolist(), [x.tolist() for x in xs],
                                      [0.0] * H, [0.0] * H)
-        for tr, (h_ref, c_ref) in zip(traces, oracle):
+        for h, c, (h_ref, c_ref) in zip(tr.hs[1:], tr.cs[1:], oracle):
             worst = max(worst,
-                        float(np.max(np.abs(tr.h - np.array(h_ref)))),
-                        float(np.max(np.abs(tr.c - np.array(c_ref)))))
+                        float(np.max(np.abs(h - np.array(h_ref)))),
+                        float(np.max(np.abs(c - np.array(c_ref)))))
     report("cell oracle equivalence", worst < 1e-12,
            f"100 instances (D,H,T)<=(8,8,10), max abs diff {worst:.2e}")
 

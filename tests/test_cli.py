@@ -336,6 +336,14 @@ class TestGradcheckCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_infinite_tolerance_exits_2(self, capsys):
+        # a check that cannot fail would pass whatever the gradients are
+        rc = main(["gradcheck", "--arch", "bi-lstm", "--tolerance", "inf"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tolerance must be positive and finite, got inf\n"
+
     def test_same_seed_identical_report(self, capsys):
         argv = ["gradcheck", "--arch", "bi-lstm", "--seed", "4"]
         assert main(argv) == 0

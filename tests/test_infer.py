@@ -8,12 +8,13 @@ from bicaption.infer import (GATE_HEADER, Hypothesis, WORDS_HEADER,
                              decode_direction, dump_gate_trace,
                              gate_trace_rows, select_final_caption,
                              words_rows, write_gate_trace)
+from bicaption.lstm import gates
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
                              direction_forward, image_input, random_model)
 from bicaption.numcore import PANEL_HEIGHT
 
-from oracles import (enumerate_best_hypothesis, greedy_decode_loop,
-                     greedy_gate_loop, per_hypothesis_beam)
+from oracles import (enumerate_best_hypothesis, gate_activations,
+                     greedy_decode_loop, greedy_gate_loop, per_hypothesis_beam)
 
 BI = ArchitectureKind.BI_LSTM
 BIS = ArchitectureKind.BI_S_LSTM
@@ -247,13 +248,14 @@ class TestGateTrace:
         m = build_model(BI, 5, 2, 3, 3)
         trace = dump_gate_trace(m, np.zeros(2), FORWARD, max_len=6)
         # uniform probs make the argmax the boundary id, one step
-        assert len(trace.t_steps) == 1
-        for tr in (trace.t_steps[0], trace.m_steps[0]):
-            np.testing.assert_array_equal(tr.i, np.full(3, 0.5))
-            np.testing.assert_array_equal(tr.f, np.full(3, 0.5))
-            np.testing.assert_array_equal(tr.o, np.full(3, 0.5))
-            np.testing.assert_array_equal(tr.c, np.zeros(3))
-            np.testing.assert_array_equal(tr.h, np.zeros(3))
+        assert len(trace.t_trace) == len(trace.m_trace) == 1
+        for tr in (trace.t_trace, trace.m_trace):
+            i, f, o, _ = gates(tr.a)
+            np.testing.assert_array_equal(i, np.full((1, 3), 0.5))
+            np.testing.assert_array_equal(f, np.full((1, 3), 0.5))
+            np.testing.assert_array_equal(o, np.full((1, 3), 0.5))
+            np.testing.assert_array_equal(tr.cs, np.zeros((2, 3)))
+            np.testing.assert_array_equal(tr.hs, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("arch", list(ArchitectureKind))
     def test_matches_step_by_step_greedy_loop(self, arch):
@@ -268,13 +270,17 @@ class TestGateTrace:
                 tokens, t_ref, m_ref, probs = greedy_gate_loop(
                     m, direction, feature, 8)
                 assert [w[2] for w in trace.words] == tokens, (seed, direction)
-                for got, want in zip(trace.t_steps + trace.m_steps,
-                                     t_ref + m_ref):
-                    for name in ("i", "f", "o", "g", "c", "h"):
-                        want_v = getattr(want, name)
-                        err = np.max(np.abs(getattr(got, name) - want_v))
-                        assert err <= 1e-12 * np.max(np.abs(want_v)), \
-                            (seed, direction, name)
+                for t in range(len(tokens)):
+                    for got, want in ((trace.t_trace, t_ref),
+                                      (trace.m_trace, m_ref)):
+                        for name, got_v, want_v in zip(
+                                "ifogch",
+                                (*gates(got.a[t]), got.cs[t + 1], got.hs[t + 1]),
+                                (*gate_activations(want.a[t]), want.cs[t + 1],
+                                 want.hs[t + 1])):
+                            err = np.max(np.abs(got_v - want_v))
+                            assert err <= 1e-12 * np.max(np.abs(want_v)), \
+                                (seed, direction, name, t)
                 np.testing.assert_allclose([w[3] for w in trace.words], probs,
                                            rtol=1e-12, atol=0)
 
@@ -282,14 +288,14 @@ class TestGateTrace:
         # c_prev = 0 at step 0, so the forget gate cannot contribute
         m = random_model(BI, 6, 3, 4, 4, seed=15)
         trace = dump_gate_trace(m, np.ones(3) * 0.3, FORWARD, max_len=5)
-        tr = trace.t_steps[0]
-        np.testing.assert_array_equal(tr.c, tr.i * tr.g)
+        i, _, _, g = gates(trace.t_trace.a[0])
+        np.testing.assert_array_equal(trace.t_trace.cs[1], i * g)
 
     def test_row_count_matches_decoded_length(self):
         m = random_model(BI, 6, 3, 4, 4, seed=16)
         trace = dump_gate_trace(m, np.zeros(3), FORWARD, max_len=7)
         greedy = decode_direction(m, FORWARD, np.zeros(3), beam_k=1, max_len=7)
-        assert len(trace.t_steps) == len(greedy.tokens)
+        assert len(trace.t_trace) == len(greedy.tokens)
         assert len(trace.words) == len(greedy.tokens)
         rows = gate_trace_rows(trace)
         assert rows[0] == GATE_HEADER

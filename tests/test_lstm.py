@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bicaption.errors import ShapeError
-from bicaption.lstm import (LstmParams, cell_forward, input_drive,
-                            sequence_backward, sequence_forward)
+from bicaption.lstm import (LstmParams, LstmTrace, cell_forward, gates,
+                            input_drive, sequence_backward, sequence_forward)
 
 from oracles import central_difference_grad, max_rel_err, scalar_lstm_forward
 
@@ -28,117 +28,147 @@ def random_params(input_dim, hidden_dim, seed, scale=0.4):
 
 
 def cell(p, x, h_prev, c_prev):
-    """One cell step on a vector input, with its drive formed from x."""
-    return cell_forward(p, x, input_drive(p, x), h_prev, c_prev)
+    """One cell step on a vector input, with its drive formed from x:
+    (i, f, o, g, c, h)."""
+    a, c, h = cell_forward(p, input_drive(p, x), h_prev, c_prev)
+    return (*gates(a), c, h)
 
 
 class TestCellForward:
     def test_all_zero(self):
         p = zeros_lstm(2, 3)
-        tr = cell(p, np.zeros(2), np.zeros(3), np.zeros(3))
-        np.testing.assert_array_equal(tr.i, np.full(3, 0.5))
-        np.testing.assert_array_equal(tr.f, np.full(3, 0.5))
-        np.testing.assert_array_equal(tr.o, np.full(3, 0.5))
-        np.testing.assert_array_equal(tr.g, np.zeros(3))
-        np.testing.assert_array_equal(tr.c, np.zeros(3))
-        np.testing.assert_array_equal(tr.h, np.zeros(3))
+        i, f, o, g, c, h = cell(p, np.zeros(2), np.zeros(3), np.zeros(3))
+        np.testing.assert_array_equal(i, np.full(3, 0.5))
+        np.testing.assert_array_equal(f, np.full(3, 0.5))
+        np.testing.assert_array_equal(o, np.full(3, 0.5))
+        np.testing.assert_array_equal(g, np.zeros(3))
+        np.testing.assert_array_equal(c, np.zeros(3))
+        np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_zero_params_halve_previous_cell(self):
         # f = 0.5 halves c_prev, i*g adds nothing; h = 0.5 * tanh(1)
         p = zeros_lstm(1, 1)
-        tr = cell(p, np.zeros(1), np.zeros(1), np.array([2.0]))
-        np.testing.assert_allclose(tr.c, [1.0], rtol=0, atol=0)
-        np.testing.assert_allclose(tr.h, [0.3807970779778824], rtol=0, atol=1e-15)
+        *_, c, h = cell(p, np.zeros(1), np.zeros(1), np.array([2.0]))
+        np.testing.assert_allclose(c, [1.0], rtol=0, atol=0)
+        np.testing.assert_allclose(h, [0.3807970779778824], rtol=0, atol=1e-15)
 
     def test_saturated_forget_gate_drops_history(self):
         p = zeros_lstm(2, 2)
         p.b[2:4] = -1e9  # forget-gate bias rows
         c_prev = np.array([3.0, -7.0])
-        tr = cell(p, np.ones(2), np.zeros(2), c_prev)
-        np.testing.assert_array_equal(tr.f, np.zeros(2))
-        np.testing.assert_array_equal(tr.c, tr.i * tr.g)
+        i, f, _, g, c, _ = cell(p, np.ones(2), np.zeros(2), c_prev)
+        np.testing.assert_array_equal(f, np.zeros(2))
+        np.testing.assert_array_equal(c, i * g)
 
     def test_gate_ranges(self):
         p, rng = random_params(3, 4, seed=9, scale=2.0)
         for _ in range(20):
-            tr = cell(p, rng.normal(size=3), rng.normal(size=4),
-                      rng.normal(size=4))
-            assert np.all((tr.i > 0) & (tr.i < 1))
-            assert np.all((tr.f > 0) & (tr.f < 1))
-            assert np.all((tr.o > 0) & (tr.o < 1))
-            assert np.all((tr.g > -1) & (tr.g < 1))
+            i, f, o, g, _, _ = cell(p, rng.normal(size=3), rng.normal(size=4),
+                                    rng.normal(size=4))
+            assert np.all((i > 0) & (i < 1))
+            assert np.all((f > 0) & (f < 1))
+            assert np.all((o > 0) & (o < 1))
+            assert np.all((g > -1) & (g < 1))
 
     def test_trace_identities_hold_exactly(self):
         p, rng = random_params(3, 4, seed=10)
-        tr = cell(p, rng.normal(size=3), rng.normal(size=4),
-                  rng.normal(size=4))
-        np.testing.assert_array_equal(tr.c, tr.f * tr.c_prev + tr.i * tr.g)
-        np.testing.assert_array_equal(tr.h, tr.o * np.tanh(tr.c))
+        c_prev = rng.normal(size=4)
+        i, f, o, g, c, h = cell(p, rng.normal(size=3), rng.normal(size=4),
+                                c_prev)
+        np.testing.assert_array_equal(c, f * c_prev + i * g)
+        np.testing.assert_array_equal(h, o * np.tanh(c))
+
+    @pytest.mark.parametrize("H", [1, 5, 16, 256])
+    def test_gate_rows_are_the_lone_steps_activations(self, H):
+        # the backward pass and gate traces form the activations from a
+        # whole (T, 4H) block of pre-activations; row t must be bitwise what
+        # the step formed alone, and the step's c and h must follow from it
+        p, rng = random_params(3, H, seed=H, scale=3.0)
+        tr = sequence_forward(p, rng.normal(size=(7, 3)) * 4.0)
+        blocks = gates(tr.a)
+        for t in range(7):
+            lone = gates(tr.a[t])
+            for got, want in zip(blocks, lone):
+                np.testing.assert_array_equal(got[t], want)
+            i, f, o, g = lone
+            np.testing.assert_array_equal(tr.cs[t + 1], f * tr.cs[t] + i * g)
+            np.testing.assert_array_equal(tr.hs[t + 1],
+                                          o * np.tanh(tr.cs[t + 1]))
 
     def test_shape_errors(self):
         p = zeros_lstm(2, 3)
         with pytest.raises(ShapeError):
-            cell_forward(p, np.zeros(5), np.zeros(12), np.zeros(3), np.zeros(3))
+            input_drive(p, np.zeros(5))
         with pytest.raises(ShapeError):
-            cell_forward(p, np.zeros(2), np.zeros(12), np.zeros(4), np.zeros(3))
+            cell_forward(p, np.zeros(12), np.zeros(4), np.zeros(3))
 
     def test_drive_width_checked(self):
         p = zeros_lstm(2, 3)
         with pytest.raises(ShapeError):
-            cell_forward(p, np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(3))
+            cell_forward(p, np.zeros(3), np.zeros(3), np.zeros(3))
 
 
 class TestSequenceForward:
     def test_single_step_equals_cell(self):
         p, rng = random_params(2, 3, seed=11)
         x = rng.normal(size=2)
-        seq = sequence_forward(p, [x])
+        tr = sequence_forward(p, [x])
         # the drive as sequence_forward forms it: one product over the rows
         drive = input_drive(p, np.array([x]))[0]
-        cell = cell_forward(p, x, drive, np.zeros(3), np.zeros(3))
-        np.testing.assert_array_equal(seq[0].h, cell.h)
-        np.testing.assert_array_equal(seq[0].c, cell.c)
+        _, c, h = cell_forward(p, drive, np.zeros(3), np.zeros(3))
+        np.testing.assert_array_equal(tr.hs[1], h)
+        np.testing.assert_array_equal(tr.cs[1], c)
 
     def test_composition_is_bitwise(self):
+        # the trace's rows are a chain of cell_forward calls, each from the
+        # previous rows' state and the zero state at t=0
         p, rng = random_params(3, 4, seed=12)
         xs = [rng.normal(size=3) for _ in range(3)]
-        seq = sequence_forward(p, xs)
+        tr = sequence_forward(p, xs)
+        assert (tr.x.shape, tr.a.shape) == ((3, 3), (3, 16))
+        assert tr.cs.shape == tr.hs.shape == (4, 4)
+        np.testing.assert_array_equal(tr.x, xs)
         drives = input_drive(p, np.array(xs))  # as sequence_forward forms them
         h, c = np.zeros(4), np.zeros(4)
-        for t, x in enumerate(xs):
-            tr = cell_forward(p, x, drives[t], h, c)
-            np.testing.assert_array_equal(seq[t].h, tr.h)
-            np.testing.assert_array_equal(seq[t].c, tr.c)
-            h, c = tr.h, tr.c
+        for t in range(3):
+            np.testing.assert_array_equal(tr.hs[t], h)
+            np.testing.assert_array_equal(tr.cs[t], c)
+            a, c, h = cell_forward(p, drives[t], h, c)
+            np.testing.assert_array_equal(tr.a[t], a)
+            np.testing.assert_array_equal(tr.cs[t + 1], c)
+            np.testing.assert_array_equal(tr.hs[t + 1], h)
 
     def test_empty_sequence(self):
         p = zeros_lstm(2, 3)
-        assert sequence_forward(p, []) == []
+        tr = sequence_forward(p, [])
+        assert len(tr) == 0
+        assert (tr.x.shape, tr.a.shape) == ((0, 2), (0, 12))
+        np.testing.assert_array_equal(tr.cs, np.zeros((1, 3)))
+        np.testing.assert_array_equal(tr.hs, np.zeros((1, 3)))
 
     def test_matches_scalar_loop_oracle(self):
         p, rng = random_params(3, 4, seed=42)
         xs = [rng.normal(size=3) for _ in range(5)]
-        seq = sequence_forward(p, xs)
+        tr = sequence_forward(p, xs)
         oracle = scalar_lstm_forward(p.Wx.tolist(), p.Wh.tolist(), p.b.tolist(),
                                      [x.tolist() for x in xs],
                                      [0.0] * 4, [0.0] * 4)
-        assert max(abs(a - b) for a, b in zip(seq[-1].h, oracle[-1][0])) < 1e-12
+        assert max(abs(a - b) for a, b in zip(tr.hs[-1], oracle[-1][0])) < 1e-12
 
     def test_determinism(self):
         p, rng = random_params(3, 4, seed=13)
         xs = [rng.normal(size=3) for _ in range(4)]
         a = sequence_forward(p, xs)
         b = sequence_forward(p, xs)
-        for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.h, tb.h)
-            np.testing.assert_array_equal(ta.c, tb.c)
+        for name in ("x", "a", "cs", "hs"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def seq_loss(p, xs, dh_seq):
     """Scalar objective: weighted sum of hidden outputs, so its analytic
     gradient is exactly sequence_backward's."""
-    traces = sequence_forward(p, xs)
-    return sum(float(w @ tr.h) for w, tr in zip(dh_seq, traces))
+    return sum(float(w @ h)
+               for w, h in zip(dh_seq, sequence_forward(p, xs).hs[1:]))
 
 
 class TestSequenceBackward:
@@ -156,12 +186,11 @@ class TestSequenceBackward:
         # fixed, d h / d b_o = s(a_o)(1 - s(a_o)) * tanh(c)
         p, rng = random_params(1, 1, seed=15)
         x = np.array([0.3])
-        traces = sequence_forward(p, [x])
-        g = sequence_backward(p, traces, [np.ones(1)])
-        tr = traces[0]
+        tr = sequence_forward(p, [x])
+        g = sequence_backward(p, tr, [np.ones(1)])
         a_o = p.Wx[2, 0] * x[0] + p.b[2]
         s = 1.0 / (1.0 + math.exp(-a_o))
-        expected = s * (1.0 - s) * math.tanh(tr.c[0])
+        expected = s * (1.0 - s) * math.tanh(tr.cs[1, 0])
         assert abs(g.db[2] - expected) < 1e-14
 
     def test_matches_finite_differences(self):
@@ -211,9 +240,11 @@ class TestSequenceBackward:
         k = 3
         truncated = [d if t < k else np.zeros(4) for t, d in enumerate(dh_seq)]
 
-        traces = sequence_forward(p, xs)
-        g_full = sequence_backward(p, traces, truncated)
-        g_short = sequence_backward(p, traces[:k], dh_seq[:k])
+        tr = sequence_forward(p, xs)
+        g_full = sequence_backward(p, tr, truncated)
+        g_short = sequence_backward(
+            p, LstmTrace(tr.x[:k], tr.a[:k], tr.cs[:k + 1], tr.hs[:k + 1]),
+            dh_seq[:k])
         np.testing.assert_allclose(g_full.dWx, g_short.dWx, rtol=0, atol=1e-15)
         np.testing.assert_allclose(g_full.dWh, g_short.dWh, rtol=0, atol=1e-15)
         np.testing.assert_allclose(g_full.db, g_short.db, rtol=0, atol=1e-15)
@@ -239,21 +270,21 @@ class TestSequenceBackward:
         dh_seq = [rng.normal(size=4) for _ in range(5)]
 
         def forward():
-            h = c = np.zeros(4)
-            traces = []
-            for x in xs:
-                traces.append(cell(p, U @ x + V @ h, h, c))
-                h, c = traces[-1].h, traces[-1].c
-            return traces
+            tr = LstmTrace(np.empty((5, 3)), np.empty((5, 16)),
+                           np.zeros((6, 4)), np.zeros((6, 4)))
+            for t, x in enumerate(xs):
+                tr.x[t] = U @ x + V @ tr.hs[t]
+                tr.a[t], tr.cs[t + 1], tr.hs[t + 1] = cell_forward(
+                    p, input_drive(p, tr.x[t]), tr.hs[t], tr.cs[t])
+            return tr
 
         def loss():
-            return sum(float(w @ tr.h) for w, tr in zip(dh_seq, forward()))
+            return sum(float(w @ h) for w, h in zip(dh_seq, forward().hs[1:]))
 
-        traces = forward()
-        g = sequence_backward(p, traces, dh_seq, V=V)
-        h_prevs = np.array([tr.h_prev for tr in traces])
+        tr = forward()
+        g = sequence_backward(p, tr, dh_seq, V=V)
         blocks = ((g.dWx, p.Wx), (g.dWh, p.Wh), (g.db, p.b),
-                  (g.dx_seq.T @ np.array(xs), U), (g.dx_seq.T @ h_prevs, V))
+                  (g.dx_seq.T @ np.array(xs), U), (g.dx_seq.T @ tr.hs[:-1], V))
         for analytic, arr in blocks:
             numeric = central_difference_grad(loss, arr)
             err = np.max(np.abs(analytic - numeric))

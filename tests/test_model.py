@@ -8,7 +8,6 @@ import bicaption.model as model_mod
 import bicaption.numcore as numcore
 from bicaption.data import CaptionedExample
 from bicaption.errors import ConfigError, ShapeError, VocabError
-from bicaption.lstm import hidden_rows
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
                              TransitionParams, build_model, direction_forward,
                              image_input, init_model, model_backward,
@@ -162,6 +161,7 @@ class TestDirectionForward:
         m = init_model(BI, 5, 2, 3, 3, seed=0)
         rec = direction_forward(m, FORWARD, [], np.zeros(2))
         assert len(rec) == 0
+        assert len(rec.t_trace) == len(rec.m_trace) == 0
 
     @pytest.mark.parametrize("arch", [BI, BIS, BIF])
     def test_m_lstm_trace_records_text_input(self, arch):
@@ -170,20 +170,36 @@ class TestDirectionForward:
         m = random_model(arch, 6, 3, 4, 4, seed=5)
         tw = m.fwd.m_lstm.input_dim - m.feature_dim
         rec = direction_forward(m, FORWARD, [0, 2, 3], np.ones(3))
-        h1s = hidden_rows(rec.t_traces, 4)
+        h1s = rec.t_trace.hs[1:]
         # the bi-s-lstm transition runs per step, the others over all rows
         if arch == BIS:
-            texts = [transition_forward(arch, m.fwd.transition, h1, tr.h_prev)[1]
-                     for h1, tr in zip(h1s, rec.m_traces)]
+            texts = [transition_forward(arch, m.fwd.transition, h1, h2)[1]
+                     for h1, h2 in zip(h1s, rec.m_trace.hs[:-1])]
         else:
             _, texts = transition_forward(arch, m.fwd.transition, h1s, None)
-        for tr, text in zip(rec.m_traces, texts):
-            assert tr.x.shape == (tw,)
-            np.testing.assert_array_equal(tr.x, text)
+        assert rec.m_trace.x.shape == (3, tw)
+        np.testing.assert_array_equal(rec.m_trace.x, texts)
         rows = np.ones((2, 4))
-        m_tr = step(m, m.fwd, rows, 0 * rows, 0 * rows,
-                    image_input(m.fwd, np.ones(3)))
-        assert m_tr.x.shape == (2, tw)
+        text, *_ = step(m, m.fwd, rows, 0 * rows, 0 * rows,
+                        image_input(m.fwd, np.ones(3)))
+        assert text.shape == (2, tw)
+
+    def test_bi_s_lstm_rows_are_its_step_calls(self):
+        # unroll writes each model.step's (x, a, c, h) into the trace's rows
+        m = random_model(BIS, 6, 3, 4, 4, seed=6)
+        feature = np.array([0.4, -0.2, 0.9])
+        rec = direction_forward(m, FORWARD, [0, 2, 3, 5, 4], feature)
+        m_cell = image_input(m.fwd, feature)
+        tr = rec.m_trace
+        h2 = c2 = np.zeros(4)
+        for t, h1 in enumerate(rec.t_trace.hs[1:]):
+            x, a, c2, h2 = step(m, m.fwd, h1, h2, c2, m_cell)
+            np.testing.assert_array_equal(tr.x[t], x)
+            np.testing.assert_array_equal(tr.a[t], a)
+            np.testing.assert_array_equal(tr.cs[t + 1], c2)
+            np.testing.assert_array_equal(tr.hs[t + 1], h2)
+        np.testing.assert_array_equal(tr.hs[0], np.zeros(4))
+        np.testing.assert_array_equal(tr.cs[0], np.zeros(4))
 
 
 class TestSharedSoftmax:
@@ -221,10 +237,11 @@ class TestStackedDegeneratesToPlain:
         rec_plain = direction_forward(plain, FORWARD, tokens, feature)
         rec_stacked = direction_forward(stacked, FORWARD, tokens, feature)
         # the transition collapses to a pass-through of the text hidden state
-        for t_tr, m_tr in zip(rec_stacked.t_traces, rec_stacked.m_traces):
-            _, trans = transition_forward(BIS, stacked.fwd.transition, t_tr.h,
-                                          m_tr.h_prev)
-            np.testing.assert_array_equal(trans, t_tr.h)
+        for h1, h2_prev in zip(rec_stacked.t_trace.hs[1:],
+                               rec_stacked.m_trace.hs[:-1]):
+            _, trans = transition_forward(BIS, stacked.fwd.transition, h1,
+                                          h2_prev)
+            np.testing.assert_array_equal(trans, h1)
         for pp, ps in zip(rec_plain.probs, rec_stacked.probs):
             assert np.max(np.abs(pp - ps)) < 1e-12
 
@@ -289,10 +306,6 @@ class TestModelBackward:
             for direction in (FORWARD, BACKWARD):
                 inputs, targets = direction_io(ex.tokens, direction)
                 rec = direction_forward(m, direction, inputs, ex.feature)
-                # the M-LSTM trace records the text input the image-folded
-                # cell multiplied; the oracle reads the full input
-                for tr in rec.m_traces:
-                    tr.x = np.concatenate([tr.x, ex.feature])
                 ref_loss, ref_grads = rank1_model_backward(m, rec, targets)
                 ref_losses.append(ref_loss)
                 for name, g in ref_grads.items():

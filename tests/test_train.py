@@ -9,10 +9,12 @@ from bicaption.data import CaptionedExample, make_toy_dataset
 from bicaption.errors import ConfigError, DataError, ShapeError, TrainingError
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
                              init_model, random_model)
-from bicaption.train import (BlockCheck, TrainConfig, _fd_loss_and_signs,
-                             accumulate_grads, direction_io, grad_check,
-                             joint_backward, joint_loss, make_state,
-                             mean_joint_loss, sgd_step, train_epochs)
+from bicaption.train import (BlockCheck, TrainConfig, accumulate_grads,
+                             direction_io, grad_check, joint_backward,
+                             joint_loss, make_state, mean_joint_loss,
+                             sgd_step, train_epochs)
+
+from oracles import _fd_loss_and_signs
 
 BI = ArchitectureKind.BI_LSTM
 
@@ -422,9 +424,10 @@ class TestGradCheck:
         with pytest.raises(ConfigError):
             grad_check(m, toy_example(0, vocab=5, feat=2), epsilon=1e-2)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-5, math.nan])
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-5, math.nan, math.inf])
     def test_tolerance_must_be_positive(self, tolerance):
-        # a NaN tolerance would mark every block FAIL
+        # a NaN tolerance would mark every block FAIL, an infinite one would
+        # pass any gradients
         m = random_model(BI, 5, 2, 3, 3, seed=0)
         with pytest.raises(ConfigError, match="tolerance"):
             grad_check(m, toy_example(0, vocab=5, feat=2), tolerance=tolerance)
