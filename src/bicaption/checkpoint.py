@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import ArchitectureKind, CaptionModel, block_shapes, build_model
+from .model import ArchitectureKind, CaptionModel, block_shapes
 
 MAGIC = b"BICAP1"
 VERSION = 1
@@ -45,11 +45,10 @@ def _digest(payload: bytes) -> bytes:
 
 
 def serialize_model(m: CaptionModel) -> bytes:
-    widths = m.transition_widths
     parts = [
         MAGIC,
-        _HEADER.pack(VERSION, _ARCH_CODES[m.arch], m.vocab_size,
-                     m.feature_dim, m.embed_dim, m.hidden_dim, *widths),
+        _HEADER.pack(VERSION, _ARCH_CODES[m.arch], m.vocab_size, m.feature_dim,
+                     m.embed_dim, m.hidden_dim, *m.transition_widths),
     ]
     for _, arr in m.blocks():
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -85,15 +84,16 @@ def deserialize_model(blob: bytes) -> CaptionModel:
         raise CheckpointError(
             f"checkpoint is {len(blob)} bytes, its header implies {size}")
 
-    m = build_model(arch, vocab, feat, embed, hidden, bif_widths=bif_widths)
-    for name, arr in m.blocks():
-        values = np.frombuffer(payload, dtype="<f8", count=arr.size,
+    params = {}
+    for name, shape in shapes:
+        values = np.frombuffer(payload, dtype="<f8", count=math.prod(shape),
                                offset=offset)
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"non-finite values in block {name}")
-        arr[...] = values.reshape(arr.shape)
-        offset += arr.size * 8
-    return m
+        # a writeable copy: the model's blocks are updated in place
+        params[name] = values.reshape(shape).astype(np.float64)
+        offset += values.nbytes
+    return CaptionModel(arch, params)
 
 
 def save_checkpoint(m: CaptionModel, path) -> None:

@@ -121,6 +121,18 @@ def cmd_train(args) -> int:
     if profile is None:
         raise ConfigError(f"unknown profile {profile_name!r}")
     arch = _parse_arch(opt.get("arch", "bi-lstm"))
+    patience = opt.get("patience", profile["patience"])
+    cfg = TrainConfig(
+        learning_rate=opt.get("lr", 0.01),
+        momentum=opt.get("momentum", 0.9),
+        weight_decay=opt.get("weight_decay", 0.0005),
+        batch_size=opt.get("batch_size", profile["batch_size"]),
+        max_epochs=opt.get("max_epochs", profile["max_epochs"]),
+        early_stop_patience=None if patience < 0 else patience,
+        grad_clip=opt.get("grad_clip"),
+        seed=opt.get("seed", 0),
+    )
+    cfg.validate()  # before anything is read or written
 
     if args.val_features and not args.val_captions:
         raise ConfigError("--val-features needs --val-captions")
@@ -140,21 +152,9 @@ def cmd_train(args) -> int:
     feature_dim = train_set[0].feature.shape[0]
     hidden_dim = opt.get("hidden_dim", profile["hidden_dim"])
     embed_dim = opt.get("embed_dim", hidden_dim)
-    seed = opt.get("seed", 0)
-    patience = opt.get("patience", profile["patience"])
-    cfg = TrainConfig(
-        learning_rate=opt.get("lr", 0.01),
-        momentum=opt.get("momentum", 0.9),
-        weight_decay=opt.get("weight_decay", 0.0005),
-        batch_size=opt.get("batch_size", profile["batch_size"]),
-        max_epochs=opt.get("max_epochs", profile["max_epochs"]),
-        early_stop_patience=None if patience < 0 else patience,
-        grad_clip=opt.get("grad_clip"),
-        seed=seed,
-    )
 
     model = init_model(arch, vocab.size, feature_dim, embed_dim, hidden_dim,
-                       seed=seed)
+                       seed=cfg.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.tsv"
@@ -233,6 +233,10 @@ def cmd_retrieve(args) -> int:
         sentences.append((f"s{j}", tokens))
         ground_truth[row_of[image_id]].add(j)
 
+    k_max = min(len(image_ids), len(sentences))  # both query directions
+    for k in k_list:
+        if not 1 <= k <= k_max:
+            raise ConfigError(f"k={k} outside 1..{k_max}")
     sm = metrics.build_score_matrix(
         m, [(i, features[i]) for i in image_ids], sentences)
     if args.matrix_out:

@@ -23,13 +23,12 @@ from .numcore import log_softmax
 
 @dataclass
 class Hypothesis:
-    """A (possibly finished) decoded candidate. tokens includes the
-    terminating boundary token when one was emitted."""
+    """A decoded candidate. tokens includes the terminating boundary token
+    when one was emitted."""
 
     tokens: list[int]
     logprob_sum: float
     per_step_logprobs: list[float]
-    finished: bool
 
 
 @dataclass
@@ -93,7 +92,7 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
 
     d = m.direction(direction)
     m_cell = image_input(d, feature)
-    live = [Hypothesis([], 0.0, [], False)]
+    live = [Hypothesis([], 0.0, [])]
     state = _DecodeState(*np.zeros((4, 1, m.hidden_dim)))
     tokens = np.array([BOUNDARY_ID])
     finished: list[Hypothesis] = []
@@ -112,9 +111,8 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
             tok, lp = int(top[r, j]), float(top_lp[r, j])
             hyp = prev[r]
             ext = Hypothesis(hyp.tokens + [tok], float(sums[r, j]),
-                             hyp.per_step_logprobs + [lp], False)
+                             hyp.per_step_logprobs + [lp])
             if tok == BOUNDARY_ID or len(ext.tokens) >= max_len:
-                ext.finished = True
                 finished.append(ext)
             else:
                 live.append(ext)

@@ -28,9 +28,10 @@ a product of that row alone, so decoding and teacher forcing agree to
 rounding (1e-12 relative), not bit for bit.
 """
 
-import copy
 import enum
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +42,8 @@ from .numcore import matvec, relu, softmax
 
 FORWARD = "forward"
 BACKWARD = "backward"
+# each direction's block-name prefix, also its CaptionModel attribute
+DIRECTION_PREFIX = {FORWARD: "fwd", BACKWARD: "bwd"}
 
 INIT_SCALE = 0.08
 
@@ -70,56 +73,65 @@ class DirectionParams:
     transition: TransitionParams | None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CaptionModel:
+    """The parameter table: every block by name, in `block_shapes` order.
+    The directions' parameters and the softmax are its arrays, and the
+    dimensions are read from their shapes; neither an attribute nor a block
+    can be rebound, so none can disagree with the table."""
+
     arch: ArchitectureKind
-    fwd: DirectionParams
-    bwd: DirectionParams
-    softmax_w: np.ndarray
-    softmax_b: np.ndarray
-    vocab_size: int
-    feature_dim: int
-    embed_dim: int
-    hidden_dim: int
+    params: Mapping[str, np.ndarray]
+    fwd: DirectionParams = field(init=False, repr=False)
+    bwd: DirectionParams = field(init=False, repr=False)
+    softmax_w: np.ndarray = field(init=False, repr=False)
+    softmax_b: np.ndarray = field(init=False, repr=False)
+    vocab_size: int = field(init=False)
+    feature_dim: int = field(init=False)
+    embed_dim: int = field(init=False)
+    hidden_dim: int = field(init=False)
+    transition_widths: tuple[int, int, int] = field(init=False)  # U, V, W rows or 0
+
+    def __post_init__(self):
+        p = MappingProxyType(dict(self.params))
+        fwd, bwd = (_direction_params(p, prefix)
+                    for prefix in DIRECTION_PREFIX.values())
+        widths = tuple(len(p.get(f"fwd.trans.{w}", ())) for w in "UVW")
+        vocab_size, hidden_dim = p["softmax_w"].shape
+        # the M-LSTM's text input: V's and W's rows (bi-s-lstm: V's H), or H
+        text_width = widths[1] + widths[2] or hidden_dim
+        for name, value in dict(
+                params=p, fwd=fwd, bwd=bwd, softmax_w=p["softmax_w"],
+                softmax_b=p["softmax_b"], vocab_size=vocab_size,
+                feature_dim=fwd.m_lstm.input_dim - text_width,
+                embed_dim=fwd.embedding.shape[0], hidden_dim=hidden_dim,
+                transition_widths=widths).items():
+            object.__setattr__(self, name, value)  # past the frozen setattr
 
     def direction(self, name: str) -> DirectionParams:
-        if name == FORWARD:
-            return self.fwd
-        if name == BACKWARD:
-            return self.bwd
-        raise ConfigError(f"unknown direction {name!r}")
-
-    @property
-    def transition_widths(self) -> tuple[int, int, int]:
-        """(U rows, V rows, W rows); zeros where the block is absent."""
-        tr = self.fwd.transition
-        if tr is None:
-            return (0, 0, 0)
-        return (tr.U.shape[0], tr.V.shape[0],
-                0 if tr.W is None else tr.W.shape[0])
+        if name not in DIRECTION_PREFIX:
+            raise ConfigError(f"unknown direction {name!r}")
+        return getattr(self, DIRECTION_PREFIX[name])
 
     def blocks(self) -> list[tuple[str, np.ndarray]]:
         """All parameter blocks in declared (checkpoint) order."""
-        out = []
-        for prefix, d in (("fwd", self.fwd), ("bwd", self.bwd)):
-            out.append((f"{prefix}.embedding", d.embedding))
-            out.append((f"{prefix}.t_lstm.Wx", d.t_lstm.Wx))
-            out.append((f"{prefix}.t_lstm.Wh", d.t_lstm.Wh))
-            out.append((f"{prefix}.t_lstm.b", d.t_lstm.b))
-            out.append((f"{prefix}.m_lstm.Wx", d.m_lstm.Wx))
-            out.append((f"{prefix}.m_lstm.Wh", d.m_lstm.Wh))
-            out.append((f"{prefix}.m_lstm.b", d.m_lstm.b))
-            if d.transition is not None:
-                out.append((f"{prefix}.trans.U", d.transition.U))
-                out.append((f"{prefix}.trans.V", d.transition.V))
-                if d.transition.W is not None:
-                    out.append((f"{prefix}.trans.W", d.transition.W))
-        out.append(("softmax_w", self.softmax_w))
-        out.append(("softmax_b", self.softmax_b))
-        return out
+        return list(self.params.items())
 
     def copy(self) -> "CaptionModel":
-        return copy.deepcopy(self)
+        return CaptionModel(self.arch, {name: arr.copy()
+                                        for name, arr in self.params.items()})
+
+
+def _direction_params(p: Mapping[str, np.ndarray],
+                      prefix: str) -> DirectionParams:
+    """One direction's parameters: the blocks of `p` named `prefix`.*."""
+    def lstm(layer: str) -> LstmParams:
+        return LstmParams(*(p[f"{prefix}.{layer}.{w}"] for w in ("Wx", "Wh", "b")))
+
+    trans = None if f"{prefix}.trans.U" not in p else TransitionParams(
+        p[f"{prefix}.trans.U"], p[f"{prefix}.trans.V"], p.get(f"{prefix}.trans.W"))
+    return DirectionParams(p[f"{prefix}.embedding"], lstm("t_lstm"),
+                           lstm("m_lstm"), trans)
 
 
 def is_bias_block(name: str) -> bool:
@@ -160,7 +172,7 @@ def block_shapes(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
     m_input = text_width + feature_dim  # the feature joins the text input
 
     shapes = []
-    for prefix in ("fwd", "bwd"):
+    for prefix in DIRECTION_PREFIX.values():
         shapes.append((f"{prefix}.embedding", (embed_dim, vocab_size)))
         for lstm, width in (("t_lstm", embed_dim), ("m_lstm", m_input)):
             shapes += [(f"{prefix}.{lstm}.Wx", (G, width)),
@@ -176,26 +188,9 @@ def build_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
                 bif_widths: tuple[int, int, int] | None = None) -> CaptionModel:
     """All-zero model with the architecture's shapes (`block_shapes`);
     init_model fills it."""
-    z = {name: np.zeros(shape) for name, shape in block_shapes(
-        arch, vocab_size, feature_dim, embed_dim, hidden_dim, bif_widths)}
-
-    def make_direction(prefix: str) -> DirectionParams:
-        def lstm(name: str) -> LstmParams:
-            return LstmParams(*(z[f"{prefix}.{name}.{w}"]
-                                for w in ("Wx", "Wh", "b")))
-
-        trans = None if arch == ArchitectureKind.BI_LSTM else TransitionParams(
-            z[f"{prefix}.trans.U"], z[f"{prefix}.trans.V"],
-            z.get(f"{prefix}.trans.W"))
-        return DirectionParams(z[f"{prefix}.embedding"], lstm("t_lstm"),
-                               lstm("m_lstm"), trans)
-
-    return CaptionModel(
-        arch=arch, fwd=make_direction("fwd"), bwd=make_direction("bwd"),
-        softmax_w=z["softmax_w"], softmax_b=z["softmax_b"],
-        vocab_size=vocab_size, feature_dim=feature_dim,
-        embed_dim=embed_dim, hidden_dim=hidden_dim,
-    )
+    return CaptionModel(arch, {name: np.zeros(shape) for name, shape in
+                               block_shapes(arch, vocab_size, feature_dim,
+                                            embed_dim, hidden_dim, bif_widths)})
 
 
 def init_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
@@ -284,8 +279,8 @@ def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
     whose transition reads the previous M-LSTM state, one `step` per time
     step, each writing its rows of the trace; then the logits as one
     product. Returns (relu pre-activations, M-LSTM trace, (T, V) logits);
-    the pre-activations are (T, n) rows, or an empty list where the
-    architecture has none."""
+    the pre-activations are (T, n) rows, n = 0 where the architecture has
+    no relu."""
     pre = None
     if m.arch == ArchitectureKind.BI_S_LSTM:
         T, H = len(h1s), m.hidden_dim
@@ -299,14 +294,14 @@ def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
         pre, text = transition_forward(m.arch, d.transition, h1s, None)
         m_trace = sequence_forward(m_cell, text)
     logits = softmax_logits(m, m_trace.hs[1:])
-    return [] if pre is None else pre, m_trace, logits
+    return (np.empty((len(h1s), 0)) if pre is None else pre), m_trace, logits
 
 
 @dataclass
 class ForwardPassRecord:
     """Everything one direction's forward pass produced, backward-ready.
-    Per-step values are (T, n) rows; the relu pre-activations are an empty
-    list where the architecture has none. The transition outputs are the
+    Per-step values are (T, n) rows; the relu pre-activations have n = 0
+    where the architecture has no relu. The transition outputs are the
     M-LSTM trace's inputs."""
 
     direction: str
@@ -314,7 +309,7 @@ class ForwardPassRecord:
     feature: np.ndarray
     t_trace: LstmTrace
     m_trace: LstmTrace
-    transition_preacts: np.ndarray | list
+    transition_preacts: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
 
@@ -364,7 +359,7 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
         raise ShapeError(f"{T} steps but {len(targets)} targets")
 
     d = m.direction(rec.direction)
-    prefix = "fwd" if rec.direction == FORWARD else "bwd"
+    prefix = DIRECTION_PREFIX[rec.direction]
     tw = d.m_lstm.input_dim - m.feature_dim  # text-side width
     tr_params = d.transition
     bi_s = m.arch == ArchitectureKind.BI_S_LSTM

@@ -11,9 +11,10 @@ import numpy as np
 from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
 from .lstm import sequence_forward
-from .model import (ArchitectureKind, BACKWARD, CaptionModel, FORWARD,
-                    ForwardPassRecord, direction_forward, image_input,
-                    is_bias_block, model_backward, softmax_logits, unroll)
+from .model import (ArchitectureKind, BACKWARD, CaptionModel,
+                    DIRECTION_PREFIX, FORWARD, ForwardPassRecord,
+                    direction_forward, image_input, is_bias_block,
+                    model_backward, softmax_logits, unroll)
 from .numcore import log_softmax
 
 
@@ -148,7 +149,7 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
              cfg: TrainConfig) -> TrainState:
     """v <- mu*v - eta*(g + lambda*theta); theta <- theta + v, biases without
     decay. Nothing moves unless every gradient fits a block and is finite."""
-    params = dict(state.model.blocks())
+    params = state.model.params
     for name, g in grads.items():
         shape = params[name].shape if name in params else "absent"
         if g.shape != shape:
@@ -246,7 +247,7 @@ def _fd_direction(m: CaptionModel, ex: CaptionedExample, direction: str,
     if h1s is None:
         h1s = sequence_forward(d.t_lstm, d.embedding.T[inputs]).hs[1:]
     preacts, m_trace, logits = unroll(m, d, h1s, image_input(d, ex.feature))
-    signs = (np.asarray(preacts) > 0.0).tobytes()
+    signs = (preacts > 0.0).tobytes()
     return _target_nll(logits, targets), signs, h1s, m_trace
 
 
@@ -356,7 +357,8 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
                 return lf + lb, base[FORWARD][1] + base[BACKWARD][1]
         else:
             prefix, _, layer = name.partition(".")
-            rerun = FORWARD if prefix == "fwd" else BACKWARD
+            rerun = (FORWARD if prefix == DIRECTION_PREFIX[FORWARD]
+                     else BACKWARD)
             h1s = (None if layer.startswith(("embedding", "t_lstm."))
                    else base[rerun][2])
 

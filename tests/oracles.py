@@ -166,7 +166,8 @@ def per_step_forward(m, direction, tokens, feature):
     return ForwardPassRecord(
         direction=direction, tokens=list(tokens), feature=feature,
         t_trace=t_rows.trace(), m_trace=m_rows.trace(),
-        transition_preacts=np.array(preacts) if preacts else [],
+        transition_preacts=(np.array(preacts) if preacts
+                            else np.empty((len(tokens), 0))),
         logits=np.array(logits), probs=np.array(probs))
 
 

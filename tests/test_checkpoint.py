@@ -48,7 +48,24 @@ class TestRoundTrip:
         m = random_model(arch, 9, 4, 5, 6, seed=3)
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)
-        assert_models_equal(m, load_checkpoint(path))
+        back = load_checkpoint(path)
+        assert_models_equal(m, back)
+        for _, arr in back.blocks():  # training updates them in place
+            assert arr.dtype == np.float64
+            assert arr.flags.writeable and arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("arch, widths, digest", [
+        (ArchitectureKind.BI_LSTM, None, "c48f64ec4cd1f41c3f5145f4735fc49d"),
+        (ArchitectureKind.BI_S_LSTM, None, "29351ef1f4ac7a9860bb5ddd68474c5a"),
+        (ArchitectureKind.BI_F_LSTM, None, "60526990778a1faebd4b193ccc2aff66"),
+        (ArchitectureKind.BI_F_LSTM, (3, 2, 4),
+         "bd0cb7c6c607d9c02a1f31b516e7e721"),
+    ])
+    def test_pinned_bytes(self, arch, widths, digest):
+        # the block layout and the init's draw order, fixed
+        m = init_model(arch, 20, 7, 5, 6, seed=3, bif_widths=widths)
+        blob = serialize_model(m)
+        assert hashlib.blake2b(blob, digest_size=16).hexdigest() == digest
 
     def test_relu_widths_preserved(self, tmp_path):
         m = init_model(ArchitectureKind.BI_F_LSTM, 9, 4, 5, 6, seed=1,

@@ -146,6 +146,22 @@ class TestTrainCommand:
         assert "--val-captions" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("--momentum", "1.5", "momentum must be in [0, 1), got 1.5"),
+        ("--max-epochs", "0", "max_epochs must be >= 1, got 0"),
+    ])
+    def test_bad_setting_refused_before_reading_or_writing(
+            self, flag, value, message, tmp_path, capsys):
+        vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
+        captions, features, _ = write_corpus(tmp_path, vocab, examples)
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--captions", str(captions), "--features",
+                   str(features), "--out-dir", str(out_dir), flag, value])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
         captions, features, _ = write_corpus(tmp_path, vocab, examples)
@@ -274,6 +290,22 @@ class TestRetrieveCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "'1,x'" in err
+
+
+    @pytest.mark.parametrize("k_list, k", [("1,0", 0), ("5,99", 99),
+                                           ("11", 11)])
+    def test_out_of_range_k_refused_before_scoring(self, k_list, k, toy_files,
+                                                   tmp_path, capsys):
+        # 10 images and 10 captions: k is read in both query directions
+        out = tmp_path / "scores.csv"
+        rc = main(["retrieve", "--checkpoint", str(toy_files["ckpt"]),
+                   "--features", str(toy_files["features"]),
+                   "--captions", str(toy_files["captions"]),
+                   "--vocab", str(toy_files["vocab"]), "--k-list", k_list,
+                   "--matrix-out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: k={k} outside 1..10\n")
+        assert not out.exists()
 
 
 class TestEvalBleuCommand:

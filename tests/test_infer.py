@@ -63,7 +63,7 @@ class TestDecodeDirection:
         m = build_model(BI, K, 2, 3, 3)
         hyp = decode_direction(m, FORWARD, np.zeros(2), beam_k=1, max_len=10)
         assert hyp.tokens == [3, 3, 3, BOUNDARY_ID]
-        assert hyp.finished
+        assert hyp.tokens[-1] == BOUNDARY_ID  # finished by the boundary
 
     def test_beam_one_equals_independent_greedy_loop(self):
         archs = list(ArchitectureKind)
@@ -179,7 +179,7 @@ class TestDecodeDirection:
         m = random_model(BI, 6, 3, 4, 4, seed=14)
         feature = np.ones(3) * 0.2
         before = decode_direction(m, FORWARD, feature, beam_k=1, max_len=8)
-        m.softmax_b += 7.5  # uniform logit shift at every step
+        m.softmax_b[...] += 7.5  # uniform logit shift at every step
         after = decode_direction(m, FORWARD, feature, beam_k=1, max_len=8)
         assert before.tokens == after.tokens
 
@@ -188,7 +188,7 @@ class TestDecodeDirection:
         m.softmax_b[3] = 1e4  # always emits token 3, never the boundary
         hyp = decode_direction(m, FORWARD, np.zeros(2), beam_k=1, max_len=4)
         assert hyp.tokens == [3, 3, 3, 3]
-        assert hyp.finished
+        assert len(hyp.tokens) == 4  # finished by max_len
 
     def test_errors(self):
         m = build_model(BI, 5, 2, 3, 3)
@@ -203,7 +203,7 @@ class TestDecodeDirection:
 def hyp(tokens, logprob):
     steps = [logprob / len(tokens)] * len(tokens)
     return Hypothesis(tokens=list(tokens), logprob_sum=logprob,
-                      per_step_logprobs=steps, finished=True)
+                      per_step_logprobs=steps)
 
 
 class TestSelectFinalCaption:
@@ -240,7 +240,7 @@ class TestSelectFinalCaption:
 
     def test_empty_hypothesis_rejected(self):
         with pytest.raises(DataError):
-            select_final_caption(hyp([2], -1.0), Hypothesis([], 0.0, [], False))
+            select_final_caption(hyp([2], -1.0), Hypothesis([], 0.0, []))
 
 
 class TestGateTrace:

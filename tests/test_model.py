@@ -1,4 +1,3 @@
-import copy
 import sys
 
 import numpy as np
@@ -125,7 +124,9 @@ class TestDirectionForward:
 
     def test_palindrome_with_mirrored_params(self):
         m = init_model(BI, 6, 3, 4, 4, seed=4)
-        m.bwd = copy.deepcopy(m.fwd)
+        for name, arr in m.blocks():  # the backward blocks copy the forward's
+            if name.startswith("bwd."):
+                arr[...] = m.params["fwd." + name.removeprefix("bwd.")]
         tokens = [0, 2, 3, 2]  # palindromic input sequence
         feature = np.array([0.1, -0.2, 0.3])
         rec_f = direction_forward(m, FORWARD, tokens, feature)
@@ -208,7 +209,7 @@ class TestSharedSoftmax:
         feature = np.ones(3)
         before_f = direction_forward(m, FORWARD, [0, 2], feature).probs[-1]
         before_b = direction_forward(m, BACKWARD, [0, 2], feature).probs[-1]
-        m.softmax_w += 0.05
+        m.softmax_w[...] += 0.05
         m.softmax_b[2] += 1.0
         after_f = direction_forward(m, FORWARD, [0, 2], feature).probs[-1]
         after_b = direction_forward(m, BACKWARD, [0, 2], feature).probs[-1]
@@ -432,3 +433,46 @@ class TestBlockNaming:
         c = m.copy()
         c.fwd.embedding[0, 0] = 99.0
         assert m.fwd.embedding[0, 0] != 99.0
+
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_copy_shares_no_array_and_views_its_own_table(self, arch):
+        m = random_model(arch, 9, 4, 5, 6, seed=2)
+        c = m.copy()
+        for (name, a), (_, b) in zip(m.blocks(), c.blocks()):
+            assert not np.shares_memory(a, b), name
+            np.testing.assert_array_equal(a, b)
+        own = {id(arr) for arr in c.params.values()}
+        views = [c.softmax_w, c.softmax_b]
+        for d in (c.fwd, c.bwd):
+            views += [d.embedding, *vars(d.t_lstm).values(),
+                      *vars(d.m_lstm).values()]
+            if d.transition is not None:
+                views += [w for w in vars(d.transition).values() if w is not None]
+        assert len(views) == len(own)
+        assert all(id(v) in own for v in views)
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("arch, widths, expected", [
+        (BI, None, (0, 0, 0)),
+        (BIS, None, (8, 8, 0)),
+        (BIF, (3, 2, 4), (3, 2, 4)),
+        (BIF, None, (4, 4, 4)),
+    ])
+    def test_dimensions_are_read_from_the_blocks(self, arch, widths, expected):
+        m = build_model(arch, 11, 5, 6, 8, bif_widths=widths)
+        assert (m.vocab_size, m.feature_dim, m.embed_dim, m.hidden_dim) == \
+            (11, 5, 6, 8)
+        assert m.transition_widths == expected
+
+    @pytest.mark.parametrize("attr", ["bwd", "softmax_w", "hidden_dim",
+                                      "params"])
+    def test_attributes_cannot_be_rebound(self, attr):
+        m = init_model(BIS, 6, 3, 4, 5, seed=1)
+        with pytest.raises(AttributeError):
+            setattr(m, attr, getattr(m, attr))
+
+    def test_blocks_cannot_be_rebound(self):
+        m = init_model(BIS, 6, 3, 4, 5, seed=1)
+        with pytest.raises(TypeError):
+            m.params["softmax_w"] = np.zeros((6, 5))
