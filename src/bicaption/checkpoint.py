@@ -40,26 +40,28 @@ _CODE_ARCHS = {code: arch for arch, code in _ARCH_CODES.items()}
 _HEADER = struct.Struct("<IB7I")
 
 
-def _digest(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=8).digest()
+def _digest(*parts) -> bytes:
+    """blake2b-64 of the parts' bytes, in order."""
+    digest = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        digest.update(part)
+    return digest.digest()
 
 
 def serialize_model(m: CaptionModel) -> bytes:
-    parts = [
-        MAGIC,
-        _HEADER.pack(VERSION, _ARCH_CODES[m.arch], m.vocab_size, m.feature_dim,
-                     m.embed_dim, m.hidden_dim, *m.transition_widths),
-    ]
-    for _, arr in m.blocks():
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    payload = b"".join(parts)
-    return payload + _digest(payload)
+    """The checkpoint as bytes. The blocks are hashed and joined straight
+    from their arrays, so the blob is the only copy made of them."""
+    header = MAGIC + _HEADER.pack(
+        VERSION, _ARCH_CODES[m.arch], m.vocab_size, m.feature_dim,
+        m.embed_dim, m.hidden_dim, *m.transition_widths)
+    blocks = [np.ascontiguousarray(arr, dtype="<f8") for _, arr in m.blocks()]
+    return b"".join([header, *blocks, _digest(header, *blocks)])
 
 
 def deserialize_model(blob: bytes) -> CaptionModel:
     if len(blob) < len(MAGIC) + _HEADER.size + 8:
         raise CheckpointError("checkpoint truncated")
-    payload, digest = blob[:-8], blob[-8:]
+    payload, digest = memoryview(blob)[:-8], blob[-8:]  # a view, no copy
     if _digest(payload) != digest:
         raise CheckpointError("checkpoint checksum mismatch")
     if payload[:len(MAGIC)] != MAGIC:

@@ -19,8 +19,8 @@ from . import data as data_mod
 from . import infer, metrics
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import BicaptionError, ConfigError, DataError, ShapeError
-from .model import (ArchitectureKind, BACKWARD, FORWARD, init_model,
-                    random_model)
+from .model import (ArchitectureKind, BACKWARD, FORWARD, check_dims,
+                    init_model, random_model)
 from .train import (TrainConfig, grad_check, make_state, mean_joint_loss,
                     train_epochs)
 
@@ -133,6 +133,9 @@ def cmd_train(args) -> int:
         seed=opt.get("seed", 0),
     )
     cfg.validate()  # before anything is read or written
+    hidden_dim = opt.get("hidden_dim", profile["hidden_dim"])
+    embed_dim = opt.get("embed_dim", hidden_dim)
+    check_dims(hidden_dim=hidden_dim, embed_dim=embed_dim)
 
     if args.val_features and not args.val_captions:
         raise ConfigError("--val-features needs --val-captions")
@@ -150,9 +153,6 @@ def cmd_train(args) -> int:
     val_set = data_mod.assemble_examples(vocab, val_captions, val_features)
 
     feature_dim = train_set[0].feature.shape[0]
-    hidden_dim = opt.get("hidden_dim", profile["hidden_dim"])
-    embed_dim = opt.get("embed_dim", hidden_dim)
-
     model = init_model(arch, vocab.size, feature_dim, embed_dim, hidden_dim,
                        seed=cfg.seed)
     out_dir = Path(args.out_dir)

@@ -144,6 +144,13 @@ def default_bif_widths(hidden_dim: int) -> tuple[int, int, int]:
     return (half, half, half)
 
 
+def check_dims(**dims: int) -> None:
+    """Refuse the first model dimension below 1, by its keyword's name."""
+    for label, dim in dims.items():
+        if dim < 1:
+            raise ConfigError(f"{label} must be >= 1, got {dim}")
+
+
 def block_shapes(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
                  embed_dim: int, hidden_dim: int,
                  bif_widths: tuple[int, int, int] | None = None
@@ -152,10 +159,8 @@ def block_shapes(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
     order. Nothing is allocated, so a checkpoint header's dimensions can be
     checked against its size before any block is built."""
     # hidden_dim before embed_dim, which defaults to it in the CLI
-    for label, dim in (("vocab_size", vocab_size), ("feature_dim", feature_dim),
-                       ("hidden_dim", hidden_dim), ("embed_dim", embed_dim)):
-        if dim < 1:
-            raise ConfigError(f"{label} must be >= 1, got {dim}")
+    check_dims(vocab_size=vocab_size, feature_dim=feature_dim,
+               hidden_dim=hidden_dim, embed_dim=embed_dim)
 
     H, G = hidden_dim, 4 * hidden_dim
     if arch == ArchitectureKind.BI_LSTM:

@@ -9,7 +9,13 @@ log_softmax is bitwise the vector call's result. A row of matvec is not: a
 matrix product rounds differently from a matrix-vector product, so the two
 agree within 1e-12 relative.
 All functions are pure; none mutate their inputs.
+
+Importing this module also keeps freed heap memory mapped on glibc (see
+`_keep_freed_memory_mapped`).
 """
+
+import ctypes
+import platform
 
 import numpy as np
 
@@ -26,6 +32,30 @@ from .errors import ShapeError
 # one product.
 PANEL_HEIGHT = 128
 PANEL_MAX_ROWS = 7
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Serve arrays below 32 MiB from the heap, and give its free top back
+    to the kernel only above 1 GiB. A training batch frees its per-example
+    gradients (~380 MB for 8 bi-f-lstm examples at V=2000, F=1024,
+    E=H=256). With glibc's defaults the heap top is trimmed after each
+    batch and the next batch faults it back in: ~59k minor faults per such
+    batch (glibc 2.36, 2-core Xeon), at most a few hundred with these
+    settings. Arrays of 32 MiB or more are still mapped fresh on each
+    allocation. Does nothing on a libc other than glibc."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_memory_mapped()
 
 
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -129,26 +129,53 @@ def mean_joint_loss(m: CaptionModel, examples) -> float:
     return sum(joint_loss(m, ex).total for ex in examples) / len(examples)
 
 
+# Float64 elements per slab: 256 KiB, so a slab of every operand of the
+# batch mean or the update stays inside a 2 MiB L2 while it is worked on.
+SLAB_SIZE = 1 << 15
+
+
+def _slabs(shape: tuple[int, ...]) -> list[slice]:
+    """Leading-axis slices that cover an array of this shape in slabs of at
+    most SLAB_SIZE elements, or of one leading index where that is larger.
+    A leading-axis slice is a view whatever the strides, so an in-place
+    operation on it writes through to the array."""
+    rows = max(1, SLAB_SIZE // math.prod(shape[1:]))
+    return [slice(s, s + rows) for s in range(0, shape[0], rows)]
+
+
 def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
-    """Mean of per-example gradient dicts; the inputs are left unchanged."""
+    """Mean of per-example gradient dicts; the inputs are left unchanged.
+    Every dict must hold the first one's blocks in the first one's shapes.
+    Each block is summed in example order, then scaled, one slab at a time,
+    so the running sum stays in cache while the examples stream past it."""
     if not grad_list:
         raise DataError("no gradients to accumulate")
-    first, *rest = grad_list  # the first sum makes the output arrays
-    out = {name: g + rest[0][name] if rest else g.copy()
-           for name, g in first.items()}
-    for grads in rest[1:]:
-        for name, g in grads.items():
-            out[name] += g
+    first = grad_list[0]
+    for i, grads in enumerate(grad_list[1:], 1):
+        for name in {**first, **grads}:  # the first dict's names, then extras
+            shape = grads[name].shape if name in grads else "absent"
+            want = first[name].shape if name in first else "absent"
+            if shape != want:
+                raise ShapeError(f"gradient dict {i} block {name} has shape "
+                                 f"{shape}, dict 0 {want}")
     scale = 1.0 / len(grad_list)
-    for name in out:
-        out[name] *= scale
+    out = {}
+    for name, g in first.items():
+        total = out[name] = np.empty(g.shape)
+        for s in _slabs(total.shape):
+            acc = total[s]
+            acc[...] = g[s]
+            for grads in grad_list[1:]:
+                acc += grads[name][s]
+            acc *= scale
     return out
 
 
 def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
              cfg: TrainConfig) -> TrainState:
     """v <- mu*v - eta*(g + lambda*theta); theta <- theta + v, biases without
-    decay. Nothing moves unless every gradient fits a block and is finite."""
+    decay. Nothing moves unless every gradient fits a block and is finite.
+    Each block is updated one slab at a time, through one scratch slab."""
     params = state.model.params
     for name, g in grads.items():
         shape = params[name].shape if name in params else "absent"
@@ -163,17 +190,23 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
             scale = cfg.grad_clip / norm
             grads = {name: g * scale for name, g in grads.items()}
 
+    # a slab holds at most SLAB_SIZE elements, or one leading index's
+    scratch = np.empty(max([SLAB_SIZE, *(math.prod(g.shape[1:])
+                                         for g in grads.values())]))
     for name, g in grads.items():
         arr, v = params[name], state.velocity[name]
-        if is_bias_block(name):
-            step = g * cfg.learning_rate
-        else:  # eta*(lambda*theta + g), in one temporary
-            step = cfg.weight_decay * arr
-            step += g
-            step *= cfg.learning_rate
-        v *= cfg.momentum
-        v -= step
-        arr += v
+        for s in _slabs(arr.shape):
+            a, vs, gs = arr[s], v[s], g[s]
+            step = scratch[:a.size].reshape(a.shape)
+            if is_bias_block(name):
+                np.multiply(gs, cfg.learning_rate, out=step)
+            else:  # eta*(lambda*theta + g)
+                np.multiply(a, cfg.weight_decay, out=step)
+                step += gs
+                step *= cfg.learning_rate
+            vs *= cfg.momentum
+            vs -= step
+            a += vs
     state.updates += 1
     return state
 

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from bicaption.checkpoint import (deserialize_model, load_checkpoint,
                                   save_checkpoint, serialize_model)
 from bicaption.data import make_toy_dataset
 from bicaption.errors import BicaptionError, CheckpointError
-from bicaption.model import (ArchitectureKind, block_shapes, init_model,
-                             random_model)
+from bicaption.model import (ArchitectureKind, CaptionModel, block_shapes,
+                             init_model, random_model)
 from bicaption.train import TrainConfig, make_state, train_epochs
 
 # magic, then version u32, arch u8 and seven u32 dimensions
@@ -107,6 +108,34 @@ class TestRoundTrip:
                             path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_bytes_independent_of_block_memory_order(self):
+        # blocks are written row-major whatever their strides, and any
+        # bytes-like blob loads
+        m = random_model(ArchitectureKind.BI_S_LSTM, 9, 4, 5, 6, seed=3)
+        blob = serialize_model(m)
+        assert type(blob) is bytes
+        assert serialize_model(CaptionModel(m.arch, {
+            name: np.asfortranarray(arr) for name, arr in m.blocks()})) == blob
+        assert_models_equal(deserialize_model(bytearray(blob)), m)
+
+    def test_one_copy_of_the_blocks_each_way(self):
+        # a save allocates the blob and a load the model's blocks, each
+        # about the blocks' size; no per-block bytes or payload slice besides
+        m = init_model(ArchitectureKind.BI_LSTM, 2000, 64, 64, 64)
+        size = 8 * sum(arr.size for _, arr in m.blocks())
+        tracemalloc.start()
+        try:
+            blob = serialize_model(m)
+            _, peak_save = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            deserialize_model(blob)
+            _, peak_load = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak_save < 1.25 * size
+        assert peak_load - base < 1.25 * size
 
     def test_serialization_is_deterministic(self):
         m = init_model(ArchitectureKind.BI_S_LSTM, 6, 3, 4, 4, seed=5)

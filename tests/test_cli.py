@@ -131,6 +131,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err == f"error: hidden_dim must be >= 1, got {value}\n"
 
+    @pytest.mark.parametrize("flags, line", [
+        (["--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+        (["--embed-dim", "-1"], "embed_dim must be >= 1, got -1"),
+    ])
+    def test_model_size_checked_before_any_file_is_read(self, flags, line,
+                                                        tmp_path, capsys):
+        rc = main(["train", "--captions", str(tmp_path / "nope.tsv"),
+                   "--features", str(tmp_path / "nope.feat"),
+                   "--out-dir", str(tmp_path / "run"), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_val_features_without_val_captions_rejected(self, tmp_path,
                                                         capsys):
         vocab, examples = make_toy_dataset(4, 12, 7, seed=1)

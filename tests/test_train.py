@@ -1,4 +1,6 @@
 import math
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ import pytest
 import bicaption.train as train_mod
 from bicaption.data import CaptionedExample, make_toy_dataset
 from bicaption.errors import ConfigError, DataError, ShapeError, TrainingError
-from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
-                             init_model, random_model)
-from bicaption.train import (BlockCheck, TrainConfig, accumulate_grads,
+from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, CaptionModel,
+                             build_model, init_model, random_model)
+from bicaption.train import (SLAB_SIZE, BlockCheck, TrainConfig,
+                             accumulate_grads,
                              direction_io, grad_check, joint_backward,
                              joint_loss, make_state, mean_joint_loss,
                              sgd_step, train_epochs)
@@ -183,15 +186,20 @@ class TestSgdStep:
         assert all(not v.any() for v in state.velocity.values())
         assert state.updates == 0
 
+    @pytest.mark.parametrize("vocab", [6, 2 * SLAB_SIZE + 7])
     @pytest.mark.parametrize("clip", [None, 0.5])
-    def test_bitwise_reference_update(self, clip):
+    def test_bitwise_reference_update(self, clip, vocab):
         # v = mu*v - lr*(g + wd*theta); theta += v, biases without decay,
-        # on random blocks over three steps
+        # on random blocks over three steps. softmax_w is Fortran-ordered;
+        # at the large vocabulary it and softmax_b span several slabs with a
+        # ragged last one, and each embedding row is over a slab by itself
         lr, mu, wd = 0.03, 0.9, 0.0005
         cfg = TrainConfig(learning_rate=lr, momentum=mu, weight_decay=wd,
                           grad_clip=clip)
-        state = make_state(random_model(ArchitectureKind.BI_S_LSTM, 6, 3, 4, 5,
-                                        seed=1))
+        m = random_model(ArchitectureKind.BI_S_LSTM, vocab, 3, 4, 5, seed=1)
+        state = make_state(CaptionModel(m.arch, {
+            **m.params, "softmax_w": np.asfortranarray(m.softmax_w)}))
+        assert not state.model.softmax_w.flags.c_contiguous
         theta = {n: a.copy() for n, a in state.model.blocks()}
         vel = {n: np.zeros_like(a) for n, a in theta.items()}
         rng = np.random.default_rng(2)
@@ -222,22 +230,62 @@ class TestAccumulateGrads:
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_inputs_unchanged_and_bitwise_mean(self, n):
+        # "tall" and "long" span several slabs with a ragged last one; the
+        # first dict's "t" is a transposed (Fortran-ordered) view
         rng = np.random.default_rng(n)
-        grad_list = [{"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+        grad_list = [{"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4),
+                      "tall": rng.normal(size=(SLAB_SIZE // 500, 1000)),
+                      "long": rng.normal(size=2 * SLAB_SIZE + 5),
+                      "t": rng.normal(size=(40, 1000))}
                      for _ in range(n)]
         grad_list[0]["b"][0] = -0.0
+        grad_list[0]["t"] = rng.normal(size=(1000, 40)).T
+        assert not grad_list[0]["t"].flags.c_contiguous
         kept = [{k: g.copy() for k, g in grads.items()} for grads in grad_list]
         out = accumulate_grads(grad_list)
         for grads, old in zip(grad_list, kept):
             for k in grads:
                 assert grads[k].tobytes() == old[k].tobytes()
-        for k in ("w", "b"):
+        for k in grad_list[0]:
             ref = grad_list[0][k].copy()
             for grads in grad_list[1:]:
                 ref += grads[k]
             ref *= 1.0 / n
             assert out[k].tobytes() == ref.tobytes()
             assert not any(np.shares_memory(out[k], g[k]) for g in grad_list)
+
+    @pytest.mark.parametrize("later, named", [
+        ({"w": np.ones((3, 4))}, "b"),  # lacks a block
+        ({"w": np.ones((1, 4)), "b": np.ones(4)}, "w"),  # would broadcast
+        ({"w": np.ones((3, 4)), "b": np.ones(4), "u": np.ones(2)}, "u"),
+    ])
+    def test_disagreeing_dicts_refused(self, later, named):
+        first = {"w": np.zeros((3, 4)), "b": np.zeros(4)}
+        with pytest.raises(ShapeError, match=f"dict 2 block {named} has"):
+            accumulate_grads([first, first, later])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="freed memory is kept mapped on glibc only")
+def test_training_batches_reuse_freed_memory():
+    # once two batches have grown the heap, a batch takes its gradients from
+    # memory the last one freed instead of faulting fresh pages in (glibc's
+    # default trimming costs ~4,650 minor faults per batch at this size)
+    vocab, feat, width = 500, 256, 64
+    state = make_state(init_model(ArchitectureKind.BI_F_LSTM, vocab, feat,
+                                  width, width, seed=0))
+    rng = np.random.default_rng(0)
+    batches = [[CaptionedExample("x", rng.random(feat), [
+        int(t) for t in rng.integers(2, vocab, size=n)])
+        for n in range(8, 16)] for _ in range(5)]
+    faults = []
+    for batch in batches:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sgd_step(state, accumulate_grads([joint_backward(state.model, ex)[1]
+                                          for ex in batch]), TrainConfig())
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    assert max(faults[2:]) < 200, faults
 
 
 class TestTrainEpochs:
