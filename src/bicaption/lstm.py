@@ -16,8 +16,9 @@ traces. Every gate function is elementwise, so the activations it forms on
 a row of a (T, 4H) block are bit for bit those the step formed on that row
 alone. The backward pass forms every factor that does not read the carried
 gradients (the activations, tanh(c) and the gate slopes) once per
-sequence; a step does only the arithmetic on the carried dh and dc, and the
-weight and input gradients are formed once per sequence from its rows.
+sequence; a step does only the arithmetic on the carried dh and dc. It
+returns rows, from which `train.accumulate_grads` forms each weight
+gradient as one product over a whole batch.
 
 `sequence_forward` and `sequence_backward` are the one recurrence of both
 LSTM layers, text and multimodal, in every architecture. Only the
@@ -64,17 +65,6 @@ class LstmTrace:
 
     def __len__(self) -> int:
         return len(self.a)
-
-
-@dataclass
-class LstmGrads:
-    """Parameter gradients summed over time, plus per-step input gradients
-    (one row per step)."""
-
-    dWx: np.ndarray
-    dWh: np.ndarray
-    db: np.ndarray
-    dx_seq: np.ndarray
 
 
 def input_drive(p: LstmParams, x: np.ndarray) -> np.ndarray:
@@ -139,18 +129,17 @@ def cell_backward(p: LstmParams, rows, dh: np.ndarray, dc: np.ndarray):
     return da, p.Wh.T @ da, dc_total * f
 
 
-def sequence_backward(p: LstmParams, tr: LstmTrace, dh_seq, dWx=None,
-                      V=None) -> LstmGrads:
+def sequence_backward(p: LstmParams, tr: LstmTrace, dh_seq, V=None):
     """Backpropagation through time over a recorded forward pass.
 
-    dh_seq[t] is the loss gradient flowing into h_t from layers above. The
-    input-weight gradient is written into `dWx` when given (a view of a
-    wider block, say), else into a new array. V is given when the input reads the cell's own
-    previous state, x_t = U @ below_t + V @ h_{t-1}: each step's input
-    gradient Wx.T @ da_t then also flows into h_{t-1} as V.T @ dx_t.
-    Without V, the input gradients are one product after the loop. The
-    weight gradients are one product each with the trace's input and
-    previous hidden rows.
+    dh_seq[t] is the loss gradient flowing into h_t from layers above.
+    Returns the rows (da, dx): da[t] is the gradient of step t's gate
+    pre-activations and dx[t] that of its input. The weight gradients are
+    da.T @ tr.x (Wx), da.T @ tr.hs[:-1] (Wh) and da's column sum (b). V is
+    given when the input reads the cell's own previous state,
+    x_t = U @ below_t + V @ h_{t-1}: each step's input gradient
+    Wx.T @ da_t then also flows into h_{t-1} as V.T @ dx_t. Without V, the
+    input gradients are one product after the loop.
     """
     T, H = len(tr), p.hidden_dim
     if len(dh_seq) != T:
@@ -177,7 +166,4 @@ def sequence_backward(p: LstmParams, tr: LstmTrace, dh_seq, dWx=None,
             dh_carry = dh_carry + V.T @ dx[t]
     if V is None:
         np.matmul(da, p.Wx, out=dx)
-    if dWx is None:
-        dWx = np.empty_like(p.Wx)
-    return LstmGrads(np.matmul(da.T, tr.x, out=dWx), da.T @ tr.hs[:-1],
-                     da.sum(axis=0), dx)
+    return da, dx

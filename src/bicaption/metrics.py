@@ -153,6 +153,8 @@ def _query_ranks(sm: ScoreMatrix, ground_truth: dict[int, set[int]],
                 gt.setdefault(s, set()).add(img)
     else:
         raise MetricError(f"unknown retrieval direction {direction!r}")
+    if not grid.shape[0]:
+        raise MetricError(f"no queries to rank in direction {direction}")
 
     ranks = []
     for q in range(grid.shape[0]):

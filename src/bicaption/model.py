@@ -23,12 +23,14 @@ on its output, except for bi-s-lstm, whose transition reads the previous
 M-LSTM state, so that `unroll` calls `step` once per time step. `step` also
 runs each decoding step, on one row per live hypothesis. `model_backward`
 runs `lstm.sequence_backward` for both LSTMs, so each LSTM's recurrence is
-written once, in `lstm`. A row of a (T, .) product rounds differently from
-a product of that row alone, so decoding and teacher forcing agree to
-rounding (1e-12 relative), not bit for bit.
+written once, in `lstm`, and returns every block's gradient as rows, which
+`train.accumulate_grads` makes dense over a batch. A row of a (T, .)
+product rounds differently from a product of that row alone, so decoding
+and teacher forcing agree to rounding (1e-12 relative), not bit for bit.
 """
 
 import enum
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -132,6 +134,11 @@ def _direction_params(p: Mapping[str, np.ndarray],
         p[f"{prefix}.trans.U"], p[f"{prefix}.trans.V"], p.get(f"{prefix}.trans.W"))
     return DirectionParams(p[f"{prefix}.embedding"], lstm("t_lstm"),
                            lstm("m_lstm"), trans)
+
+
+# an embedding block's gradient as rows: row t of `rows` is added to column
+# ids[t] of a (rows' width x columns) block
+Scatter = namedtuple("Scatter", "rows ids columns")
 
 
 def is_bias_block(name: str) -> bool:
@@ -352,12 +359,16 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
 
 
 def model_backward(m: CaptionModel, rec: ForwardPassRecord,
-                   targets) -> dict[str, np.ndarray]:
+                   targets) -> dict:
     """Gradients of the summed cross-entropy  sum_t -log probs[t][targets[t]]
-    for the record's direction, keyed by block name (softmax included).
+    for the record's direction, keyed by block name (softmax included), as
+    rows that `train.accumulate_grads` makes dense: a weight's is a tuple of
+    (left, right) pairs, left.T @ right for each run of its columns in
+    order; a bias's is the column sum of its rows; an embedding's is a
+    `Scatter` of the T-LSTM's input gradients onto their token ids.
     Each LSTM runs `sequence_backward`, the M-LSTM on its text columns
     alone: their input gradient feeds the transition, and the image
-    columns' dWx is db (x) feature."""
+    columns' gradient is db (x) feature, the pair (db row, feature row)."""
     targets = list(targets)
     T = len(rec)
     if len(targets) != T:
@@ -368,48 +379,45 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
     tw = d.m_lstm.input_dim - m.feature_dim  # text-side width
     tr_params = d.transition
     bi_s = m.arch == ArchitectureKind.BI_S_LSTM
+    t_tr, m_tr = rec.t_trace, rec.m_trace
 
     dlogits = rec.probs.copy()
     dlogits[np.arange(T), targets] -= 1.0
-    dmWx = np.empty_like(d.m_lstm.Wx)
-    m_grads = sequence_backward(
-        LstmParams(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, d.m_lstm.b),
-        rec.m_trace, dlogits @ m.softmax_w, dmWx[:, :tw],
-        tr_params.V if bi_s else None)
-    np.multiply.outer(m_grads.db, rec.feature, out=dmWx[:, tw:])
-    d_text = m_grads.dx_seq
+    m_da, d_text = sequence_backward(
+        LstmParams(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, d.m_lstm.b), m_tr,
+        dlogits @ m.softmax_w, tr_params.V if bi_s else None)
 
-    h1s = rec.t_trace.hs[1:]
+    h1s = t_tr.hs[1:]
     trans = {}
     if m.arch == ArchitectureKind.BI_LSTM:
         dh1 = d_text
     elif bi_s:
-        trans["U"] = d_text.T @ h1s
-        trans["V"] = d_text.T @ rec.m_trace.hs[:-1]
+        trans["U"] = (d_text, h1s)
+        trans["V"] = (d_text, m_tr.hs[:-1])
         dh1 = d_text @ tr_params.U
     else:
         ww = tr_params.W.shape[0]
         dpre = d_text * (rec.transition_preacts > 0.0)
         dpre_w, dpre_v = dpre[:, :ww], dpre[:, ww:]
         du = dpre_v @ tr_params.V
-        trans["U"] = du.T @ h1s
-        trans["V"] = dpre_v.T @ (h1s @ tr_params.U.T)
-        trans["W"] = dpre_w.T @ h1s
+        trans["U"] = (du, h1s)
+        trans["V"] = (dpre_v, h1s @ tr_params.U.T)
+        trans["W"] = (dpre_w, h1s)
         dh1 = dpre_w @ tr_params.W + du @ tr_params.U
 
-    t_grads = sequence_backward(d.t_lstm, rec.t_trace, dh1)
-    d_emb = np.zeros_like(d.embedding)
-    np.add.at(d_emb.T, rec.tokens, t_grads.dx_seq)
-
+    t_da, t_dx = sequence_backward(d.t_lstm, t_tr, dh1)
     return {
-        f"{prefix}.embedding": d_emb,
-        f"{prefix}.t_lstm.Wx": t_grads.dWx,
-        f"{prefix}.t_lstm.Wh": t_grads.dWh,
-        f"{prefix}.t_lstm.b": t_grads.db,
-        f"{prefix}.m_lstm.Wx": dmWx,
-        f"{prefix}.m_lstm.Wh": m_grads.dWh,
-        f"{prefix}.m_lstm.b": m_grads.db,
-        "softmax_w": dlogits.T @ rec.m_trace.hs[1:],
-        "softmax_b": dlogits.sum(axis=0),
-        **{f"{prefix}.trans.{name}": g for name, g in trans.items()},
+        f"{prefix}.embedding": Scatter(t_dx, np.array(rec.tokens),
+                                       m.vocab_size),
+        f"{prefix}.t_lstm.Wx": ((t_da, t_tr.x),),
+        f"{prefix}.t_lstm.Wh": ((t_da, t_tr.hs[:-1]),),
+        f"{prefix}.t_lstm.b": t_da,
+        f"{prefix}.m_lstm.Wx": ((m_da, m_tr.x),
+                                (m_da.sum(axis=0, keepdims=True),
+                                 rec.feature[None])),
+        f"{prefix}.m_lstm.Wh": ((m_da, m_tr.hs[:-1]),),
+        f"{prefix}.m_lstm.b": m_da,
+        "softmax_w": ((dlogits, m_tr.hs[1:]),),
+        "softmax_b": dlogits,
+        **{f"{prefix}.trans.{name}": (pair,) for name, pair in trans.items()},
     }

@@ -40,13 +40,13 @@ _M_MMAP_THRESHOLD = -3
 
 def _keep_freed_memory_mapped() -> None:
     """Serve arrays below 32 MiB from the heap, and give its free top back
-    to the kernel only above 1 GiB. A training batch frees its per-example
-    gradients (~380 MB for 8 bi-f-lstm examples at V=2000, F=1024,
-    E=H=256). With glibc's defaults the heap top is trimmed after each
-    batch and the next batch faults it back in: ~59k minor faults per such
-    batch (glibc 2.36, 2-core Xeon), at most a few hundred with these
-    settings. Arrays of 32 MiB or more are still mapped fresh on each
-    allocation. Does nothing on a libc other than glibc."""
+    to the kernel only above 1 GiB. A training batch frees its dense mean
+    gradients and its examples' gradient rows (~47 and ~14 MB for 8
+    bi-f-lstm examples at V=2000, F=1024, E=H=256). With glibc's defaults
+    the heap top is trimmed after each batch and the next batch faults it
+    back in: ~10k minor faults per such batch, ~9k in the mean (glibc 2.36,
+    2-core Xeon), at most ~70 with these settings. Arrays of 32 MiB or more
+    are still mapped fresh on each allocation. Does nothing on other libcs."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

@@ -1,6 +1,7 @@
 """Joint two-direction training: SGD with momentum and weight decay over
 the summed forward+backward cross-entropy loss, plus the finite-difference
-gradient checker used to validate the analytic backward pass.
+gradient checker used to validate the analytic backward pass. An example's
+gradients are rows; `accumulate_grads` alone makes them dense, per batch.
 """
 
 import math
@@ -12,7 +13,7 @@ from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
 from .lstm import sequence_forward
 from .model import (ArchitectureKind, BACKWARD, CaptionModel,
-                    DIRECTION_PREFIX, FORWARD, ForwardPassRecord,
+                    DIRECTION_PREFIX, FORWARD, ForwardPassRecord, Scatter,
                     direction_forward, image_input, is_bias_block,
                     model_backward, softmax_logits, unroll)
 from .numcore import log_softmax
@@ -108,17 +109,17 @@ def joint_loss(m: CaptionModel, ex: CaptionedExample) -> JointLoss:
 
 
 def joint_backward(m: CaptionModel,
-                   ex: CaptionedExample) -> tuple[JointLoss, dict[str, np.ndarray]]:
-    """Loss plus gradients of the joint loss for every parameter block."""
+                   ex: CaptionedExample) -> tuple[JointLoss, dict]:
+    """Loss plus the joint loss's gradient rows (`model.model_backward`),
+    the shared softmax's forward rows before its backward ones."""
     if not ex.tokens:
         raise DataError(f"example {ex.image_id!r} has an empty caption")
     rec_f, tgt_f, lf = _direction_pass(m, ex, FORWARD)
     rec_b, tgt_b, lb = _direction_pass(m, ex, BACKWARD)
     grads = model_backward(m, rec_f, tgt_f)
     for name, g in model_backward(m, rec_b, tgt_b).items():
-        if name in grads:  # the shared softmax, summed in place
-            g += grads[name]
-        grads[name] = g
+        grads[name] = (_zip_rows(np.concatenate, [grads[name], g])
+                       if name in grads else g)
     return JointLoss(loss_fwd=lf, loss_bwd=lb), grads
 
 
@@ -130,7 +131,7 @@ def mean_joint_loss(m: CaptionModel, examples) -> float:
 
 
 # Float64 elements per slab: 256 KiB, so a slab of every operand of the
-# batch mean or the update stays inside a 2 MiB L2 while it is worked on.
+# update stays inside a 2 MiB L2 while it is worked on.
 SLAB_SIZE = 1 << 15
 
 
@@ -143,31 +144,52 @@ def _slabs(shape: tuple[int, ...]) -> list[slice]:
     return [slice(s, s + rows) for s in range(0, shape[0], rows)]
 
 
+def _zip_rows(fn, values: list):
+    """One block's gradient rows (`model.model_backward`) from a list of
+    them, in their structure: fn of each row block's list of arrays, and
+    the first one's embedding column count."""
+    g = values[0]
+    if isinstance(g, np.ndarray):
+        return fn(values)
+    if isinstance(g, int):
+        return g
+    parts = [_zip_rows(fn, list(part)) for part in zip(*values)]
+    return Scatter(*parts) if isinstance(g, Scatter) else tuple(parts)
+
+
 def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
-    """Mean of per-example gradient dicts; the inputs are left unchanged.
-    Every dict must hold the first one's blocks in the first one's shapes.
-    Each block is summed in example order, then scaled, one slab at a time,
-    so the running sum stays in cache while the examples stream past it."""
+    """Mean of per-example gradient rows (`joint_backward`) as dense
+    blocks; the inputs are left unchanged. Every example must hold the
+    first one's blocks with rows of the first one's widths. A block's rows
+    are stacked in example order and scaled by 1/B: a weight is then one
+    product per run of its columns, a bias one sum, an embedding one
+    scatter."""
     if not grad_list:
         raise DataError("no gradients to accumulate")
     first = grad_list[0]
     for i, grads in enumerate(grad_list[1:], 1):
         for name in {**first, **grads}:  # the first dict's names, then extras
-            shape = grads[name].shape if name in grads else "absent"
-            want = first[name].shape if name in first else "absent"
-            if shape != want:
-                raise ShapeError(f"gradient dict {i} block {name} has shape "
-                                 f"{shape}, dict 0 {want}")
+            widths, want = (
+                _zip_rows(lambda rows: rows[0].shape[1:], [g[name]])
+                if name in g else "absent" for g in (grads, first))
+            if widths != want:
+                raise ShapeError(f"gradient dict {i} block {name} has rows "
+                                 f"{widths}, dict 0 {want}")
     scale = 1.0 / len(grad_list)
     out = {}
-    for name, g in first.items():
-        total = out[name] = np.empty(g.shape)
-        for s in _slabs(total.shape):
-            acc = total[s]
-            acc[...] = g[s]
-            for grads in grad_list[1:]:
-                acc += grads[name][s]
-            acc *= scale
+    for name in first:
+        g = _zip_rows(np.concatenate, [grads[name] for grads in grad_list])
+        if isinstance(g, Scatter):
+            out[name] = np.zeros((g.rows.shape[1], g.columns))
+            np.add.at(out[name].T, g.ids, g.rows * scale)
+        elif isinstance(g, np.ndarray):
+            out[name] = g.sum(axis=0) * scale
+        else:  # one product per run of columns, into those columns
+            ends = np.cumsum([right.shape[1] for _, right in g])
+            out[name] = np.empty((g[0][0].shape[1], ends[-1]))
+            runs = np.split(out[name], ends[:-1], axis=1)
+            for (left, right), cols in zip(g, runs):
+                np.matmul((left * scale).T, right, out=cols)
     return out
 
 
@@ -175,7 +197,8 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
              cfg: TrainConfig) -> TrainState:
     """v <- mu*v - eta*(g + lambda*theta); theta <- theta + v, biases without
     decay. Nothing moves unless every gradient fits a block and is finite.
-    Each block is updated one slab at a time, through one scratch slab."""
+    Each block is updated one slab at a time, through scratch slabs; a
+    clipped gradient is scaled one slab at a time too."""
     params = state.model.params
     for name, g in grads.items():
         shape = params[name].shape if name in params else "absent"
@@ -184,20 +207,22 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in block {name}")
 
+    clip = None
     if cfg.grad_clip is not None:
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if norm > cfg.grad_clip:
-            scale = cfg.grad_clip / norm
-            grads = {name: g * scale for name, g in grads.items()}
+            clip = cfg.grad_clip / norm
 
     # a slab holds at most SLAB_SIZE elements, or one leading index's
-    scratch = np.empty(max([SLAB_SIZE, *(math.prod(g.shape[1:])
-                                         for g in grads.values())]))
+    scratch = np.empty((2, max([SLAB_SIZE, *(math.prod(g.shape[1:])
+                                             for g in grads.values())])))
     for name, g in grads.items():
         arr, v = params[name], state.velocity[name]
         for s in _slabs(arr.shape):
             a, vs, gs = arr[s], v[s], g[s]
-            step = scratch[:a.size].reshape(a.shape)
+            step, clipped = (row[:a.size].reshape(a.shape) for row in scratch)
+            if clip is not None:
+                gs = np.multiply(gs, clip, out=clipped)
             if is_bias_block(name):
                 np.multiply(gs, cfg.learning_rate, out=step)
             else:  # eta*(lambda*theta + g)
@@ -373,7 +398,7 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
         raise ConfigError(f"tolerance must be positive and finite, "
                           f"got {tolerance}")
 
-    _, analytic = joint_backward(m, ex)
+    analytic = accumulate_grads([joint_backward(m, ex)[1]])
     report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
     base = {direction: _fd_direction(m, ex, direction)
             for direction in (FORWARD, BACKWARD)}

@@ -164,6 +164,12 @@ class TestSequenceForward:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def weight_grads(tr, da):
+    """(dWx, dWh, db): the weight gradients of sequence_backward's da rows
+    over the trace they came from."""
+    return da.T @ tr.x, da.T @ tr.hs[:-1], da.sum(axis=0)
+
+
 def seq_loss(p, xs, dh_seq):
     """Scalar objective: weighted sum of hidden outputs, so its analytic
     gradient is exactly sequence_backward's."""
@@ -176,10 +182,9 @@ class TestSequenceBackward:
         p, rng = random_params(3, 4, seed=14)
         xs = [rng.normal(size=3) for _ in range(3)]
         traces = sequence_forward(p, xs)
-        g = sequence_backward(p, traces, [np.zeros(4)] * 3)
-        np.testing.assert_array_equal(g.dWx, np.zeros_like(p.Wx))
-        np.testing.assert_array_equal(g.dWh, np.zeros_like(p.Wh))
-        np.testing.assert_array_equal(g.db, np.zeros_like(p.b))
+        da, dx = sequence_backward(p, traces, [np.zeros(4)] * 3)
+        np.testing.assert_array_equal(da, np.zeros((3, 16)))
+        np.testing.assert_array_equal(dx, np.zeros((3, 3)))
 
     def test_scalar_output_gate_bias_symbolic(self):
         # T=1, D=H=1: h = sigmoid(a_o) * tanh(c); with x=h_prev=c_prev
@@ -187,11 +192,11 @@ class TestSequenceBackward:
         p, rng = random_params(1, 1, seed=15)
         x = np.array([0.3])
         tr = sequence_forward(p, [x])
-        g = sequence_backward(p, tr, [np.ones(1)])
+        da, _ = sequence_backward(p, tr, [np.ones(1)])
         a_o = p.Wx[2, 0] * x[0] + p.b[2]
         s = 1.0 / (1.0 + math.exp(-a_o))
         expected = s * (1.0 - s) * math.tanh(tr.cs[1, 0])
-        assert abs(g.db[2] - expected) < 1e-14
+        assert abs(da[0, 2] - expected) < 1e-14
 
     def test_matches_finite_differences(self):
         p, rng = random_params(5, 6, seed=16)
@@ -199,17 +204,17 @@ class TestSequenceBackward:
         dh_seq = [rng.normal(size=6) for _ in range(4)]
 
         traces = sequence_forward(p, xs)
-        g = sequence_backward(p, traces, dh_seq)
+        da, dx = sequence_backward(p, traces, dh_seq)
 
         def loss():
             return seq_loss(p, xs, dh_seq)
 
-        for analytic, arr in ((g.dWx, p.Wx), (g.dWh, p.Wh), (g.db, p.b)):
+        for analytic, arr in zip(weight_grads(traces, da), (p.Wx, p.Wh, p.b)):
             numeric = central_difference_grad(loss, arr)
             assert max_rel_err(analytic, numeric) < 1e-5
         for t in range(4):
             numeric = central_difference_grad(loss, xs[t])
-            assert max_rel_err(g.dx_seq[t], numeric) < 1e-5
+            assert max_rel_err(dx[t], numeric) < 1e-5
 
     def test_gradcheck_twenty_seeds(self):
         # block-level agreement: the largest discrepancy in a block against
@@ -220,12 +225,13 @@ class TestSequenceBackward:
             xs = [rng.normal(size=3) for _ in range(5)]
             dh_seq = [rng.normal(size=4) for _ in range(5)]
             traces = sequence_forward(p, xs)
-            g = sequence_backward(p, traces, dh_seq)
+            da, _ = sequence_backward(p, traces, dh_seq)
 
             def loss():
                 return seq_loss(p, xs, dh_seq)
 
-            for analytic, arr in ((g.dWx, p.Wx), (g.dWh, p.Wh), (g.db, p.b)):
+            for analytic, arr in zip(weight_grads(traces, da),
+                                     (p.Wx, p.Wh, p.b)):
                 numeric = central_difference_grad(loss, arr)
                 err = np.max(np.abs(analytic - numeric))
                 scale = max(np.max(np.abs(analytic)),
@@ -241,25 +247,12 @@ class TestSequenceBackward:
         truncated = [d if t < k else np.zeros(4) for t, d in enumerate(dh_seq)]
 
         tr = sequence_forward(p, xs)
-        g_full = sequence_backward(p, tr, truncated)
-        g_short = sequence_backward(
-            p, LstmTrace(tr.x[:k], tr.a[:k], tr.cs[:k + 1], tr.hs[:k + 1]),
-            dh_seq[:k])
-        np.testing.assert_allclose(g_full.dWx, g_short.dWx, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(g_full.dWh, g_short.dWh, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(g_full.db, g_short.db, rtol=0, atol=1e-15)
-
-    def test_writes_dwx_into_given_block(self):
-        p, rng = random_params(3, 4, seed=19)
-        xs = [rng.normal(size=3) for _ in range(3)]
-        dh_seq = [rng.normal(size=4) for _ in range(3)]
-        traces = sequence_forward(p, xs)
-        wide = np.full((16, 5), 7.0)
-        g = sequence_backward(p, traces, dh_seq, wide[:, :3])
-        assert np.shares_memory(g.dWx, wide)
-        np.testing.assert_array_equal(
-            wide[:, :3], sequence_backward(p, traces, dh_seq).dWx)
-        np.testing.assert_array_equal(wide[:, 3:], 7.0)
+        short = LstmTrace(tr.x[:k], tr.a[:k], tr.cs[:k + 1], tr.hs[:k + 1])
+        g_full = weight_grads(tr, sequence_backward(p, tr, truncated)[0])
+        g_short = weight_grads(short,
+                               sequence_backward(p, short, dh_seq[:k])[0])
+        for full, part in zip(g_full, g_short):
+            np.testing.assert_allclose(full, part, rtol=0, atol=1e-15)
 
     def test_feedback_input_matches_finite_differences(self):
         # the cell's input reads its own previous state: u_t = U x_t + V h_{t-1}
@@ -282,9 +275,9 @@ class TestSequenceBackward:
             return sum(float(w @ h) for w, h in zip(dh_seq, forward().hs[1:]))
 
         tr = forward()
-        g = sequence_backward(p, tr, dh_seq, V=V)
-        blocks = ((g.dWx, p.Wx), (g.dWh, p.Wh), (g.db, p.b),
-                  (g.dx_seq.T @ np.array(xs), U), (g.dx_seq.T @ tr.hs[:-1], V))
+        da, dx = sequence_backward(p, tr, dh_seq, V=V)
+        blocks = (*zip(weight_grads(tr, da), (p.Wx, p.Wh, p.b)),
+                  (dx.T @ np.array(xs), U), (dx.T @ tr.hs[:-1], V))
         for analytic, arr in blocks:
             numeric = central_difference_grad(loss, arr)
             err = np.max(np.abs(analytic - numeric))

@@ -192,6 +192,16 @@ class TestRetrievalMetrics:
         with pytest.raises(MetricError):
             median_rank(sm, {0: {0}}, IMAGE_TO_SENTENCE)
 
+    @pytest.mark.parametrize("direction, shape", [
+        (IMAGE_TO_SENTENCE, (0, 3)), (SENTENCE_TO_IMAGE, (3, 0))])
+    def test_no_queries_rejected(self, direction, shape):
+        # no image rows, or no sentence columns: there is no rank to average
+        sm = matrix(np.zeros(shape))
+        with pytest.raises(MetricError, match="no queries"):
+            recall_at_k(sm, {}, 1, direction)
+        with pytest.raises(MetricError, match="no queries"):
+            median_rank(sm, {}, direction)
+
 
 class TestScorePair:
     def test_overfit_caption_beats_every_mismatch(self, toy_overfit):

@@ -11,7 +11,8 @@ from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
                              TransitionParams, build_model, direction_forward,
                              image_input, init_model, model_backward,
                              random_model, step, transition_forward)
-from bicaption.train import direction_io, joint_backward, joint_loss
+from bicaption.train import (accumulate_grads, direction_io, joint_backward,
+                             joint_loss)
 
 from oracles import (central_difference_grad, inline_bilstm_probs,
                      per_step_forward, rank1_model_backward)
@@ -253,14 +254,14 @@ class TestModelBackward:
         m = build_model(BI, 5, 2, 3, 3)
         m.softmax_b[0] = 1e4
         ex = CaptionedExample("x", np.zeros(2), [0])
-        _, grads = joint_backward(m, ex)
+        grads = accumulate_grads([joint_backward(m, ex)[1]])
         for name, g in grads.items():
             assert np.max(np.abs(g)) < 1e-9, name
 
     def test_single_step_softmax_ce_identity(self):
         m = random_model(BI, 2, 2, 3, 3, seed=9)
         rec = direction_forward(m, FORWARD, [0], np.ones(2))
-        grads = model_backward(m, rec, [1])
+        grads = accumulate_grads([model_backward(m, rec, [1])])
         expected = rec.probs[0].copy()
         expected[1] -= 1.0
         np.testing.assert_allclose(grads["softmax_b"], expected,
@@ -278,7 +279,7 @@ class TestModelBackward:
         rng = np.random.default_rng(12)
         ex = CaptionedExample("x", rng.uniform(-0.5, 0.5, 3),
                               [int(t) for t in rng.integers(2, 7, size=3)])
-        _, analytic = joint_backward(m, ex)
+        analytic = accumulate_grads([joint_backward(m, ex)[1]])
 
         def loss():
             return joint_loss(m, ex).total
@@ -293,15 +294,17 @@ class TestModelBackward:
     @pytest.mark.parametrize("make", [init_model, random_model])
     @pytest.mark.parametrize("arch", [BI, BIS, BIF])
     def test_matches_per_step_rank1_reference(self, arch, make):
-        # each weight gradient is one product over time; it must agree with
-        # per-step rank-1 accumulation to 1e-12 of the block's largest value
+        # each weight gradient is one product over the example's rows
+        # (accumulate_grads of the one example); it must agree with per-step
+        # rank-1 accumulation to 1e-12 of the block's largest value
         for seed in range(3):
             m = make(arch, 9, 4, 5, 6, seed=seed)
             rng = np.random.default_rng([seed, 7])
             ex = CaptionedExample(
                 "x", rng.uniform(-0.5, 0.5, 4),
                 [int(t) for t in rng.integers(2, 9, size=5 + seed)])
-            loss, grads = joint_backward(m, ex)
+            loss, rows = joint_backward(m, ex)
+            grads = accumulate_grads([rows])
 
             ref_losses, ref = [], {}
             for direction in (FORWARD, BACKWARD):
@@ -352,8 +355,8 @@ class TestOneRecurrencePerLstm:
 def assert_matches_per_step_pass(m, ex):
     """Teacher forcing (each product over a sequence's stacked rows) agrees
     with `per_step_forward` (one product per step): logits and losses to
-    1e-12 relative, every model_backward block to 1e-12 of its largest
-    value."""
+    1e-12 relative, every model_backward block, made dense by
+    accumulate_grads, to 1e-12 of its largest value."""
     loss = joint_loss(m, ex)
     for direction, got_loss in ((FORWARD, loss.loss_fwd),
                                 (BACKWARD, loss.loss_bwd)):
@@ -366,8 +369,8 @@ def assert_matches_per_step_pass(m, ex):
         ref_loss = -sum(numcore.log_softmax(z)[tgt]
                         for z, tgt in zip(ref.logits, targets))
         assert abs(got_loss - ref_loss) <= 1e-12 * abs(ref_loss)
-        grads = model_backward(m, rec, targets)
-        ref_grads = model_backward(m, ref, targets)
+        grads = accumulate_grads([model_backward(m, rec, targets)])
+        ref_grads = accumulate_grads([model_backward(m, ref, targets)])
         assert list(grads) == list(ref_grads)
         for name, g in grads.items():
             err = np.max(np.abs(g - ref_grads[name]))

@@ -1,6 +1,7 @@
 import math
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ import bicaption.train as train_mod
 from bicaption.data import CaptionedExample, make_toy_dataset
 from bicaption.errors import ConfigError, DataError, ShapeError, TrainingError
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, CaptionModel,
-                             build_model, init_model, random_model)
+                             Scatter, build_model, direction_forward,
+                             init_model, random_model)
 from bicaption.train import (SLAB_SIZE, BlockCheck, TrainConfig,
                              accumulate_grads,
                              direction_io, grad_check, joint_backward,
                              joint_loss, make_state, mean_joint_loss,
                              sgd_step, train_epochs)
 
-from oracles import _fd_loss_and_signs
+from oracles import _fd_loss_and_signs, rank1_model_backward
 
 BI = ArchitectureKind.BI_LSTM
 
@@ -220,49 +222,123 @@ class TestSgdStep:
             assert state.velocity[n].tobytes() == vel[n].tobytes(), n
 
 
+def rank1_batch_mean(m, batch):
+    """The mean over a batch of `rank1_model_backward`'s per-step gradients,
+    both directions of each example."""
+    total = {}
+    for ex in batch:
+        for direction in (FORWARD, BACKWARD):
+            inputs, targets = direction_io(ex.tokens, direction)
+            rec = direction_forward(m, direction, inputs, ex.feature)
+            for name, g in rank1_model_backward(m, rec, targets)[1].items():
+                total[name] = total[name] + g if name in total else g
+    return {name: g / len(batch) for name, g in total.items()}
+
+
+def row_arrays(grads):
+    """Every array of a dict of gradient rows, in a fixed order."""
+    out = []
+    for g in grads.values():
+        if isinstance(g, Scatter):
+            out += [g.rows, g.ids]
+        elif isinstance(g, np.ndarray):
+            out.append(g)
+        else:
+            out += [arr for pair in g for arr in pair]
+    return out
+
+
+# captions of ragged lengths; a token id repeats within an example (3, 7)
+# and across examples (3, 5, 2)
+BATCH_TOKENS = {1: [[4, 2, 4, 6]],
+                4: [[3, 5, 3], [5, 2, 7, 7, 4], [6], [3, 8, 2, 5]]}
+
+
 class TestAccumulateGrads:
     def test_mean_of_two(self):
-        a = {"x": np.array([2.0]), "y": np.array([0.0])}
-        b = {"x": np.array([4.0]), "y": np.array([2.0])}
+        # a weight of two column runs, a bias, and an embedding whose two
+        # rows of one example scatter onto one column
+        a = {"w": ((np.array([[1.0], [2.0]]), np.array([[1.0, 0.0],
+                                                         [0.0, 1.0]])),
+                   (np.array([[1.0]]), np.array([[4.0]]))),
+             "b": np.array([[2.0], [0.0]]),
+             "e": Scatter(np.array([[1.0], [3.0]]), np.array([2, 2]), 3)}
+        b = {"w": ((np.array([[3.0]]), np.array([[1.0, 1.0]])),
+                   (np.array([[2.0]]), np.array([[1.0]]))),
+             "b": np.array([[4.0]]),
+             "e": Scatter(np.array([[5.0]]), np.array([0]), 3)}
         out = accumulate_grads([a, b])
-        np.testing.assert_array_equal(out["x"], [3.0])
-        np.testing.assert_array_equal(out["y"], [1.0])
+        np.testing.assert_array_equal(out["w"], [[2.0, 2.5, 3.0]])
+        np.testing.assert_array_equal(out["b"], [3.0])
+        np.testing.assert_array_equal(out["e"], [[2.5, 0.0, 2.0]])
 
-    @pytest.mark.parametrize("n", [1, 2, 8])
-    def test_inputs_unchanged_and_bitwise_mean(self, n):
-        # "tall" and "long" span several slabs with a ragged last one; the
-        # first dict's "t" is a transposed (Fortran-ordered) view
-        rng = np.random.default_rng(n)
-        grad_list = [{"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4),
-                      "tall": rng.normal(size=(SLAB_SIZE // 500, 1000)),
-                      "long": rng.normal(size=2 * SLAB_SIZE + 5),
-                      "t": rng.normal(size=(40, 1000))}
-                     for _ in range(n)]
-        grad_list[0]["b"][0] = -0.0
-        grad_list[0]["t"] = rng.normal(size=(1000, 40)).T
-        assert not grad_list[0]["t"].flags.c_contiguous
-        kept = [{k: g.copy() for k, g in grads.items()} for grads in grad_list]
+    @pytest.mark.parametrize("size", sorted(BATCH_TOKENS))
+    @pytest.mark.parametrize("make", [init_model, random_model])
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_mean_matches_rank1_oracle(self, arch, make, size):
+        # within 1e-12 of each block's largest value; the inputs stay
+        # unchanged, the outputs share no memory with them, and a second
+        # call gives the same bytes
+        m = make(arch, 9, 4, 5, 6, seed=size)
+        rng = np.random.default_rng(size)
+        batch = [CaptionedExample(f"x{i}", rng.uniform(-0.5, 0.5, 4), tokens)
+                 for i, tokens in enumerate(BATCH_TOKENS[size])]
+        grad_list = [joint_backward(m, ex)[1] for ex in batch]
+        inputs = [arr for grads in grad_list for arr in row_arrays(grads)]
+        kept = [arr.tobytes() for arr in inputs]
         out = accumulate_grads(grad_list)
-        for grads, old in zip(grad_list, kept):
-            for k in grads:
-                assert grads[k].tobytes() == old[k].tobytes()
-        for k in grad_list[0]:
-            ref = grad_list[0][k].copy()
-            for grads in grad_list[1:]:
-                ref += grads[k]
-            ref *= 1.0 / n
-            assert out[k].tobytes() == ref.tobytes()
-            assert not any(np.shares_memory(out[k], g[k]) for g in grad_list)
+        ref = rank1_batch_mean(m, batch)
+        assert sorted(out) == sorted(name for name, _ in m.blocks())
+        for name, g in out.items():
+            err = np.max(np.abs(g - ref[name]))
+            scale = np.max(np.abs(ref[name]))
+            assert err <= 1e-12 * scale, f"{name}: {err} of {scale}"
+        assert [arr.tobytes() for arr in inputs] == kept
+        assert not any(np.shares_memory(g, arr)
+                       for g in out.values() for arr in inputs)
+        again = accumulate_grads(grad_list)
+        assert all(again[name].tobytes() == g.tobytes()
+                   for name, g in out.items())
 
-    @pytest.mark.parametrize("later, named", [
-        ({"w": np.ones((3, 4))}, "b"),  # lacks a block
-        ({"w": np.ones((1, 4)), "b": np.ones(4)}, "w"),  # would broadcast
-        ({"w": np.ones((3, 4)), "b": np.ones(4), "u": np.ones(2)}, "u"),
+    @pytest.mark.parametrize("change, named", [
+        ({"b": None}, "b"),  # lacks a block
+        ({"u": np.zeros((1, 2))}, "u"),  # adds one
+        ({"w": ((np.zeros((2, 2)), np.zeros((2, 4))),)}, "w"),  # left width
+        ({"w": ((np.zeros((2, 3)), np.zeros((2, 5))),)}, "w"),  # right width
+        ({"w": ((np.zeros((2, 3)), np.zeros((2, 4))),) * 2}, "w"),  # a run more
+        ({"b": np.zeros((2, 4))}, "b"),
+        ({"e": Scatter(np.zeros((2, 4)), np.array([0, 1]), 6)}, "e"),
+        ({"e": Scatter(np.zeros((2, 5)), np.array([0, 1]), 7)}, "e"),
     ])
-    def test_disagreeing_dicts_refused(self, later, named):
-        first = {"w": np.zeros((3, 4)), "b": np.zeros(4)}
+    def test_disagreeing_dicts_refused(self, change, named):
+        first = {"w": ((np.zeros((2, 3)), np.zeros((2, 4))),),
+                 "b": np.zeros((2, 3)),
+                 "e": Scatter(np.zeros((2, 5)), np.array([0, 1]), 6)}
+        later = {name: g for name, g in {**first, **change}.items()
+                 if g is not None}
         with pytest.raises(ShapeError, match=f"dict 2 block {named} has"):
             accumulate_grads([first, first, later])
+
+
+@pytest.mark.parametrize("length", [8, 16])
+def test_gradient_rows_hold_a_fraction_of_the_parameters(length):
+    # an example's gradients are rows, not dense blocks: the model's
+    # parameters take ~3 MB here, a dense gradient dict as much
+    vocab, feat, width = 500, 256, 64
+    m = init_model(ArchitectureKind.BI_F_LSTM, vocab, feat, width, width,
+                   seed=0)
+    rng = np.random.default_rng(length)
+    ex = CaptionedExample("x", rng.random(feat), [
+        int(t) for t in rng.integers(2, vocab, size=length)])
+    tracemalloc.start()
+    try:
+        grads = joint_backward(m, ex)[1]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grads
+    params = sum(arr.nbytes for _, arr in m.blocks())
+    assert held < params / 4, (held, params)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -270,7 +346,7 @@ class TestAccumulateGrads:
 def test_training_batches_reuse_freed_memory():
     # once two batches have grown the heap, a batch takes its gradients from
     # memory the last one freed instead of faulting fresh pages in (glibc's
-    # default trimming costs ~4,650 minor faults per batch at this size)
+    # default trimming costs ~900-1,300 minor faults per batch at this size)
     vocab, feat, width = 500, 256, 64
     state = make_state(init_model(ArchitectureKind.BI_F_LSTM, vocab, feat,
                                   width, width, seed=0))
@@ -375,7 +451,7 @@ class TestOverfitCapacity:
 def reference_block_checks(m, ex, epsilon):
     """grad_check's comparison, with both directions' full loss recomputed
     by _fd_loss_and_signs for every perturbation."""
-    _, analytic = joint_backward(m, ex)
+    analytic = accumulate_grads([joint_backward(m, ex)[1]])
     out = []
     for name, arr in m.blocks():
         flat = arr.reshape(-1)
