@@ -14,6 +14,11 @@ load(save(model)) reproduces the model bitwise. A load checks the payload
 size the header implies before it builds any block. A save writes a temp file
 beside the target and renames it over the target, so a save that fails
 leaves any earlier checkpoint whole.
+
+Memory: a save holds the model plus the blob, which is the one copy made of
+the blocks. A load holds one copy of the blocks: the file is read once into
+a buffer placed so that the blocks start on a 64-byte boundary, and every
+block of the loaded model is a view of that buffer.
 """
 
 import contextlib
@@ -38,6 +43,10 @@ _ARCH_CODES = {
 _CODE_ARCHS = {code: arch for arch, code in _ARCH_CODES.items()}
 
 _HEADER = struct.Struct("<IB7I")
+# the blocks start here, after the magic and the header
+_PAYLOAD_AT = len(MAGIC) + _HEADER.size
+# a loaded file's blocks start on this boundary in memory
+_ALIGN = 64
 
 
 def _digest(*parts) -> bytes:
@@ -58,10 +67,17 @@ def serialize_model(m: CaptionModel) -> bytes:
     return b"".join([header, *blocks, _digest(header, *blocks)])
 
 
-def deserialize_model(blob: bytes) -> CaptionModel:
-    if len(blob) < len(MAGIC) + _HEADER.size + 8:
+def deserialize_model(blob) -> CaptionModel:
+    """The model a checkpoint's bytes hold. The digest, the header and the
+    size it implies, and every block's values are checked before any model
+    exists. A writeable blob whose blocks lie float64-aligned, on a
+    little-endian host, becomes the model's storage: each block is a view
+    of it, so the caller must not reuse the blob. Any other blob (`bytes`,
+    a misaligned buffer, a big-endian host) is copied block by block."""
+    if len(blob) < _PAYLOAD_AT + 8:
         raise CheckpointError("checkpoint truncated")
-    payload, digest = memoryview(blob)[:-8], blob[-8:]  # a view, no copy
+    payload = memoryview(blob)[:-8]  # a view, no copy
+    digest = bytes(blob[-8:])
     if _digest(payload) != digest:
         raise CheckpointError("checkpoint checksum mismatch")
     if payload[:len(MAGIC)] != MAGIC:
@@ -80,21 +96,22 @@ def deserialize_model(blob: bytes) -> CaptionModel:
     except ConfigError as e:
         raise CheckpointError(f"bad checkpoint header: {e}") from None
     # the size the header implies, in exact integers, before anything is built
-    offset = len(MAGIC) + _HEADER.size
-    size = offset + 8 * sum(math.prod(shape) for _, shape in shapes) + 8
+    size = _PAYLOAD_AT + 8 * sum(math.prod(shape) for _, shape in shapes) + 8
     if size != len(blob):
         raise CheckpointError(
             f"checkpoint is {len(blob)} bytes, its header implies {size}")
 
-    params = {}
+    values = np.frombuffer(payload, dtype="<f8", offset=_PAYLOAD_AT)
+    adopt = (values.flags.writeable and values.flags.aligned
+             and values.dtype.isnative)
+    params, offset = {}, 0
     for name, shape in shapes:
-        values = np.frombuffer(payload, dtype="<f8", count=math.prod(shape),
-                               offset=offset)
-        if not np.all(np.isfinite(values)):
+        block = values[offset:offset + math.prod(shape)].reshape(shape)
+        if not np.all(np.isfinite(block)):
             raise CheckpointError(f"non-finite values in block {name}")
-        # a writeable copy: the model's blocks are updated in place
-        params[name] = values.reshape(shape).astype(np.float64)
-        offset += values.nbytes
+        # the model's blocks are updated in place, so a copy is writeable too
+        params[name] = block if adopt else block.astype(np.float64)
+        offset += block.size
     return CaptionModel(arch, params)
 
 
@@ -112,5 +129,20 @@ def save_checkpoint(m: CaptionModel, path) -> None:
 
 
 def load_checkpoint(path) -> CaptionModel:
-    with open(path, "rb") as fh:
-        return deserialize_model(fh.read())
+    """The model saved at `path`. The file is read once, into a buffer that
+    `deserialize_model` adopts as the model's storage; a file that yields
+    fewer bytes than its size is refused."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = bytearray(size + _ALIGN)
+        # the offset in buf that puts the blocks on an _ALIGN boundary
+        start = -(np.frombuffer(buf, np.uint8).ctypes.data
+                  + _PAYLOAD_AT) % _ALIGN
+        blob = memoryview(buf)[start:start + size]
+        got = 0
+        while got < size and (n := fh.readinto(blob[got:])):
+            got += n
+    if got < size:
+        raise CheckpointError(
+            f"checkpoint truncated: read {got} of {size} bytes")
+    return deserialize_model(blob)

@@ -15,10 +15,10 @@ them again, for the backward pass over all steps at once and for gate
 traces. Every gate function is elementwise, so the activations it forms on
 a row of a (T, 4H) block are bit for bit those the step formed on that row
 alone. The backward pass forms every factor that does not read the carried
-gradients (the activations, tanh(c) and the gate slopes) once per
-sequence; a step does only the arithmetic on the carried dh and dc. It
-returns rows, from which `train.accumulate_grads` forms each weight
-gradient as one product over a whole batch.
+gradients once per sequence, as row blocks: o * (1 - tanh(c)^2) (T, H)
+and da's factor (T, 4H); a step only multiplies the carried dh and dc by
+its rows of them. It returns rows, from which `train.accumulate_grads`
+forms each weight gradient as one product over a whole batch.
 
 `sequence_forward` and `sequence_backward` are the one recurrence of both
 LSTM layers, text and multimodal, in every architecture. Only the
@@ -119,13 +119,13 @@ def sequence_forward(p: LstmParams, xs) -> LstmTrace:
 
 def cell_backward(p: LstmParams, rows, dh: np.ndarray, dc: np.ndarray):
     """Backward through one step, from its rows of the factors that
-    `sequence_backward` forms once per sequence: (o, 1 - tanh(c)^2, f, and
-    the three 4H-wide factors of da). Only the arithmetic on the carried dh
-    and dc is left. Returns (da, dh_prev, dc_prev), where da is the
-    gradient of the gate pre-activations."""
-    o, dtanh_c, f, partner, s, slope = rows
-    dc_total = dc + dh * o * dtanh_c
-    da = np.concatenate((dc_total, dc_total, dh, dc_total)) * partner * s * slope
+    `sequence_backward` forms once per sequence: (o * (1 - tanh(c)^2), f,
+    and da's 4H-wide factor). Only the products with the carried dh and dc
+    are left. Returns (da, dh_prev, dc_prev), where da is the gradient of
+    the gate pre-activations."""
+    o_dtanh_c, f, da_factor = rows
+    dc_total = dc + dh * o_dtanh_c
+    da = np.concatenate((dc_total, dc_total, dh, dc_total)) * da_factor
     return da, p.Wh.T @ da, dc_total * f
 
 
@@ -146,21 +146,22 @@ def sequence_backward(p: LstmParams, tr: LstmTrace, dh_seq, V=None):
         raise ShapeError(f"{T} steps but {len(dh_seq)} upstream gradients")
     i, f, o, g = gates(tr.a)
     tanh_c = np.tanh(tr.cs[1:])
-    # A gate's da is its output's gradient (dc_total, or dh for o), times
-    # the value the gate multiplies in the forward pass, times s, times
-    # 1 - s, multiplied in that order. The candidate g takes s = 1 (an
-    # exact product) and 1 - g*g for 1 - s.
-    rows = zip(o, 1.0 - tanh_c * tanh_c, f,
-               np.concatenate((g, tr.cs[:-1], tanh_c, i), axis=1),
-               np.concatenate((i, f, o, np.ones_like(g)), axis=1),
-               1.0 - np.concatenate((i, f, o, g * g), axis=1))
+    o_dtanh_c = o * (1.0 - tanh_c * tanh_c)
+    # A gate's da is its output's gradient (dc_total, or dh for o) times its
+    # factor: the value the gate multiplies in the forward pass, times
+    # s * (1 - s). The candidate g's is i * (1 - g*g).
+    s = np.concatenate((i, f, o), axis=1)
+    da_factor = np.concatenate((g, tr.cs[:-1], tanh_c, i), axis=1)
+    da_factor[:, :3 * H] *= s * (1.0 - s)
+    da_factor[:, 3 * H:] *= 1.0 - g * g
     da = np.empty((T, 4 * H))
     dx = np.empty((T, p.input_dim))
     dh_carry = np.zeros(H)
     dc_carry = np.zeros(H)
-    for t, step_rows in reversed(list(enumerate(rows))):
+    for t in reversed(range(T)):
         da[t], dh_carry, dc_carry = cell_backward(
-            p, step_rows, dh_seq[t] + dh_carry, dc_carry)
+            p, (o_dtanh_c[t], f[t], da_factor[t]), dh_seq[t] + dh_carry,
+            dc_carry)
         if V is not None:
             dx[t] = p.Wx.T @ da[t]
             dh_carry = dh_carry + V.T @ dx[t]

@@ -111,14 +111,16 @@ def joint_loss(m: CaptionModel, ex: CaptionedExample) -> JointLoss:
 def joint_backward(m: CaptionModel,
                    ex: CaptionedExample) -> tuple[JointLoss, dict]:
     """Loss plus the joint loss's gradient rows (`model.model_backward`),
-    the shared softmax's forward rows before its backward ones."""
+    the shared softmax's forward rows before its backward ones, stacked
+    once for both of its blocks."""
     if not ex.tokens:
         raise DataError(f"example {ex.image_id!r} has an empty caption")
     rec_f, tgt_f, lf = _direction_pass(m, ex, FORWARD)
     rec_b, tgt_b, lb = _direction_pass(m, ex, BACKWARD)
     grads = model_backward(m, rec_f, tgt_f)
+    stack = _stacker({}, {})
     for name, g in model_backward(m, rec_b, tgt_b).items():
-        grads[name] = (_zip_rows(np.concatenate, [grads[name], g])
+        grads[name] = (_zip_rows(stack, [grads[name], g])
                        if name in grads else g)
     return JointLoss(loss_fwd=lf, loss_bwd=lb), grads
 
@@ -157,13 +159,27 @@ def _zip_rows(fn, values: list):
     return Scatter(*parts) if isinstance(g, Scatter) else tuple(parts)
 
 
+def _stacker(kept: dict, made: dict):
+    """np.concatenate for `_zip_rows` that stacks each distinct list of
+    arrays (told apart by identity) once: a stack found in `made` or `kept`
+    is reused, and every stack it returns is recorded in `made`."""
+    def stack(arrays):
+        key = tuple(map(id, arrays))
+        if key not in made:
+            made[key] = kept[key] if key in kept else np.concatenate(arrays)
+        return made[key]
+    return stack
+
+
 def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
     """Mean of per-example gradient rows (`joint_backward`) as dense
     blocks; the inputs are left unchanged. Every example must hold the
     first one's blocks with rows of the first one's widths. A block's rows
-    are stacked in example order and scaled by 1/B: a weight is then one
-    product per run of its columns, a bias one sum, an embedding one
-    scatter."""
+    are stacked in example order: a weight is then one product per run of
+    its columns, with the smaller factor scaled by 1/B, a bias one sum, an
+    embedding one scatter. Rows that several blocks read (an LSTM's da, the
+    softmax's dlogits) are stacked once, and kept while the next block is
+    formed, which is where the blocks that share them are."""
     if not grad_list:
         raise DataError("no gradients to accumulate")
     first = grad_list[0]
@@ -176,9 +192,12 @@ def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
                 raise ShapeError(f"gradient dict {i} block {name} has rows "
                                  f"{widths}, dict 0 {want}")
     scale = 1.0 / len(grad_list)
-    out = {}
+    out, kept = {}, {}
     for name in first:
-        g = _zip_rows(np.concatenate, [grads[name] for grads in grad_list])
+        made = {}
+        g = _zip_rows(_stacker(kept, made),
+                      [grads[name] for grads in grad_list])
+        kept = made
         if isinstance(g, Scatter):
             out[name] = np.zeros((g.rows.shape[1], g.columns))
             np.add.at(out[name].T, g.ids, g.rows * scale)
@@ -189,7 +208,11 @@ def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
             out[name] = np.empty((g[0][0].shape[1], ends[-1]))
             runs = np.split(out[name], ends[:-1], axis=1)
             for (left, right), cols in zip(g, runs):
-                np.matmul((left * scale).T, right, out=cols)
+                if left.size <= right.size:
+                    left = left * scale
+                else:
+                    right = right * scale
+                np.matmul(left.T, right, out=cols)
     return out
 
 
@@ -209,7 +232,7 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
 
     clip = None
     if cfg.grad_clip is not None:
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
         if norm > cfg.grad_clip:
             clip = cfg.grad_clip / norm
 

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import os
 import struct
 import tracemalloc
 
@@ -11,15 +12,17 @@ from hypothesis import strategies as st
 import bicaption.checkpoint as checkpoint_mod
 from bicaption.checkpoint import (deserialize_model, load_checkpoint,
                                   save_checkpoint, serialize_model)
+from bicaption.cli import main
 from bicaption.data import make_toy_dataset
 from bicaption.errors import BicaptionError, CheckpointError
 from bicaption.model import (ArchitectureKind, CaptionModel, block_shapes,
                              init_model, random_model)
-from bicaption.train import TrainConfig, make_state, train_epochs
+from bicaption.train import TrainConfig, make_state, sgd_step, train_epochs
 
 # magic, then version u32, arch u8 and seven u32 dimensions
 HEADER = struct.Struct("<IB7I")
 HEADER_AT = len(b"BICAP1")
+PAYLOAD_AT = HEADER_AT + HEADER.size  # where the blocks start
 
 
 def resealed(blob: bytes, fields=None, extra: int = 0) -> bytes:
@@ -32,6 +35,17 @@ def resealed(blob: bytes, fields=None, extra: int = 0) -> bytes:
     payload = (payload[:len(payload) + extra] if extra < 0
                else payload + bytes(extra))
     return bytes(payload) + hashlib.blake2b(payload, digest_size=8).digest()
+
+
+def placed(blob: bytes, past: int) -> memoryview:
+    """blob in a writeable buffer of its own, placed so that its blocks
+    start `past` bytes after a float64 boundary."""
+    buf = bytearray(len(blob) + 8)
+    address = np.frombuffer(buf, np.uint8).ctypes.data
+    start = (past - address - PAYLOAD_AT) % 8
+    view = memoryview(buf)[start:start + len(blob)]
+    view[:] = blob
+    return view
 
 
 def assert_models_equal(a, b):
@@ -156,6 +170,136 @@ class TestRoundTrip:
                            early_stop_patience=None, seed=3)
         resumed = train_epochs(make_state(loaded), examples, examples, cfg2)
         assert resumed.epoch == 1
+
+
+class ShortReads:
+    """A file read in chunks of at most 100 bytes that yields nothing past
+    its last `lost` bytes, as a file cut while it is read would."""
+
+    def __init__(self, fh, lost: int):
+        self.fh = fh
+        self.end = os.fstat(fh.fileno()).st_size - lost
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def readinto(self, view):
+        n = max(0, min(len(view), 100, self.end - self.fh.tell()))
+        return self.fh.readinto(view[:n])
+
+
+def short_reads(monkeypatch, lost: int) -> None:
+    """Make every checkpoint file opened for a load a `ShortReads`."""
+    real_open = open
+    monkeypatch.setattr(
+        checkpoint_mod, "open",
+        lambda *args, **kw: ShortReads(real_open(*args, **kw), lost),
+        raising=False)
+
+
+class TestLoadContract:
+    """A load reads the file once into a buffer that it places itself; the
+    model's blocks are views of that buffer."""
+
+    def test_load_holds_one_copy_of_the_blocks(self, tmp_path):
+        # a load that copied the blocks out of the file's bytes peaked at
+        # about twice the file
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(ArchitectureKind.BI_LSTM, 2000, 64, 64, 64),
+                        path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            m = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.vocab_size == 2000
+        assert peak <= 1.1 * size, (peak, size)
+
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_blocks_are_aligned_views_of_one_buffer(self, arch, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(random_model(arch, 9, 4, 5, 6, seed=3), path)
+        blocks = [arr for _, arr in load_checkpoint(path).blocks()]
+        assert blocks[0].ctypes.data % 64 == 0
+        assert blocks[0].base is not None
+        for arr in blocks:
+            assert arr.dtype == np.float64
+            assert arr.flags.writeable and arr.flags.aligned
+            assert arr.flags.c_contiguous and not arr.flags.owndata
+            assert arr.base is blocks[0].base
+
+    def test_load_update_save_round_trips_bitwise(self, tmp_path):
+        # an update writes into the loaded blocks' buffer, and a save of
+        # the loaded model is the bytes of the same update made in memory
+        m = random_model(ArchitectureKind.BI_F_LSTM, 9, 4, 5, 6, seed=3,
+                         bif_widths=(3, 2, 4))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        rng = np.random.default_rng(1)
+        grads = {name: rng.normal(size=arr.shape) for name, arr in m.blocks()}
+        cfg = TrainConfig(grad_clip=0.5)
+        loaded = sgd_step(make_state(load_checkpoint(path)), grads, cfg).model
+        updated = sgd_step(make_state(m), grads, cfg).model
+        save_checkpoint(loaded, path)
+        assert path.read_bytes() == serialize_model(updated)
+        assert_models_equal(load_checkpoint(path), updated)
+
+    def test_chunked_reads_load_bitwise(self, tmp_path, monkeypatch):
+        m = random_model(ArchitectureKind.BI_S_LSTM, 9, 4, 5, 6, seed=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        short_reads(monkeypatch, 0)
+        assert_models_equal(load_checkpoint(path), m)
+
+    @pytest.mark.parametrize("cut", ["on disk", "while read"])
+    def test_short_file_refused(self, cut, tmp_path, monkeypatch, capsys):
+        # by load_checkpoint with a CheckpointError, and by the CLI with
+        # one stderr line and exit 2; the CLI loads the checkpoint before
+        # it reads the vocab and features, which do not exist here
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(ArchitectureKind.BI_LSTM, 6, 3, 4, 4), path)
+        if cut == "on disk":
+            path.write_bytes(path.read_bytes()[:-20])
+        else:
+            short_reads(monkeypatch, 20)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        rc = main(["caption", "--checkpoint", str(path),
+                   "--features", str(tmp_path / "absent.feat"),
+                   "--vocab", str(tmp_path / "absent.vocab")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        if cut == "while read":
+            assert "truncated: read" in captured.err
+
+    @pytest.mark.parametrize("past, adopted", [
+        (None, False),  # bytes: read-only
+        (0, True),
+        (4, False),
+        (1, False),
+    ])
+    def test_only_a_writeable_aligned_blob_is_adopted(self, past, adopted):
+        # any other blob is copied, and every blob loads bitwise
+        m = random_model(ArchitectureKind.BI_S_LSTM, 9, 4, 5, 6, seed=3)
+        blob = serialize_model(m)
+        source = blob if past is None else placed(blob, past)
+        back = deserialize_model(source)
+        assert_models_equal(back, m)
+        storage = np.frombuffer(source, np.uint8)
+        for _, arr in back.blocks():
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert np.shares_memory(arr, storage) == adopted
 
 
 class TestCorruption:

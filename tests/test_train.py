@@ -209,7 +209,8 @@ class TestSgdStep:
             grads = {n: rng.normal(size=a.shape) for n, a in theta.items()}
             sgd_step(state, grads, cfg)
             if clip is not None:
-                norm = math.sqrt(sum(float(np.sum(g * g))
+                # formed as sgd_step forms it, one dot product per block
+                norm = math.sqrt(sum(float(np.vdot(g, g))
                                      for g in grads.values()))
                 assert norm > clip
                 grads = {n: g * (clip / norm) for n, g in grads.items()}
