@@ -3,7 +3,9 @@
 Layout, all integers little-endian:
 
     magic   6 bytes  b"BICAP1"
-    version u32
+    version u32      2. Version 1 held each M-LSTM's Wx and Wimg as one block
+                     of the same bytes (`model.merged_layout`); it still loads,
+                     as column views of that block, not C-contiguous
     arch    u8       0 = bi-lstm, 1 = bi-s-lstm, 2 = bi-f-lstm
     dims    7 x u32  vocab, feature, embed, hidden, then the three
                      transition widths (rows of U, V, W; 0 when absent)
@@ -30,10 +32,11 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import ArchitectureKind, CaptionModel, block_shapes
+from .model import ArchitectureKind, CaptionModel, block_shapes, merged_layout
+from .numcore import all_finite
 
 MAGIC = b"BICAP1"
-VERSION = 1
+VERSION = 2
 
 _ARCH_CODES = {
     ArchitectureKind.BI_LSTM: 0,
@@ -73,7 +76,7 @@ def deserialize_model(blob) -> CaptionModel:
     exists. A writeable blob whose blocks lie float64-aligned, on a
     little-endian host, becomes the model's storage: each block is a view
     of it, so the caller must not reuse the blob. Any other blob (`bytes`,
-    a misaligned buffer, a big-endian host) is copied block by block."""
+    a misaligned buffer, a big-endian host) is copied, in one array."""
     if len(blob) < _PAYLOAD_AT + 8:
         raise CheckpointError("checkpoint truncated")
     payload = memoryview(blob)[:-8]  # a view, no copy
@@ -84,7 +87,7 @@ def deserialize_model(blob) -> CaptionModel:
         raise CheckpointError("bad checkpoint magic")
     (version, arch_code, vocab, feat, embed, hidden,
      wu, wv, ww) = _HEADER.unpack_from(payload, len(MAGIC))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if arch_code not in _CODE_ARCHS:
         raise CheckpointError(f"unknown architecture code {arch_code}")
@@ -101,16 +104,18 @@ def deserialize_model(blob) -> CaptionModel:
         raise CheckpointError(
             f"checkpoint is {len(blob)} bytes, its header implies {size}")
 
+    layout = merged_layout(shapes) if version == 1 else [
+        (shape, [(name, ...)]) for name, shape in shapes]
     values = np.frombuffer(payload, dtype="<f8", offset=_PAYLOAD_AT)
-    adopt = (values.flags.writeable and values.flags.aligned
-             and values.dtype.isnative)
+    if not (values.flags.writeable and values.flags.aligned
+            and values.dtype.isnative):  # copied: blocks are updated in place
+        values = values.astype(np.float64)
     params, offset = {}, 0
-    for name, shape in shapes:
+    for shape, parts in layout:
         block = values[offset:offset + math.prod(shape)].reshape(shape)
-        if not np.all(np.isfinite(block)):
-            raise CheckpointError(f"non-finite values in block {name}")
-        # the model's blocks are updated in place, so a copy is writeable too
-        params[name] = block if adopt else block.astype(np.float64)
+        if not all_finite(block):
+            raise CheckpointError(f"non-finite values in block {parts[0][0]}")
+        params.update((name, block[index]) for name, index in parts)
         offset += block.size
     return CaptionModel(arch, params)
 
@@ -134,10 +139,9 @@ def load_checkpoint(path) -> CaptionModel:
     fewer bytes than its size is refused."""
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
-        buf = bytearray(size + _ALIGN)
+        buf = np.empty(size + _ALIGN, np.uint8)  # readinto fills it
         # the offset in buf that puts the blocks on an _ALIGN boundary
-        start = -(np.frombuffer(buf, np.uint8).ctypes.data
-                  + _PAYLOAD_AT) % _ALIGN
+        start = -(buf.ctypes.data + _PAYLOAD_AT) % _ALIGN
         blob = memoryview(buf)[start:start + size]
         got = 0
         while got < size and (n := fh.readinto(blob[got:])):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BOUNDARY_ID, Vocabulary
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .lstm import LstmParams, LstmTrace, cell_forward, gates, input_drive
 from .model import (BACKWARD, CaptionModel, DirectionParams, FORWARD,
                     direction_forward, image_input, softmax_logits, step)
@@ -85,10 +85,6 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
         raise ConfigError(f"beam_k must be >= 1, got {beam_k}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    if feature.shape[0] != m.feature_dim:
-        raise ShapeError(
-            f"feature has len {feature.shape[0]}, model expects {m.feature_dim}"
-        )
 
     d = m.direction(direction)
     m_cell = image_input(d, feature)

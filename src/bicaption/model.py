@@ -6,10 +6,10 @@ Layer stack per direction and time step:
     token -> embedding column -> T-LSTM -> [transition] -> concat with the
     image feature -> M-LSTM -> shared softmax -> distribution of next word
 
-The image feature vector is concatenated into the M-LSTM input at every
-step. It is constant over a sequence, so its projection through the
-feature columns of the M-LSTM's Wx is formed once (`image_input`) and a
-step multiplies only the text columns. Architectures differ only in the
+The image feature joins the M-LSTM input at every step, through a block of
+its own, Wimg. It is constant over a sequence, so Wimg @ feature is formed
+once, into the bias (`image_input`), and a step multiplies only the text
+input's block Wx. Architectures differ only in the
 transition between the two LSTMs: none (plain), a linear stacked
 transition fed by the T-LSTM output and the M-LSTM's previous hidden
 state, or a relu layer whose output concatenates a direct projection of
@@ -72,6 +72,7 @@ class DirectionParams:
     embedding: np.ndarray
     t_lstm: LstmParams
     m_lstm: LstmParams
+    Wimg: np.ndarray
     transition: TransitionParams | None
 
 
@@ -100,14 +101,11 @@ class CaptionModel:
                     for prefix in DIRECTION_PREFIX.values())
         widths = tuple(len(p.get(f"fwd.trans.{w}", ())) for w in "UVW")
         vocab_size, hidden_dim = p["softmax_w"].shape
-        # the M-LSTM's text input: V's and W's rows (bi-s-lstm: V's H), or H
-        text_width = widths[1] + widths[2] or hidden_dim
         for name, value in dict(
                 params=p, fwd=fwd, bwd=bwd, softmax_w=p["softmax_w"],
                 softmax_b=p["softmax_b"], vocab_size=vocab_size,
-                feature_dim=fwd.m_lstm.input_dim - text_width,
-                embed_dim=fwd.embedding.shape[0], hidden_dim=hidden_dim,
-                transition_widths=widths).items():
+                feature_dim=fwd.Wimg.shape[1], embed_dim=fwd.embedding.shape[0],
+                hidden_dim=hidden_dim, transition_widths=widths).items():
             object.__setattr__(self, name, value)  # past the frozen setattr
 
     def direction(self, name: str) -> DirectionParams:
@@ -133,7 +131,7 @@ def _direction_params(p: Mapping[str, np.ndarray],
     trans = None if f"{prefix}.trans.U" not in p else TransitionParams(
         p[f"{prefix}.trans.U"], p[f"{prefix}.trans.V"], p.get(f"{prefix}.trans.W"))
     return DirectionParams(p[f"{prefix}.embedding"], lstm("t_lstm"),
-                           lstm("m_lstm"), trans)
+                           lstm("m_lstm"), p[f"{prefix}.m_lstm.Wimg"], trans)
 
 
 # an embedding block's gradient as rows: row t of `rows` is added to column
@@ -181,16 +179,15 @@ def block_shapes(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
         ua, vb, ww = widths
         text_width = vb + ww  # bottleneck rows + shortcut rows
         trans = [("U", (ua, H)), ("V", (vb, ua)), ("W", (ww, H))]
-    m_input = text_width + feature_dim  # the feature joins the text input
 
     shapes = []
-    for prefix in DIRECTION_PREFIX.values():
-        shapes.append((f"{prefix}.embedding", (embed_dim, vocab_size)))
-        for lstm, width in (("t_lstm", embed_dim), ("m_lstm", m_input)):
-            shapes += [(f"{prefix}.{lstm}.Wx", (G, width)),
-                       (f"{prefix}.{lstm}.Wh", (G, H)),
-                       (f"{prefix}.{lstm}.b", (G,))]
-        shapes += [(f"{prefix}.trans.{name}", shape) for name, shape in trans]
+    for p in DIRECTION_PREFIX.values():
+        shapes += [(f"{p}.embedding", (embed_dim, vocab_size)),
+                   (f"{p}.t_lstm.Wx", (G, embed_dim)), (f"{p}.t_lstm.Wh", (G, H)),
+                   (f"{p}.t_lstm.b", (G,)), (f"{p}.m_lstm.Wx", (G, text_width)),
+                   (f"{p}.m_lstm.Wimg", (G, feature_dim)),
+                   (f"{p}.m_lstm.Wh", (G, H)), (f"{p}.m_lstm.b", (G,)),
+                   *((f"{p}.trans.{name}", shape) for name, shape in trans)]
     return shapes + [("softmax_w", (vocab_size, H)),
                      ("softmax_b", (vocab_size,))]
 
@@ -199,24 +196,47 @@ def build_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
                 embed_dim: int, hidden_dim: int,
                 bif_widths: tuple[int, int, int] | None = None) -> CaptionModel:
     """All-zero model with the architecture's shapes (`block_shapes`);
-    init_model fills it."""
+    init_model and random_model fill it."""
     return CaptionModel(arch, {name: np.zeros(shape) for name, shape in
                                block_shapes(arch, vocab_size, feature_dim,
                                             embed_dim, hidden_dim, bif_widths)})
+
+
+def merged_layout(shapes) -> list[tuple[tuple[int, ...], list]]:
+    """`block_shapes`' list with each M-LSTM's Wx and Wimg as one (4H, text
+    + F) block at Wx's place, the version-1 checkpoint's and the seeded
+    draws' layout: (shape, [(name, index) of each block it holds]) each."""
+    layout = []
+    for name, shape in shapes:
+        if name.endswith(".m_lstm.Wimg"):
+            (G, tw), [(wx, _)] = layout.pop()
+            parts = [(wx, np.s_[:, :tw]), (name, np.s_[:, tw:])]
+            layout.append(((G, tw + shape[1]), parts))
+        else:
+            layout.append((shape, [(name, ...)]))
+    return layout
+
+
+def _draw(m: CaptionModel, seed: int, scale: float, biases: bool):
+    """m with its weights (and biases if `biases`) uniform on [-scale,
+    scale], drawn as `merged_layout` lays them out, which keeps each seed's values."""
+    rng = np.random.default_rng(seed)
+    for shape, parts in merged_layout([(n, a.shape) for n, a in m.blocks()]):
+        if biases or not is_bias_block(parts[0][0]):
+            drawn = rng.uniform(-scale, scale, size=shape)
+            for name, index in parts:
+                m.params[name][...] = drawn[index]
+            del drawn  # before the next draw: two alive at once raise the peak
+    return m
 
 
 def init_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
                embed_dim: int, hidden_dim: int, seed: int = 0,
                bif_widths: tuple[int, int, int] | None = None) -> CaptionModel:
     """Weights i.i.d. uniform on [-0.08, 0.08], biases zero, reproducible
-    per seed (blocks are sampled in declared order)."""
-    m = build_model(arch, vocab_size, feature_dim, embed_dim, hidden_dim,
-                    bif_widths)
-    rng = np.random.default_rng(seed)
-    for name, arr in m.blocks():
-        if not is_bias_block(name):
-            arr[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=arr.shape)
-    return m
+    per seed (`_draw`)."""
+    return _draw(build_model(arch, vocab_size, feature_dim, embed_dim,
+                             hidden_dim, bif_widths), seed, INIT_SCALE, False)
 
 
 def random_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
@@ -233,12 +253,8 @@ def random_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
     """
     if arch == ArchitectureKind.BI_F_LSTM and bif_widths is None:
         bif_widths = (hidden_dim, hidden_dim, hidden_dim)
-    m = build_model(arch, vocab_size, feature_dim, embed_dim, hidden_dim,
-                    bif_widths)
-    rng = np.random.default_rng(seed)
-    for _, arr in m.blocks():
-        arr[...] = rng.uniform(-scale, scale, size=arr.shape)
-    return m
+    return _draw(build_model(arch, vocab_size, feature_dim, embed_dim,
+                             hidden_dim, bif_widths), seed, scale, True)
 
 
 def transition_forward(arch: ArchitectureKind, tp: TransitionParams | None,
@@ -259,11 +275,13 @@ def transition_forward(arch: ArchitectureKind, tp: TransitionParams | None,
 
 def image_input(d: DirectionParams, feature: np.ndarray) -> LstmParams:
     """Project the image through the M-LSTM once, for a whole sequence: the
-    M-LSTM cell with Wx[:, tw:] @ feature folded into its bias, so that it
-    multiplies only the tw text columns (its Wx and Wh view the parameters)."""
+    M-LSTM cell with Wimg @ feature folded into its bias, so that it
+    multiplies only the text input (its Wx and Wh are the parameters). A
+    feature whose length is not Wimg's width is refused."""
+    if feature.shape[0] != d.Wimg.shape[1]:
+        raise ShapeError(f"feature has len {feature.shape[0]}, model expects {d.Wimg.shape[1]}")
     p = d.m_lstm
-    tw = p.Wx.shape[1] - feature.shape[0]
-    return LstmParams(p.Wx[:, :tw], p.Wh, p.Wx[:, tw:] @ feature + p.b)
+    return LstmParams(p.Wx, p.Wh, d.Wimg @ feature + p.b)
 
 
 def softmax_logits(m: CaptionModel, h2: np.ndarray) -> np.ndarray:
@@ -338,19 +356,14 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
     never reverses. The T-LSTM's inputs are the gathered embedding rows;
     the logits and probabilities are formed for all steps at once.
     """
-    if feature.shape[0] != m.feature_dim:
-        raise ShapeError(
-            f"feature has len {feature.shape[0]}, model expects {m.feature_dim}"
-        )
+    d = m.direction(direction)
+    m_cell = image_input(d, feature)
     tokens = list(tokens)
     for t in tokens:
         if not 0 <= t < m.vocab_size:
             raise VocabError(f"token id {t} outside vocabulary of size {m.vocab_size}")
-
-    d = m.direction(direction)
     t_trace = sequence_forward(d.t_lstm, d.embedding.T[tokens])
-    preacts, m_trace, logits = unroll(m, d, t_trace.hs[1:],
-                                      image_input(d, feature))
+    preacts, m_trace, logits = unroll(m, d, t_trace.hs[1:], m_cell)
     return ForwardPassRecord(
         direction=direction, tokens=tokens, feature=feature,
         t_trace=t_trace, m_trace=m_trace, transition_preacts=preacts,
@@ -362,13 +375,12 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
                    targets) -> dict:
     """Gradients of the summed cross-entropy  sum_t -log probs[t][targets[t]]
     for the record's direction, keyed by block name (softmax included), as
-    rows that `train.accumulate_grads` makes dense: a weight's is a tuple of
-    (left, right) pairs, left.T @ right for each run of its columns in
-    order; a bias's is the column sum of its rows; an embedding's is a
-    `Scatter` of the T-LSTM's input gradients onto their token ids.
-    Each LSTM runs `sequence_backward`, the M-LSTM on its text columns
-    alone: their input gradient feeds the transition, and the image
-    columns' gradient is db (x) feature, the pair (db row, feature row)."""
+    rows that `train.accumulate_grads` makes dense: a weight's is one
+    (left, right) pair, left.T @ right; a bias's is the column sum of its
+    rows; an embedding's is a `Scatter` of the T-LSTM's input gradients
+    onto their token ids. Each LSTM runs `sequence_backward`, the M-LSTM on
+    its text input, whose gradient feeds the transition; Wimg's gradient is
+    db (x) feature, the pair (db row, feature row)."""
     targets = list(targets)
     T = len(rec)
     if len(targets) != T:
@@ -376,16 +388,14 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
 
     d = m.direction(rec.direction)
     prefix = DIRECTION_PREFIX[rec.direction]
-    tw = d.m_lstm.input_dim - m.feature_dim  # text-side width
     tr_params = d.transition
     bi_s = m.arch == ArchitectureKind.BI_S_LSTM
     t_tr, m_tr = rec.t_trace, rec.m_trace
 
     dlogits = rec.probs.copy()
     dlogits[np.arange(T), targets] -= 1.0
-    m_da, d_text = sequence_backward(
-        LstmParams(d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, d.m_lstm.b), m_tr,
-        dlogits @ m.softmax_w, tr_params.V if bi_s else None)
+    m_da, d_text = sequence_backward(d.m_lstm, m_tr, dlogits @ m.softmax_w,
+                                     tr_params.V if bi_s else None)
 
     h1s = t_tr.hs[1:]
     trans = {}
@@ -409,15 +419,14 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
     return {
         f"{prefix}.embedding": Scatter(t_dx, np.array(rec.tokens),
                                        m.vocab_size),
-        f"{prefix}.t_lstm.Wx": ((t_da, t_tr.x),),
-        f"{prefix}.t_lstm.Wh": ((t_da, t_tr.hs[:-1]),),
+        f"{prefix}.t_lstm.Wx": (t_da, t_tr.x),
+        f"{prefix}.t_lstm.Wh": (t_da, t_tr.hs[:-1]),
         f"{prefix}.t_lstm.b": t_da,
-        f"{prefix}.m_lstm.Wx": ((m_da, m_tr.x),
-                                (m_da.sum(axis=0, keepdims=True),
-                                 rec.feature[None])),
-        f"{prefix}.m_lstm.Wh": ((m_da, m_tr.hs[:-1]),),
-        f"{prefix}.m_lstm.b": m_da,
-        "softmax_w": ((dlogits, m_tr.hs[1:]),),
+        f"{prefix}.m_lstm.Wx": (m_da, m_tr.x),
+        f"{prefix}.m_lstm.Wh": (m_da, m_tr.hs[:-1]),
+        f"{prefix}.m_lstm.b": m_da,  # before Wimg, so m_da is stacked once
+        f"{prefix}.m_lstm.Wimg": (m_da.sum(axis=0, keepdims=True), rec.feature[None]),
+        "softmax_w": (dlogits, m_tr.hs[1:]),
         "softmax_b": dlogits,
-        **{f"{prefix}.trans.{name}": (pair,) for name, pair in trans.items()},
+        **{f"{prefix}.trans.{name}": pair for name, pair in trans.items()},
     }

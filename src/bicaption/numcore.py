@@ -78,6 +78,12 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """True when no element of `a` is NaN or infinite. Read from its min
+    and max, which NaN propagates to, so no per-element array is made."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, branched on sign so it never overflows."""
     v = np.asarray(v, dtype=np.float64)

@@ -16,7 +16,7 @@ from .model import (ArchitectureKind, BACKWARD, CaptionModel,
                     DIRECTION_PREFIX, FORWARD, ForwardPassRecord, Scatter,
                     direction_forward, image_input, is_bias_block,
                     model_backward, softmax_logits, unroll)
-from .numcore import log_softmax
+from .numcore import all_finite, log_softmax
 
 
 @dataclass
@@ -175,11 +175,11 @@ def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
     """Mean of per-example gradient rows (`joint_backward`) as dense
     blocks; the inputs are left unchanged. Every example must hold the
     first one's blocks with rows of the first one's widths. A block's rows
-    are stacked in example order: a weight is then one product per run of
-    its columns, with the smaller factor scaled by 1/B, a bias one sum, an
-    embedding one scatter. Rows that several blocks read (an LSTM's da, the
-    softmax's dlogits) are stacked once, and kept while the next block is
-    formed, which is where the blocks that share them are."""
+    are stacked in example order: a weight is then one product of its
+    (left, right) pair, the smaller factor scaled by 1/B, a bias one sum,
+    an embedding one scatter. Rows that several blocks read (an LSTM's da,
+    the softmax's dlogits) are stacked once, and kept while the next block
+    is formed, which is where the blocks that share them are."""
     if not grad_list:
         raise DataError("no gradients to accumulate")
     first = grad_list[0]
@@ -203,16 +203,10 @@ def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
             np.add.at(out[name].T, g.ids, g.rows * scale)
         elif isinstance(g, np.ndarray):
             out[name] = g.sum(axis=0) * scale
-        else:  # one product per run of columns, into those columns
-            ends = np.cumsum([right.shape[1] for _, right in g])
-            out[name] = np.empty((g[0][0].shape[1], ends[-1]))
-            runs = np.split(out[name], ends[:-1], axis=1)
-            for (left, right), cols in zip(g, runs):
-                if left.size <= right.size:
-                    left = left * scale
-                else:
-                    right = right * scale
-                np.matmul(left.T, right, out=cols)
+        else:  # a weight: left.T @ right
+            left, right = g
+            out[name] = ((left * scale).T @ right if left.size <= right.size
+                         else left.T @ (right * scale))
     return out
 
 
@@ -227,7 +221,7 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
         shape = params[name].shape if name in params else "absent"
         if g.shape != shape:
             raise ShapeError(f"gradient for {name} has shape {g.shape}, model block {shape}")
-        if not np.all(np.isfinite(g)):
+        if not all_finite(g):
             raise TrainingError(f"non-finite gradient in block {name}")
 
     clip = None

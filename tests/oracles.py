@@ -138,14 +138,13 @@ def _transition(tp, h1, h2):
 
 def per_step_forward(m, direction, tokens, feature):
     """Teacher-forced pass of one direction, one time step at a time: every
-    product (T-LSTM input, transition, M-LSTM text columns, logits) is one
+    product (T-LSTM input, transition, M-LSTM text input, logits) is one
     matrix-vector product per step, the image projected once into the
     M-LSTM bias. Returns a ForwardPassRecord that model.model_backward
     accepts, its per-step values stacked into rows."""
     d = m.direction(direction)
     H = m.hidden_dim
-    tw = d.m_lstm.Wx.shape[1] - m.feature_dim
-    m_b = d.m_lstm.Wx[:, tw:] @ feature + d.m_lstm.b
+    m_b = d.Wimg @ feature + d.m_lstm.b
     tp = d.transition
     h1 = c1 = h2 = c2 = np.zeros(H)
     t_rows, m_rows = _TraceRows(H), _TraceRows(H)
@@ -158,7 +157,7 @@ def per_step_forward(m, direction, tokens, feature):
         if pre is not None:
             preacts.append(pre)
         h2, c2 = m_rows.append(text, _gated_step(
-            d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2))
+            d.m_lstm.Wx, d.m_lstm.Wh, m_b, text, h2, c2))
         z = m.softmax_w @ h2 + m.softmax_b
         e = np.exp(z - z.max())
         logits.append(z)
@@ -177,8 +176,7 @@ def greedy_gate_loop(m, direction, feature, max_len):
     Returns (tokens, T-LSTM trace, M-LSTM trace, probs)."""
     d = m.direction(direction)
     H = m.hidden_dim
-    tw = d.m_lstm.Wx.shape[1] - m.feature_dim
-    m_b = d.m_lstm.Wx[:, tw:] @ feature + d.m_lstm.b
+    m_b = d.Wimg @ feature + d.m_lstm.b
     h1 = c1 = h2 = c2 = np.zeros(H)
     tok = BOUNDARY_ID
     t_rows, m_rows = _TraceRows(H), _TraceRows(H)
@@ -189,7 +187,7 @@ def greedy_gate_loop(m, direction, feature, max_len):
             d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b, x, h1, c1))
         _, text = _transition(d.transition, h1, h2)
         h2, c2 = m_rows.append(text, _gated_step(
-            d.m_lstm.Wx[:, :tw], d.m_lstm.Wh, m_b, text, h2, c2))
+            d.m_lstm.Wx, d.m_lstm.Wh, m_b, text, h2, c2))
         z = m.softmax_w @ h2 + m.softmax_b
         e = np.exp(z - z.max())
         p = e / e.sum()
@@ -312,7 +310,7 @@ def max_rel_err(analytic, numeric):
 
 def _rank1_lstm_step(Wx, Wh, tr, t, x, dh, dc, grads):
     """Step t of an LstmTrace backward, on its input x, adding its rank-1
-    weight terms into grads = [dWx, dWh, db]; returns (dx, dh_prev,
+    weight terms into grads = [dWx, dWh, db]; returns (da, dx, dh_prev,
     dc_prev)."""
     i, f, o, g = gate_activations(tr.a[t])
     tanh_c = np.tanh(tr.cs[t + 1])
@@ -326,7 +324,7 @@ def _rank1_lstm_step(Wx, Wh, tr, t, x, dh, dc, grads):
     grads[0] += np.outer(da, x)
     grads[1] += np.outer(da, tr.hs[t])
     grads[2] += da
-    return Wx.T @ da, Wh.T @ da, dc_total * f
+    return da, Wx.T @ da, Wh.T @ da, dc_total * f
 
 
 def rank1_model_backward(m, rec, targets):
@@ -336,13 +334,12 @@ def rank1_model_backward(m, rec, targets):
     d = m.direction(rec.direction)
     prefix = "fwd" if rec.direction == "forward" else "bwd"
     H = m.hidden_dim
-    tw = d.m_lstm.Wx.shape[1] - m.feature_dim
     tr_p = d.transition
     g = {f"{prefix}.{name}": np.zeros_like(arr) for name, arr in (
         ("embedding", d.embedding), ("t_lstm.Wx", d.t_lstm.Wx),
         ("t_lstm.Wh", d.t_lstm.Wh), ("t_lstm.b", d.t_lstm.b),
         ("m_lstm.Wx", d.m_lstm.Wx), ("m_lstm.Wh", d.m_lstm.Wh),
-        ("m_lstm.b", d.m_lstm.b))}
+        ("m_lstm.b", d.m_lstm.b), ("m_lstm.Wimg", d.Wimg))}
     g["softmax_w"] = np.zeros_like(m.softmax_w)
     g["softmax_b"] = np.zeros_like(m.softmax_b)
     if tr_p is not None:
@@ -363,12 +360,12 @@ def rank1_model_backward(m, rec, targets):
         g["softmax_w"] += np.outer(dlogit, m_tr.hs[t + 1])
         g["softmax_b"] += dlogit
         dh2 = m.softmax_w.T @ dlogit + dh2_carry
-        # the trace holds the text input the image-folded cell multiplied;
-        # the full M-LSTM input appends the feature
-        dm_in, dh2_carry, dc2_carry = _rank1_lstm_step(
-            d.m_lstm.Wx, d.m_lstm.Wh, m_tr, t,
-            np.concatenate([m_tr.x[t], rec.feature]), dh2, dc2_carry, m_acc)
-        d_text = dm_in[:tw]
+        # the trace holds the text input Wx multiplied; Wimg multiplied the
+        # feature
+        da, d_text, dh2_carry, dc2_carry = _rank1_lstm_step(
+            d.m_lstm.Wx, d.m_lstm.Wh, m_tr, t, m_tr.x[t], dh2, dc2_carry,
+            m_acc)
+        g[f"{prefix}.m_lstm.Wimg"] += np.outer(da, rec.feature)
         h1 = t_tr.hs[t + 1]
         if tr_p is None:
             dh1_seq[t] += d_text
@@ -389,7 +386,7 @@ def rank1_model_backward(m, rec, targets):
 
     dh1_carry, dc1_carry = np.zeros(H), np.zeros(H)
     for t in range(T - 1, -1, -1):
-        dx, dh1_carry, dc1_carry = _rank1_lstm_step(
+        _, dx, dh1_carry, dc1_carry = _rank1_lstm_step(
             d.t_lstm.Wx, d.t_lstm.Wh, t_tr, t, t_tr.x[t],
             dh1_seq[t] + dh1_carry, dc1_carry, t_acc)
         g[f"{prefix}.embedding"][:, rec.tokens[t]] += dx

@@ -13,8 +13,8 @@ import bicaption.checkpoint as checkpoint_mod
 from bicaption.checkpoint import (deserialize_model, load_checkpoint,
                                   save_checkpoint, serialize_model)
 from bicaption.cli import main
-from bicaption.data import make_toy_dataset
-from bicaption.errors import BicaptionError, CheckpointError
+from bicaption.data import make_toy_dataset, write_features, write_vocab
+from bicaption.errors import BicaptionError, CheckpointError, TrainingError
 from bicaption.model import (ArchitectureKind, CaptionModel, block_shapes,
                              init_model, random_model)
 from bicaption.train import TrainConfig, make_state, sgd_step, train_epochs
@@ -35,6 +35,22 @@ def resealed(blob: bytes, fields=None, extra: int = 0) -> bytes:
     payload = (payload[:len(payload) + extra] if extra < 0
                else payload + bytes(extra))
     return bytes(payload) + hashlib.blake2b(payload, digest_size=8).digest()
+
+
+def v1_blob(m) -> bytes:
+    """m's checkpoint in the version-1 layout, where each M-LSTM's Wx and
+    Wimg are one block, joined by columns at Wx's place."""
+    fields = list(HEADER.unpack_from(serialize_model(m), HEADER_AT))
+    blocks = []
+    for name, arr in m.blocks():
+        if name.endswith(".m_lstm.Wimg"):
+            blocks[-1] = np.hstack([blocks[-1], arr])
+        else:
+            blocks.append(arr)
+    payload = (b"BICAP1" + HEADER.pack(1, *fields[1:])
+               + b"".join(np.ascontiguousarray(b, "<f8").tobytes()
+                          for b in blocks))
+    return payload + hashlib.blake2b(payload, digest_size=8).digest()
 
 
 def placed(blob: bytes, past: int) -> memoryview:
@@ -77,7 +93,21 @@ class TestRoundTrip:
          "bd0cb7c6c607d9c02a1f31b516e7e721"),
     ])
     def test_pinned_bytes(self, arch, widths, digest):
-        # the block layout and the init's draw order, fixed
+        # the init's draw and the version-1 layout, fixed: these are the
+        # digests of the files that version 1 wrote
+        m = init_model(arch, 20, 7, 5, 6, seed=3, bif_widths=widths)
+        blob = v1_blob(m)
+        assert hashlib.blake2b(blob, digest_size=16).hexdigest() == digest
+
+    @pytest.mark.parametrize("arch, widths, digest", [
+        (ArchitectureKind.BI_LSTM, None, "95fd421636aa6a5b247ccfaffdf9c5fb"),
+        (ArchitectureKind.BI_S_LSTM, None, "b1d9b4157d5042b06cc534d4ab6b3cc6"),
+        (ArchitectureKind.BI_F_LSTM, None, "59a3941e1508a3a0fa4cf6d6eb9fbb3e"),
+        (ArchitectureKind.BI_F_LSTM, (3, 2, 4),
+         "aec35618d663b4640ef09b9e241d88e0"),
+    ])
+    def test_pinned_v2_bytes(self, arch, widths, digest):
+        # the version-2 block layout, fixed
         m = init_model(arch, 20, 7, 5, 6, seed=3, bif_widths=widths)
         blob = serialize_model(m)
         assert hashlib.blake2b(blob, digest_size=16).hexdigest() == digest
@@ -300,6 +330,94 @@ class TestLoadContract:
         for _, arr in back.blocks():
             assert arr.flags.writeable and arr.flags.c_contiguous
             assert np.shares_memory(arr, storage) == adopted
+
+
+class TestVersion1:
+    """Files written before Wimg was split from Wx still load."""
+
+    @pytest.mark.parametrize("adopted", [False, True])
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_loads_bitwise(self, arch, adopted):
+        # copied from bytes, or adopted from an aligned writeable blob as
+        # views; the merged block's two parts are its column views, the
+        # only blocks that are not C-contiguous
+        m = random_model(arch, 9, 4, 5, 6, seed=3)
+        source = placed(v1_blob(m), 0) if adopted else v1_blob(m)
+        back = deserialize_model(source)
+        assert_models_equal(back, m)
+        storage = np.frombuffer(source, np.uint8)
+        for name, arr in back.blocks():
+            assert arr.flags.writeable
+            assert np.shares_memory(arr, storage) == adopted
+            merged = name.endswith((".m_lstm.Wx", ".m_lstm.Wimg"))
+            assert arr.flags.c_contiguous != merged, name
+
+    def test_caption_output_matches_v2(self, tmp_path, capsys):
+        vocab, examples = make_toy_dataset(4, 10, 7, seed=4)
+        m = random_model(ArchitectureKind.BI_F_LSTM, 10, 7, 8, 8, seed=2)
+        write_vocab(tmp_path / "vocab.tsv", vocab)
+        write_features(tmp_path / "f.feat",
+                       {ex.image_id: ex.feature for ex in examples})
+        (tmp_path / "v1.ckpt").write_bytes(v1_blob(m))
+        save_checkpoint(m, tmp_path / "v2.ckpt")
+        outs = []
+        for name in ("v1.ckpt", "v2.ckpt"):
+            assert main(["caption", "--checkpoint", str(tmp_path / name),
+                         "--features", str(tmp_path / "f.feat"),
+                         "--vocab", str(tmp_path / "vocab.tsv"),
+                         "--beam", "3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].count("\n") == 4
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_other_versions_refused(self, version, tmp_path, capsys):
+        blob = serialize_model(init_model(ArchitectureKind.BI_LSTM, 6, 3, 4, 4))
+        fields = list(HEADER.unpack_from(blob, HEADER_AT))
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(resealed(blob, [version, *fields[1:]]))
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+        rc = main(["caption", "--checkpoint", str(path),
+                   "--features", str(tmp_path / "absent.feat"),
+                   "--vocab", str(tmp_path / "absent.vocab")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"unsupported checkpoint version {version}" in captured.err
+
+
+@pytest.mark.parametrize("arch", list(ArchitectureKind))
+def test_blocks_are_c_contiguous(arch, tmp_path):
+    # numcore's convention for a matrix, in every model that is built or
+    # loaded from a version-2 file
+    path = tmp_path / "m.ckpt"
+    models = [init_model(arch, 9, 4, 5, 6, seed=1),
+              random_model(arch, 9, 4, 5, 6, seed=1)]
+    save_checkpoint(models[0], path)
+    models.append(load_checkpoint(path))
+    for m in models:
+        for name, arr in m.blocks():
+            assert arr.flags.c_contiguous, name
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_non_finite_value_refused(value, at):
+    # by a load, and by an SGD step given it as a gradient
+    m = random_model(ArchitectureKind.BI_S_LSTM, 9, 4, 5, 6, seed=3)
+    name = "bwd.m_lstm.Wimg"
+    flat = m.params[name].reshape(-1)
+    flat[{"first": 0, "middle": flat.size // 2, "last": -1}[at]] = value
+    with pytest.raises(CheckpointError, match=f"non-finite values in block {name}"):
+        deserialize_model(serialize_model(m))
+    grads = {name: m.params[name]}
+    state = make_state(random_model(ArchitectureKind.BI_S_LSTM, 9, 4, 5, 6))
+    with pytest.raises(TrainingError, match=f"non-finite gradient in block {name}"):
+        sgd_step(state, grads, TrainConfig())
 
 
 class TestCorruption:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,8 +51,9 @@ class TestInitModel:
         assert m.fwd.transition.U.shape == (4, 8)
         assert m.fwd.transition.V.shape == (4, 4)
         assert m.fwd.transition.W.shape == (4, 8)
-        # text side is W rows + V rows, then the feature is concatenated
-        assert m.fwd.m_lstm.input_dim == 8 + 4
+        # Wx reads the text side, W rows + V rows; Wimg the feature
+        assert m.fwd.m_lstm.input_dim == 8
+        assert m.fwd.Wimg.shape == (32, 4)
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ConfigError):
@@ -62,6 +64,21 @@ class TestInitModel:
     def test_directions_are_independent_parameters(self):
         m = init_model(BI, 6, 3, 4, 4, seed=5)
         assert not np.array_equal(m.fwd.embedding, m.bwd.embedding)
+
+    @pytest.mark.parametrize("make", [init_model, random_model])
+    def test_one_draw_alive_at_a_time(self, make):
+        # each M-LSTM's Wx and Wimg are drawn as one 4H x (H + F) matrix;
+        # a draw kept until the next one is made would add the M-LSTM Wh
+        # drawn after it (2 MiB here) to the peak
+        tracemalloc.start()
+        try:
+            m = make(BIS, 2000, 1024, 64, 256, seed=1)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        merged = 8 * 4 * 256 * (256 + 1024)  # the largest draw, 10 MiB
+        assert size >= sum(arr.nbytes for _, arr in m.blocks())
+        assert peak - size < merged + (1 << 19), (peak - size) / 2**20
 
 
 class TestTransitions:
@@ -143,7 +160,7 @@ class TestDirectionForward:
         d = m.fwd
         oracle = inline_bilstm_probs(
             d.embedding, d.t_lstm.Wx, d.t_lstm.Wh, d.t_lstm.b,
-            d.m_lstm.Wx, d.m_lstm.Wh, d.m_lstm.b,
+            np.hstack([d.m_lstm.Wx, d.Wimg]), d.m_lstm.Wh, d.m_lstm.b,
             m.softmax_w, m.softmax_b, tokens, feature)
         assert len(rec.probs) == 2
         for got, want in zip(rec.probs, oracle):
@@ -170,7 +187,7 @@ class TestDirectionForward:
         # the image is folded into the M-LSTM cell's bias, so a step's trace
         # holds the text input the cell multiplied, not [text, feature]
         m = random_model(arch, 6, 3, 4, 4, seed=5)
-        tw = m.fwd.m_lstm.input_dim - m.feature_dim
+        tw = m.fwd.m_lstm.input_dim
         rec = direction_forward(m, FORWARD, [0, 2, 3], np.ones(3))
         h1s = rec.t_trace.hs[1:]
         # the bi-s-lstm transition runs per step, the others over all rows
@@ -227,6 +244,7 @@ class TestStackedDegeneratesToPlain:
         stacked.fwd.t_lstm.Wh[...] = plain.fwd.t_lstm.Wh
         stacked.fwd.t_lstm.b[...] = plain.fwd.t_lstm.b
         stacked.fwd.m_lstm.Wx[...] = plain.fwd.m_lstm.Wx
+        stacked.fwd.Wimg[...] = plain.fwd.Wimg
         stacked.fwd.m_lstm.Wh[...] = plain.fwd.m_lstm.Wh
         stacked.fwd.m_lstm.b[...] = plain.fwd.m_lstm.b
         stacked.fwd.transition.U[...] = np.eye(4)
@@ -448,7 +466,7 @@ class TestBlockNaming:
         views = [c.softmax_w, c.softmax_b]
         for d in (c.fwd, c.bwd):
             views += [d.embedding, *vars(d.t_lstm).values(),
-                      *vars(d.m_lstm).values()]
+                      *vars(d.m_lstm).values(), d.Wimg]
             if d.transition is not None:
                 views += [w for w in vars(d.transition).values() if w is not None]
         assert len(views) == len(own)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bicaption.errors import ShapeError
-from bicaption.numcore import (PANEL_HEIGHT, PANEL_MAX_ROWS, log_softmax,
-                               matvec, relu, sigmoid, softmax, tanh_act)
+from bicaption.numcore import (PANEL_HEIGHT, PANEL_MAX_ROWS, all_finite,
+                               log_softmax, matvec, relu, sigmoid, softmax,
+                               tanh_act)
 
 
 def assert_rows_close(got, want):
@@ -195,3 +198,28 @@ class TestRelu:
         v = rng.normal(size=64)
         once = relu(v)
         np.testing.assert_array_equal(relu(once), once)
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 7, -1])
+    def test_any_non_finite_element_found(self, value, at):
+        a = np.ones((3, 5))
+        a.reshape(-1)[at] = value
+        assert not all_finite(a)
+        assert not all_finite(a[:, ::2])  # a strided view holding it
+
+    def test_finite_and_empty_arrays_pass(self):
+        assert all_finite(np.array([-1e308, 0.0, 1e308]))
+        assert all_finite(np.empty((0, 4)))
+
+    def test_allocates_nothing_per_element(self):
+        # np.all(np.isfinite(a)) would make a 1 MiB bool array here
+        a = np.ones((1024, 1024))
+        tracemalloc.start()
+        try:
+            all_finite(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096

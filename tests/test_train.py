@@ -245,7 +245,7 @@ def row_arrays(grads):
         elif isinstance(g, np.ndarray):
             out.append(g)
         else:
-            out += [arr for pair in g for arr in pair]
+            out += list(g)  # a weight's (left, right) pair
     return out
 
 
@@ -257,19 +257,17 @@ BATCH_TOKENS = {1: [[4, 2, 4, 6]],
 
 class TestAccumulateGrads:
     def test_mean_of_two(self):
-        # a weight of two column runs, a bias, and an embedding whose two
-        # rows of one example scatter onto one column
-        a = {"w": ((np.array([[1.0], [2.0]]), np.array([[1.0, 0.0],
-                                                         [0.0, 1.0]])),
-                   (np.array([[1.0]]), np.array([[4.0]]))),
+        # a weight, a bias, and an embedding whose two rows of one example
+        # scatter onto one column
+        a = {"w": (np.array([[1.0], [2.0]]), np.array([[1.0, 0.0],
+                                                        [0.0, 1.0]])),
              "b": np.array([[2.0], [0.0]]),
              "e": Scatter(np.array([[1.0], [3.0]]), np.array([2, 2]), 3)}
-        b = {"w": ((np.array([[3.0]]), np.array([[1.0, 1.0]])),
-                   (np.array([[2.0]]), np.array([[1.0]]))),
+        b = {"w": (np.array([[3.0]]), np.array([[1.0, 1.0]])),
              "b": np.array([[4.0]]),
              "e": Scatter(np.array([[5.0]]), np.array([0]), 3)}
         out = accumulate_grads([a, b])
-        np.testing.assert_array_equal(out["w"], [[2.0, 2.5, 3.0]])
+        np.testing.assert_array_equal(out["w"], [[2.0, 2.5]])
         np.testing.assert_array_equal(out["b"], [3.0])
         np.testing.assert_array_equal(out["e"], [[2.5, 0.0, 2.0]])
 
@@ -304,15 +302,15 @@ class TestAccumulateGrads:
     @pytest.mark.parametrize("change, named", [
         ({"b": None}, "b"),  # lacks a block
         ({"u": np.zeros((1, 2))}, "u"),  # adds one
-        ({"w": ((np.zeros((2, 2)), np.zeros((2, 4))),)}, "w"),  # left width
-        ({"w": ((np.zeros((2, 3)), np.zeros((2, 5))),)}, "w"),  # right width
-        ({"w": ((np.zeros((2, 3)), np.zeros((2, 4))),) * 2}, "w"),  # a run more
+        ({"w": (np.zeros((2, 2)), np.zeros((2, 4)))}, "w"),  # left width
+        ({"w": (np.zeros((2, 3)), np.zeros((2, 5)))}, "w"),  # right width
+        ({"w": np.zeros((2, 3))}, "w"),  # a bias's rows for a weight's
         ({"b": np.zeros((2, 4))}, "b"),
         ({"e": Scatter(np.zeros((2, 4)), np.array([0, 1]), 6)}, "e"),
         ({"e": Scatter(np.zeros((2, 5)), np.array([0, 1]), 7)}, "e"),
     ])
     def test_disagreeing_dicts_refused(self, change, named):
-        first = {"w": ((np.zeros((2, 3)), np.zeros((2, 4))),),
+        first = {"w": (np.zeros((2, 3)), np.zeros((2, 4))),
                  "b": np.zeros((2, 3)),
                  "e": Scatter(np.zeros((2, 5)), np.array([0, 1]), 6)}
         later = {name: g for name, g in {**first, **change}.items()
