@@ -3,7 +3,8 @@ greedy argmax), selection of the better direction by summed log-probability,
 and gate-state trace export for inspecting the cells over time.
 
 Beam search advances all live hypotheses of a direction as one batch: one
-row of state per hypothesis, one `_decode_step` per time step, and the
+row of state per hypothesis, one `_decode_step` and one selection of the
+beam over every (hypothesis, token) sum (`_best`) per time step, and the
 image projected through the M-LSTM once per image and direction. It is the
 only decoder: a gate trace is the teacher-forced pass over the greedy
 (beam width 1) caption.
@@ -31,48 +32,33 @@ class Hypothesis:
     per_step_logprobs: list[float]
 
 
-@dataclass
-class _DecodeState:
-    """Both LSTMs' states, one row per live hypothesis."""
-
-    h1: np.ndarray
-    c1: np.ndarray
-    h2: np.ndarray
-    c2: np.ndarray
-
-    def take(self, rows) -> "_DecodeState":
-        return _DecodeState(self.h1[rows], self.c1[rows], self.h2[rows],
-                            self.c2[rows])
-
-
 def _decode_step(m: CaptionModel, d: DirectionParams, m_cell: LstmParams,
-                 state: _DecodeState, tokens):
+                 state: np.ndarray, tokens):
     """Advance one step: the T-LSTM on an array of token ids, one state row
     per id, whose input drives are one product; then the shared
-    `model.step` and the softmax logits. Returns (logits, new_state), in
-    rows."""
+    `model.step` and the softmax logits. `state` is the (4, rows, H) block
+    (h1, c1, h2, c2) of both LSTMs. Returns (logits, new_state), in rows."""
+    h1, c1, h2, c2 = state
     x = d.embedding.T[tokens]
-    _, c1, h1 = cell_forward(d.t_lstm, input_drive(d.t_lstm, x), state.h1,
-                             state.c1)
-    _, _, c2, h2 = step(m, d, h1, state.h2, state.c2, m_cell)
-    return softmax_logits(m, h2), _DecodeState(h1, c1, h2, c2)
+    _, c1, h1 = cell_forward(d.t_lstm, input_drive(d.t_lstm, x), h1, c1)
+    _, _, c2, h2 = step(m, d, h1, h2, c2, m_cell)
+    return softmax_logits(m, h2), np.stack((h1, c1, h2, c2))
 
 
-def _top_k(rows: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the indices of the k largest values, largest first and ties
-    to the lower index: the first k of a stable argsort of -row, without
-    sorting the whole row."""
-    neg = -rows
-    if k >= neg.shape[-1]:
-        return np.argsort(neg, axis=-1, kind="stable")
-    kth = np.partition(neg, k - 1, axis=-1)[:, k - 1]
-    out = np.empty((len(neg), k), dtype=np.intp)
-    for r, row in enumerate(neg):
-        # every index that can be among the k: usually exactly k of them,
-        # more when values tie with the k-th
-        idx = np.flatnonzero(row <= kth[r])
-        out[r] = idx[np.argsort(row[idx], kind="stable")[:k]]
-    return out
+def _best(sums: np.ndarray, logprobs: np.ndarray, k: int):
+    """The k best (hypothesis, token) pairs of a (rows, V) table of summed
+    log-probabilities as (rows, tokens), best first by sum descending, then
+    hypothesis, log-probability descending and token: each hypothesis's top
+    k (ties to the lower token) stably sorted by sum. A stable sort of the
+    sums alone differs: two log-probabilities can round to one sum."""
+    neg = -sums.ravel()
+    k = min(k, neg.size)
+    # every candidate that can be among the k: usually exactly k of them,
+    # more when sums tie with the k-th
+    cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    rows, tokens = np.divmod(cand, sums.shape[1])
+    order = np.lexsort((tokens, -logprobs[rows, tokens], rows, neg[cand]))
+    return rows[order[:k]], tokens[order[:k]]
 
 
 def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
@@ -89,31 +75,25 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
     d = m.direction(direction)
     m_cell = image_input(d, feature)
     live = [Hypothesis([], 0.0, [])]
-    state = _DecodeState(*np.zeros((4, 1, m.hidden_dim)))
+    state = np.zeros((4, 1, m.hidden_dim))
     tokens = np.array([BOUNDARY_ID])
     finished: list[Hypothesis] = []
 
     while live:
         logits, state = _decode_step(m, d, m_cell, state, tokens)
         logprobs = log_softmax(logits)
-        top = _top_k(logprobs, beam_k)
-        top_lp = np.take_along_axis(logprobs, top, axis=1)
-        sums = np.array([h.logprob_sum for h in live])[:, None] + top_lp
-        # candidates in emission order (hypothesis, then rank within it);
-        # the stable sort keeps that order among equal sums
-        best = np.argsort(-sums, axis=None, kind="stable")[:beam_k]
+        sums = np.array([h.logprob_sum for h in live])[:, None] + logprobs
         prev, live, rows = live, [], []
-        for r, j in zip(*np.divmod(best, top.shape[1])):
-            tok, lp = int(top[r, j]), float(top_lp[r, j])
+        for r, tok in zip(*_best(sums, logprobs, beam_k)):
             hyp = prev[r]
-            ext = Hypothesis(hyp.tokens + [tok], float(sums[r, j]),
-                             hyp.per_step_logprobs + [lp])
+            ext = Hypothesis(hyp.tokens + [int(tok)], float(sums[r, tok]),
+                             hyp.per_step_logprobs + [float(logprobs[r, tok])])
             if tok == BOUNDARY_ID or len(ext.tokens) >= max_len:
                 finished.append(ext)
             else:
                 live.append(ext)
                 rows.append(r)
-        state = state.take(rows)
+        state = state[:, rows]
         tokens = np.array([h.tokens[-1] for h in live])
 
     # live only empties once a candidate has finished, and the step at

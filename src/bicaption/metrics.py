@@ -142,6 +142,13 @@ def _query_ranks(sm: ScoreMatrix, ground_truth: dict[int, set[int]],
                  direction: str) -> list[int]:
     """1-based rank of the best-ranked ground-truth item for each query.
     ground_truth maps image row index -> set of sentence column indices."""
+    n_images, n_sentences = sm.scores.shape
+    for img, sents in ground_truth.items():
+        for axis, index, count in [("image", img, n_images)] + [
+                ("sentence", s, n_sentences) for s in sents]:
+            if not 0 <= index < count:
+                raise MetricError(
+                    f"ground-truth {axis} {index} outside 0..{count - 1}")
     if direction == IMAGE_TO_SENTENCE:
         grid = sm.scores
         gt = ground_truth

@@ -15,6 +15,7 @@ Importing this module also keeps freed heap memory mapped on glibc (see
 """
 
 import ctypes
+import math
 import platform
 
 import numpy as np
@@ -23,13 +24,13 @@ from .errors import ShapeError
 
 
 # A few rows against a tall matrix run as products with row panels of it.
-# Measured with OpenBLAS 0.3.31 on one thread (SkylakeX kernels): one
-# product of 2-7 rows costs as much as a matrix-vector product per row or
-# more, and 128-row panels cost 1.4-2.3x less at heights 1000-4000 and
-# widths 256-1000. Panels lose at 1 row and at 8 rows of width 1000, where
-# rows x 128 x width passes 1e6 (consistent with the size limit of
-# OpenBLAS's small-matrix kernel); teacher-forced sequences of 9+ rows keep
-# one product.
+# Measured with OpenBLAS 0.3.31 on one thread (run-time core SkylakeX; the
+# build's is Haswell): one product of 2-7 rows costs as much as a
+# matrix-vector product per row or more, and 128-row panels cost 1.4-2.3x
+# less at heights 1000-4000 and widths 256-1000, ~3 us more at 256x256 and
+# 2-4 rows. Panels lose at 1 row and at 8 rows of width 1000, where rows x
+# 128 x width passes 1e6 (consistent with the size limit of OpenBLAS's
+# small-matrix kernel); teacher-forced sequences of 9+ rows keep one product.
 PANEL_HEIGHT = 128
 PANEL_MAX_ROWS = 7
 
@@ -78,10 +79,23 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+# Float64 elements per slab: 256 KiB, so a slab of every operand of an
+# update or a check stays inside a 2 MiB L2 while it is worked on.
+SLAB_SIZE = 1 << 15
+
+
+def slabs(shape: tuple[int, ...]) -> list[slice]:
+    """Leading-axis slices that cover an array of this shape in slabs of at
+    most SLAB_SIZE elements, or of one leading index where that is larger.
+    A leading-axis slice is a view whatever the strides, so an in-place
+    operation on it writes through to the array."""
+    rows = max(1, SLAB_SIZE // max(1, math.prod(shape[1:])))
+    return [slice(s, s + rows) for s in range(0, shape[0], rows)]
+
+
 def all_finite(a: np.ndarray) -> bool:
-    """True when no element of `a` is NaN or infinite. Read from its min
-    and max, which NaN propagates to, so no per-element array is made."""
-    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+    """True when no element of `a` is NaN or infinite; read slab by slab."""
+    return all(np.isfinite(a[s]).all() for s in slabs(a.shape))
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from .model import (ArchitectureKind, BACKWARD, CaptionModel,
                     DIRECTION_PREFIX, FORWARD, ForwardPassRecord, Scatter,
                     direction_forward, image_input, is_bias_block,
                     model_backward, softmax_logits, unroll)
-from .numcore import all_finite, log_softmax
+from .numcore import SLAB_SIZE, all_finite, log_softmax, slabs
 
 
 @dataclass
@@ -132,20 +132,6 @@ def mean_joint_loss(m: CaptionModel, examples) -> float:
     return sum(joint_loss(m, ex).total for ex in examples) / len(examples)
 
 
-# Float64 elements per slab: 256 KiB, so a slab of every operand of the
-# update stays inside a 2 MiB L2 while it is worked on.
-SLAB_SIZE = 1 << 15
-
-
-def _slabs(shape: tuple[int, ...]) -> list[slice]:
-    """Leading-axis slices that cover an array of this shape in slabs of at
-    most SLAB_SIZE elements, or of one leading index where that is larger.
-    A leading-axis slice is a view whatever the strides, so an in-place
-    operation on it writes through to the array."""
-    rows = max(1, SLAB_SIZE // math.prod(shape[1:]))
-    return [slice(s, s + rows) for s in range(0, shape[0], rows)]
-
-
 def _zip_rows(fn, values: list):
     """One block's gradient rows (`model.model_backward`) from a list of
     them, in their structure: fn of each row block's list of arrays, and
@@ -235,7 +221,7 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
                                              for g in grads.values())])))
     for name, g in grads.items():
         arr, v = params[name], state.velocity[name]
-        for s in _slabs(arr.shape):
+        for s in slabs(arr.shape):
             a, vs, gs = arr[s], v[s], g[s]
             step, clipped = (row[:a.size].reshape(a.shape) for row in scratch)
             if clip is not None:

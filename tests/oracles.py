@@ -217,6 +217,19 @@ def greedy_decode_loop(m, direction, feature, max_len):
     return emitted, logprob
 
 
+def two_stage_best(sums, logprobs, k):
+    """A beam step's selection in two stages: each hypothesis's top k tokens
+    (the first k of a stable argsort of its log-probabilities, ties to the
+    lower token id), then a stable sort of those candidates' sums in
+    emission order (hypothesis, then rank within it). Returns (rows,
+    tokens) of the first k."""
+    top = np.argsort(-logprobs, axis=1, kind="stable")[:, :k]
+    top_sums = np.take_along_axis(sums, top, axis=1)
+    rows, rank = np.divmod(
+        np.argsort(-top_sums, axis=None, kind="stable")[:k], top.shape[1])
+    return rows, top[rows, rank]
+
+
 def per_hypothesis_beam(m, direction, feature, beam_k, max_len):
     """Beam search advancing one hypothesis at a time, each by a full
     forward pass over its prefix: every hypothesis's top beam_k tokens by a

@@ -14,7 +14,8 @@ from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, build_model,
 from bicaption.numcore import PANEL_HEIGHT
 
 from oracles import (enumerate_best_hypothesis, gate_activations,
-                     greedy_decode_loop, greedy_gate_loop, per_hypothesis_beam)
+                     greedy_decode_loop, greedy_gate_loop, per_hypothesis_beam,
+                     two_stage_best)
 
 BI = ArchitectureKind.BI_LSTM
 BIS = ArchitectureKind.BI_S_LSTM
@@ -90,7 +91,7 @@ class TestDecodeDirection:
             rec = direction_forward(m, direction, tokens, feature)
             d = m.direction(direction)
             m_cell = image_input(d, feature)
-            state = infer_mod._DecodeState(*np.zeros((4, 1, m.hidden_dim)))
+            state = np.zeros((4, 1, m.hidden_dim))
             for t, token in enumerate(tokens):
                 logits, state = infer_mod._decode_step(
                     m, d, m_cell, state, np.array([token]))
@@ -155,17 +156,26 @@ class TestDecodeDirection:
         assert len(hyp.tokens) == 7
         assert calls == {"step": 7, "image": 1}
 
-    def test_top_k_is_stable_argsort_prefix_on_ties(self):
+    def test_best_matches_two_stage_selection_on_ties(self):
+        # signed zeros, repeated values, and sums that round together:
+        # -1e3 + (-1 - 1e-14) == -1e3 + (-1), where the larger
+        # log-probability wins, though a stable sort of the sums alone
+        # would keep the lower token id
         rng = np.random.default_rng(0)
-        values = np.array([-0.0, 0.0, -1.0, -2.5, -40.0])
-        checked = 0
-        while checked < 10_000:
-            width = int(rng.integers(1, 30))
-            rows = rng.choice(values, size=(int(rng.integers(1, 5)), width))
-            k = int(rng.integers(1, width + 3))
-            want = np.argsort(-rows, axis=-1, kind="stable")[:, :k]
-            np.testing.assert_array_equal(infer_mod._top_k(rows, k), want)
-            checked += len(rows)
+        values = np.array([-0.0, 0.0, -1.0, -1.0 - 1e-14, -2.5, -40.0])
+        prevs = np.array([-0.0, 0.0, -1.0, -1e3, -2.5])
+        for _ in range(10_000):
+            n, width = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+            logprobs = rng.choice(values, size=(n, width))
+            sums = rng.choice(prevs, size=n)[:, None] + logprobs
+            k = int(rng.integers(1, n * width + 3))
+            for got, want in zip(infer_mod._best(sums, logprobs, k),
+                                 two_stage_best(sums, logprobs, k)):
+                np.testing.assert_array_equal(got, want)
+        logprobs = np.array([[-1.0 - 1e-14, -1.0]])
+        sums = -1e3 + logprobs
+        assert sums[0, 0] == sums[0, 1]
+        assert [int(t) for t in infer_mod._best(sums, logprobs, 1)[1]] == [1]
 
     def test_logprob_bookkeeping(self):
         m = random_model(BI, 6, 3, 4, 4, seed=13)

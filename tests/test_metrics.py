@@ -192,6 +192,20 @@ class TestRetrievalMetrics:
         with pytest.raises(MetricError):
             median_rank(sm, {0: {0}}, IMAGE_TO_SENTENCE)
 
+    @pytest.mark.parametrize("direction", [IMAGE_TO_SENTENCE,
+                                           SENTENCE_TO_IMAGE])
+    @pytest.mark.parametrize("gt, bad", [
+        ({0: {5}, 1: {0}}, "sentence 5 "),
+        ({0: {-1}, 1: {0}}, "sentence -1 "),
+        ({0: {0}, 1: {1}, 7: {2}}, "image 7 "),
+        ({0: {0}, 1: {1}, -1: {2}}, "image -1 ")])
+    def test_out_of_range_ground_truth_rejected(self, direction, gt, bad):
+        sm = matrix(np.arange(6.0).reshape(2, 3))
+        with pytest.raises(MetricError, match=bad):
+            recall_at_k(sm, gt, 1, direction)
+        with pytest.raises(MetricError, match=bad):
+            median_rank(sm, gt, direction)
+
     @pytest.mark.parametrize("direction, shape", [
         (IMAGE_TO_SENTENCE, (0, 3)), (SENTENCE_TO_IMAGE, (3, 0))])
     def test_no_queries_rejected(self, direction, shape):

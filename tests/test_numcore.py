@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bicaption.errors import ShapeError
-from bicaption.numcore import (PANEL_HEIGHT, PANEL_MAX_ROWS, all_finite,
-                               log_softmax, matvec, relu, sigmoid, softmax,
-                               tanh_act)
+from bicaption.numcore import (PANEL_HEIGHT, PANEL_MAX_ROWS, SLAB_SIZE,
+                               all_finite, log_softmax, matvec, relu, sigmoid,
+                               softmax, tanh_act)
 
 
 def assert_rows_close(got, want):
@@ -213,13 +213,24 @@ class TestAllFinite:
         assert all_finite(np.array([-1e308, 0.0, 1e308]))
         assert all_finite(np.empty((0, 4)))
 
-    def test_allocates_nothing_per_element(self):
-        # np.all(np.isfinite(a)) would make a 1 MiB bool array here
-        a = np.ones((1024, 1024))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_column_views_checked_apart(self, value):
+        # a version-1 checkpoint's Wx and Wimg are column views of one
+        # block; these span several slabs, the last one partial
+        block = np.ones((SLAB_SIZE // 2 + 3, 7))
+        wx, wimg = block[:, :3], block[:, 3:]
+        block[-1, 5] = value
+        assert all_finite(wx) and not all_finite(wimg)
+        block[-1, 5], block[0, 2] = 1.0, value
+        assert not all_finite(wx) and all_finite(wimg)
+
+    def test_per_element_check_is_one_slab(self):
+        # np.all(np.isfinite(a)) would make a 4 MiB bool array here
+        a = np.ones((2048, 2048))
         tracemalloc.start()
         try:
-            all_finite(a)
+            assert all_finite(a)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4096
+        assert peak < 1 << 20
