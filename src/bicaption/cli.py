@@ -57,6 +57,8 @@ def _load_config_file(path, keys: dict) -> dict:
         key, value = key.strip(), value.strip()
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in cfg:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
         cfg[key] = _convert(f"{path}:{lineno}: {key}", keys[key], value)
     return cfg
 
@@ -82,6 +84,14 @@ def _parse_arch(name: str) -> ArchitectureKind:
     return ARCH_BY_NAME[name]
 
 
+def _check_feature_dims(path, features: dict, dim: int, source) -> None:
+    """Refuse the first feature of file `path` whose dim is not `dim`."""
+    for image_id, vec in features.items():
+        if vec.shape[0] != dim:
+            raise ShapeError(f"{path}: feature for {image_id!r} has dim "
+                             f"{vec.shape[0]}, {source} expects {dim}")
+
+
 def _load_model_inputs(args):
     """The checkpoint, its vocab (None without --vocab) and the features,
     with the vocab size and every feature's dim checked against it."""
@@ -93,12 +103,7 @@ def _load_model_inputs(args):
             raise DataError(f"{args.vocab}: vocab has {vocab.size} words, "
                             f"checkpoint has {m.vocab_size}")
     features = data_mod.read_features(args.features)
-    for image_id, vec in features.items():
-        if vec.shape[0] != m.feature_dim:
-            raise ShapeError(
-                f"{args.features}: feature for {image_id!r} has dim "
-                f"{vec.shape[0]}, checkpoint expects {m.feature_dim}"
-            )
+    _check_feature_dims(args.features, features, m.feature_dim, "checkpoint")
     return m, vocab, features
 
 
@@ -141,18 +146,20 @@ def cmd_train(args) -> int:
         raise ConfigError("--val-features needs --val-captions")
     captions = data_mod.read_captions(args.captions)
     features = data_mod.read_features(args.features)
+    feature_dim = next(iter(features.values())).shape[0]  # the header's
+    val_captions, val_features = captions, features
     if args.val_captions:
         val_captions = data_mod.read_captions(args.val_captions)
-        val_features = data_mod.read_features(args.val_features or args.features)
-    else:
-        val_captions, val_features = captions, features
+    if args.val_features:
+        val_features = data_mod.read_features(args.val_features)
+        _check_feature_dims(args.val_features, val_features, feature_dim,
+                            args.features)
 
     min_count = opt.get("min_count", profile["min_count"])
     vocab = data_mod.build_vocab(captions, min_count=min_count)
     train_set = data_mod.assemble_examples(vocab, captions, features)
     val_set = data_mod.assemble_examples(vocab, val_captions, val_features)
 
-    feature_dim = train_set[0].feature.shape[0]
     model = init_model(arch, vocab.size, feature_dim, embed_dim, hidden_dim,
                        seed=cfg.seed)
     out_dir = Path(args.out_dir)

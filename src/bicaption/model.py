@@ -23,7 +23,8 @@ on its output, except for bi-s-lstm, whose transition reads the previous
 M-LSTM state, so that `unroll` calls `step` once per time step. `step` also
 runs each decoding step, on one row per live hypothesis. `model_backward`
 runs `lstm.sequence_backward` for both LSTMs, so each LSTM's recurrence is
-written once, in `lstm`, and returns every block's gradient as rows, which
+written once, in `lstm`, and returns the gradient as groups of rows, each
+one left factor and the blocks that read it, which
 `train.accumulate_grads` makes dense over a batch. A row of a (T, .)
 product rounds differently from a product of that row alone, so decoding
 and teacher forcing agree to rounding (1e-12 relative), not bit for bit.
@@ -135,8 +136,8 @@ def _direction_params(p: Mapping[str, np.ndarray],
 
 
 # an embedding block's gradient as rows: row t of `rows` is added to column
-# ids[t] of a (rows' width x columns) block
-Scatter = namedtuple("Scatter", "rows ids columns")
+# ids[t] of the block `name`, (rows' width x columns)
+Scatter = namedtuple("Scatter", "name rows ids columns")
 
 
 def is_bias_block(name: str) -> bool:
@@ -372,19 +373,23 @@ def direction_forward(m: CaptionModel, direction: str, tokens,
 
 
 def model_backward(m: CaptionModel, rec: ForwardPassRecord,
-                   targets) -> dict:
+                   targets) -> list:
     """Gradients of the summed cross-entropy  sum_t -log probs[t][targets[t]]
-    for the record's direction, keyed by block name (softmax included), as
-    rows that `train.accumulate_grads` makes dense: a weight's is one
-    (left, right) pair, left.T @ right; a bias's is the column sum of its
-    rows; an embedding's is a `Scatter` of the T-LSTM's input gradients
-    onto their token ids. Each LSTM runs `sequence_backward`, the M-LSTM on
-    its text input, whose gradient feeds the transition; Wimg's gradient is
-    db (x) feature, the pair (db row, feature row)."""
+    for the record's direction (softmax included), as rows that
+    `train.accumulate_grads` makes dense: a list of groups, each one left
+    factor and the blocks that read it, (left, {block name: right}), where
+    a weight is left.T @ right and a bias (None) left's column sum; the
+    embedding's is a `Scatter` of the T-LSTM's input gradients onto their
+    token ids. Each LSTM runs `sequence_backward`, the M-LSTM on its text
+    input, whose gradient feeds the transition; Wimg's left is db, its
+    right the feature. Targets outside the vocabulary are refused first."""
     targets = list(targets)
     T = len(rec)
     if len(targets) != T:
         raise ShapeError(f"{T} steps but {len(targets)} targets")
+    for t in targets:
+        if not 0 <= t < m.vocab_size:
+            raise VocabError(f"target id {t} outside vocabulary of size {m.vocab_size}")
 
     d = m.direction(rec.direction)
     prefix = DIRECTION_PREFIX[rec.direction]
@@ -398,35 +403,29 @@ def model_backward(m: CaptionModel, rec: ForwardPassRecord,
                                      tr_params.V if bi_s else None)
 
     h1s = t_tr.hs[1:]
-    trans = {}
+    trans = f"{prefix}.trans."
     if m.arch == ArchitectureKind.BI_LSTM:
-        dh1 = d_text
+        dh1, trans_groups = d_text, []
     elif bi_s:
-        trans["U"] = (d_text, h1s)
-        trans["V"] = (d_text, m_tr.hs[:-1])
         dh1 = d_text @ tr_params.U
+        trans_groups = [(d_text, {trans + "U": h1s, trans + "V": m_tr.hs[:-1]})]
     else:
         ww = tr_params.W.shape[0]
         dpre = d_text * (rec.transition_preacts > 0.0)
         dpre_w, dpre_v = dpre[:, :ww], dpre[:, ww:]
         du = dpre_v @ tr_params.V
-        trans["U"] = (du, h1s)
-        trans["V"] = (dpre_v, h1s @ tr_params.U.T)
-        trans["W"] = (dpre_w, h1s)
         dh1 = dpre_w @ tr_params.W + du @ tr_params.U
+        trans_groups = [(du, {trans + "U": h1s}),
+                        (dpre_v, {trans + "V": h1s @ tr_params.U.T}),
+                        (dpre_w, {trans + "W": h1s})]
 
     t_da, t_dx = sequence_backward(d.t_lstm, t_tr, dh1)
-    return {
-        f"{prefix}.embedding": Scatter(t_dx, np.array(rec.tokens),
-                                       m.vocab_size),
-        f"{prefix}.t_lstm.Wx": (t_da, t_tr.x),
-        f"{prefix}.t_lstm.Wh": (t_da, t_tr.hs[:-1]),
-        f"{prefix}.t_lstm.b": t_da,
-        f"{prefix}.m_lstm.Wx": (m_da, m_tr.x),
-        f"{prefix}.m_lstm.Wh": (m_da, m_tr.hs[:-1]),
-        f"{prefix}.m_lstm.b": m_da,  # before Wimg, so m_da is stacked once
-        f"{prefix}.m_lstm.Wimg": (m_da.sum(axis=0, keepdims=True), rec.feature[None]),
-        "softmax_w": (dlogits, m_tr.hs[1:]),
-        "softmax_b": dlogits,
-        **{f"{prefix}.trans.{name}": pair for name, pair in trans.items()},
-    }
+    lstm = [(da, {f"{p}Wx": tr.x, f"{p}Wh": tr.hs[:-1], f"{p}b": None})
+            for p, da, tr in ((f"{prefix}.t_lstm.", t_da, t_tr),
+                              (f"{prefix}.m_lstm.", m_da, m_tr))]
+    return [Scatter(f"{prefix}.embedding", t_dx, np.array(rec.tokens),
+                    m.vocab_size), *lstm,
+            (m_da.sum(axis=0, keepdims=True),
+             {f"{prefix}.m_lstm.Wimg": rec.feature[None]}),
+            (dlogits, {"softmax_w": m_tr.hs[1:], "softmax_b": None}),
+            *trans_groups]

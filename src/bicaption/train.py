@@ -1,7 +1,9 @@
 """Joint two-direction training: SGD with momentum and weight decay over
 the summed forward+backward cross-entropy loss, plus the finite-difference
 gradient checker used to validate the analytic backward pass. An example's
-gradients are rows; `accumulate_grads` alone makes them dense, per batch.
+gradients are groups of rows (`model.model_backward`), each naming the
+blocks that share its left factor; `accumulate_grads` alone makes them
+dense, per batch.
 """
 
 import math
@@ -109,20 +111,15 @@ def joint_loss(m: CaptionModel, ex: CaptionedExample) -> JointLoss:
 
 
 def joint_backward(m: CaptionModel,
-                   ex: CaptionedExample) -> tuple[JointLoss, dict]:
-    """Loss plus the joint loss's gradient rows (`model.model_backward`),
-    the shared softmax's forward rows before its backward ones, stacked
-    once for both of its blocks."""
+                   ex: CaptionedExample) -> tuple[JointLoss, list]:
+    """Loss plus the joint loss's gradient rows: the forward direction's
+    groups (`model.model_backward`), then the backward one's."""
     if not ex.tokens:
         raise DataError(f"example {ex.image_id!r} has an empty caption")
     rec_f, tgt_f, lf = _direction_pass(m, ex, FORWARD)
     rec_b, tgt_b, lb = _direction_pass(m, ex, BACKWARD)
-    grads = model_backward(m, rec_f, tgt_f)
-    stack = _stacker({}, {})
-    for name, g in model_backward(m, rec_b, tgt_b).items():
-        grads[name] = (_zip_rows(stack, [grads[name], g])
-                       if name in grads else g)
-    return JointLoss(loss_fwd=lf, loss_bwd=lb), grads
+    return (JointLoss(loss_fwd=lf, loss_bwd=lb),
+            model_backward(m, rec_f, tgt_f) + model_backward(m, rec_b, tgt_b))
 
 
 def mean_joint_loss(m: CaptionModel, examples) -> float:
@@ -132,67 +129,61 @@ def mean_joint_loss(m: CaptionModel, examples) -> float:
     return sum(joint_loss(m, ex).total for ex in examples) / len(examples)
 
 
-def _zip_rows(fn, values: list):
-    """One block's gradient rows (`model.model_backward`) from a list of
-    them, in their structure: fn of each row block's list of arrays, and
-    the first one's embedding column count."""
-    g = values[0]
-    if isinstance(g, np.ndarray):
-        return fn(values)
-    if isinstance(g, int):
-        return g
-    parts = [_zip_rows(fn, list(part)) for part in zip(*values)]
-    return Scatter(*parts) if isinstance(g, Scatter) else tuple(parts)
-
-
-def _stacker(kept: dict, made: dict):
-    """np.concatenate for `_zip_rows` that stacks each distinct list of
-    arrays (told apart by identity) once: a stack found in `made` or `kept`
-    is reused, and every stack it returns is recorded in `made`."""
-    def stack(arrays):
-        key = tuple(map(id, arrays))
-        if key not in made:
-            made[key] = kept[key] if key in kept else np.concatenate(arrays)
-        return made[key]
-    return stack
+def _widths(groups) -> dict[str, list]:
+    """Block name -> for each group that names it, the group's block names
+    and the widths of its left and right rows (None for a bias), or a
+    `Scatter`'s row width and column count."""
+    out = {}
+    for g in groups:
+        if isinstance(g, Scatter):
+            out.setdefault(g.name, []).append((g.rows.shape[1:], g.columns))
+            continue
+        for name, right in g[1].items():
+            out.setdefault(name, []).append((
+                tuple(g[1]), g[0].shape[1:],
+                None if right is None else right.shape[1:]))
+    return out
 
 
 def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
     """Mean of per-example gradient rows (`joint_backward`) as dense
     blocks; the inputs are left unchanged. Every example must hold the
-    first one's blocks with rows of the first one's widths. A block's rows
-    are stacked in example order: a weight is then one product of its
-    (left, right) pair, the smaller factor scaled by 1/B, a bias one sum,
-    an embedding one scatter. Rows that several blocks read (an LSTM's da,
-    the softmax's dlogits) are stacked once, and kept while the next block
-    is formed, which is where the blocks that share them are."""
+    first one's groups with rows of the first one's widths. The groups that
+    name the same blocks are gathered in example order, forward before
+    backward, and each factor is stacked once: a weight is then one product
+    of its (left, right) pair, the smaller factor scaled by 1/B, a bias one
+    sum, an embedding one scatter."""
     if not grad_list:
         raise DataError("no gradients to accumulate")
-    first = grad_list[0]
-    for i, grads in enumerate(grad_list[1:], 1):
-        for name in {**first, **grads}:  # the first dict's names, then extras
-            widths, want = (
-                _zip_rows(lambda rows: rows[0].shape[1:], [g[name]])
-                if name in g else "absent" for g in (grads, first))
-            if widths != want:
-                raise ShapeError(f"gradient dict {i} block {name} has rows "
-                                 f"{widths}, dict 0 {want}")
-    scale = 1.0 / len(grad_list)
-    out, kept = {}, {}
-    for name in first:
-        made = {}
-        g = _zip_rows(_stacker(kept, made),
-                      [grads[name] for grads in grad_list])
-        kept = made
+    want = _widths(grad_list[0])
+    for i, groups in enumerate(grad_list[1:], 1):
+        got = _widths(groups)
+        for name in {**want, **got}:  # the first example's names, then extras
+            widths, first = (w.get(name, "absent") for w in (got, want))
+            if widths != first:
+                raise ShapeError(f"gradient {i} block {name} has rows "
+                                 f"{widths}, gradient 0 {first}")
+    gathered = {}
+    for g in (g for groups in grad_list for g in groups):
+        key = (g.name,) if isinstance(g, Scatter) else tuple(g[1])
+        gathered.setdefault(key, []).append(g)
+    scale, out = 1.0 / len(grad_list), {}
+    for groups in gathered.values():
+        g = groups[0]
         if isinstance(g, Scatter):
-            out[name] = np.zeros((g.rows.shape[1], g.columns))
-            np.add.at(out[name].T, g.ids, g.rows * scale)
-        elif isinstance(g, np.ndarray):
-            out[name] = g.sum(axis=0) * scale
-        else:  # a weight: left.T @ right
-            left, right = g
+            out[g.name] = np.zeros((g.rows.shape[1], g.columns))
+            np.add.at(out[g.name].T, np.concatenate([s.ids for s in groups]),
+                      np.concatenate([s.rows for s in groups]) * scale)
+            continue
+        left = np.concatenate([left for left, _ in groups])
+        for name, right in g[1].items():
+            if right is None:
+                out[name] = left.sum(axis=0) * scale
+                continue
+            right = np.concatenate([rights[name] for _, rights in groups])
             out[name] = ((left * scale).T @ right if left.size <= right.size
                          else left.T @ (right * scale))
+        left = right = None  # before the next group's stacks
     return out
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -173,6 +174,39 @@ class TestTrainCommand:
                    str(features), "--out-dir", str(out_dir), flag, value])
         assert rc == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_val_feature_dim_checked_before_out_dir(self, tmp_path, capsys):
+        vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
+        captions, features, _ = write_corpus(tmp_path, vocab, examples)
+        val_features = tmp_path / "val.feat"
+        write_features(val_features, {ex.image_id: np.append(ex.feature, 0.0)
+                                      for ex in examples})
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--captions", str(captions), "--features",
+                   str(features), "--val-captions", str(captions),
+                   "--val-features", str(val_features),
+                   "--out-dir", str(out_dir)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {val_features}: feature for "
+                       f"{examples[0].image_id!r} has dim 8, {features} "
+                       f"expects 7\n")
+        assert not out_dir.exists()
+
+    def test_config_key_set_twice_rejected(self, tmp_path, capsys):
+        vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
+        captions, features, _ = write_corpus(tmp_path, vocab, examples)
+        config = tmp_path / "train.cfg"
+        config.write_text("batch_size=3\n# comment\nbatch_size=1\n")
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--captions", str(captions), "--features",
+                   str(features), "--out-dir", str(out_dir),
+                   "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: {config}:3: repeated config key 'batch_size'\n")
         assert not out_dir.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import bicaption.model as model_mod
 import bicaption.numcore as numcore
 from bicaption.data import CaptionedExample
 from bicaption.errors import ConfigError, ShapeError, VocabError
-from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
+from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, Scatter,
                              TransitionParams, build_model, direction_forward,
                              image_input, init_model, model_backward,
                              random_model, step, transition_forward)
@@ -290,6 +290,40 @@ class TestModelBackward:
         rec = direction_forward(m, FORWARD, [0, 2], np.zeros(2))
         with pytest.raises(ShapeError):
             model_backward(m, rec, [2])
+
+    @pytest.mark.parametrize("target", [-1, 5])
+    def test_target_outside_vocabulary_refused(self, target, monkeypatch):
+        # -1 would train word V-1 and V would index past the softmax; the
+        # refusal comes before the backward pass starts
+        m = init_model(BI, 5, 2, 3, 3, seed=0)
+        rec = direction_forward(m, FORWARD, [0, 2], np.zeros(2))
+        monkeypatch.setattr(model_mod, "sequence_backward", None)
+        with pytest.raises(VocabError, match=f"target id {target} outside"):
+            model_backward(m, rec, [2, target])
+
+    @pytest.mark.parametrize("arch", [BI, BIS, BIF])
+    def test_groups_name_each_block_once(self, arch):
+        # a direction's groups name each of its blocks and the softmax's
+        # exactly once; the blocks that read one left factor share a group
+        m = random_model(arch, 9, 4, 5, 6, seed=1)
+        per_direction = []
+        for direction in (FORWARD, BACKWARD):
+            inputs, targets = direction_io([3, 5, 2], direction)
+            rec = direction_forward(m, direction, inputs, np.ones(4))
+            names = [[g.name] if isinstance(g, Scatter) else list(g[1])
+                     for g in model_backward(m, rec, targets)]
+            p = "fwd" if direction == FORWARD else "bwd"
+            want = [[f"{p}.embedding"],
+                    [f"{p}.t_lstm.Wx", f"{p}.t_lstm.Wh", f"{p}.t_lstm.b"],
+                    [f"{p}.m_lstm.Wx", f"{p}.m_lstm.Wh", f"{p}.m_lstm.b"],
+                    [f"{p}.m_lstm.Wimg"], ["softmax_w", "softmax_b"]]
+            want += {BI: [], BIS: [[f"{p}.trans.U", f"{p}.trans.V"]],
+                     BIF: [[f"{p}.trans.{w}"] for w in "UVW"]}[arch]
+            assert names == want
+            per_direction.append([n for group in names for n in group])
+        fwd, bwd = per_direction
+        assert sorted(set(fwd) | set(bwd)) == sorted(n for n, _ in m.blocks())
+        assert set(fwd) & set(bwd) == {"softmax_w", "softmax_b"}
 
     @pytest.mark.parametrize("arch", [BI, BIS, BIF])
     def test_joint_gradients_match_finite_differences(self, arch):

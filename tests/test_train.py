@@ -236,16 +236,15 @@ def rank1_batch_mean(m, batch):
     return {name: g / len(batch) for name, g in total.items()}
 
 
-def row_arrays(grads):
-    """Every array of a dict of gradient rows, in a fixed order."""
+def row_arrays(groups):
+    """Every array of a list of gradient groups, in a fixed order."""
     out = []
-    for g in grads.values():
+    for g in groups:
         if isinstance(g, Scatter):
             out += [g.rows, g.ids]
-        elif isinstance(g, np.ndarray):
-            out.append(g)
-        else:
-            out += list(g)  # a weight's (left, right) pair
+        else:  # a left factor and its blocks' right rows, None for a bias
+            left, rights = g
+            out += [left, *(r for r in rights.values() if r is not None)]
     return out
 
 
@@ -259,17 +258,30 @@ class TestAccumulateGrads:
     def test_mean_of_two(self):
         # a weight, a bias, and an embedding whose two rows of one example
         # scatter onto one column
-        a = {"w": (np.array([[1.0], [2.0]]), np.array([[1.0, 0.0],
-                                                        [0.0, 1.0]])),
-             "b": np.array([[2.0], [0.0]]),
-             "e": Scatter(np.array([[1.0], [3.0]]), np.array([2, 2]), 3)}
-        b = {"w": (np.array([[3.0]]), np.array([[1.0, 1.0]])),
-             "b": np.array([[4.0]]),
-             "e": Scatter(np.array([[5.0]]), np.array([0]), 3)}
+        a = [(np.array([[1.0], [2.0]]), {"w": np.array([[1.0, 0.0],
+                                                         [0.0, 1.0]])}),
+             (np.array([[2.0], [0.0]]), {"b": None}),
+             Scatter("e", np.array([[1.0], [3.0]]), np.array([2, 2]), 3)]
+        b = [(np.array([[3.0]]), {"w": np.array([[1.0, 1.0]])}),
+             (np.array([[4.0]]), {"b": None}),
+             Scatter("e", np.array([[5.0]]), np.array([0]), 3)]
         out = accumulate_grads([a, b])
         np.testing.assert_array_equal(out["w"], [[2.0, 2.5]])
         np.testing.assert_array_equal(out["b"], [3.0])
         np.testing.assert_array_equal(out["e"], [[2.5, 0.0, 2.0]])
+
+    def test_groups_naming_the_same_blocks_are_gathered(self):
+        # a weight and a bias that share a left, in two groups per example
+        # (as the softmax's do, one per direction): one product and one sum
+        # over the rows of both examples
+        def example(l1, l2):
+            return [(np.array(l1), {"w": np.eye(2)[:len(l1)], "b": None}),
+                    (np.array(l2), {"w": np.ones((len(l2), 2)), "b": None})]
+        out = accumulate_grads([example([[1.0]], [[2.0], [4.0]]),
+                                example([[3.0], [5.0]], [[6.0]])])
+        assert list(out) == ["w", "b"]
+        np.testing.assert_array_equal(out["w"], [[8.0, 8.5]])
+        np.testing.assert_array_equal(out["b"], [10.5])
 
     @pytest.mark.parametrize("size", sorted(BATCH_TOKENS))
     @pytest.mark.parametrize("make", [init_model, random_model])
@@ -299,23 +311,24 @@ class TestAccumulateGrads:
         assert all(again[name].tobytes() == g.tobytes()
                    for name, g in out.items())
 
-    @pytest.mark.parametrize("change, named", [
-        ({"b": None}, "b"),  # lacks a block
-        ({"u": np.zeros((1, 2))}, "u"),  # adds one
-        ({"w": (np.zeros((2, 2)), np.zeros((2, 4)))}, "w"),  # left width
-        ({"w": (np.zeros((2, 3)), np.zeros((2, 5)))}, "w"),  # right width
-        ({"w": np.zeros((2, 3))}, "w"),  # a bias's rows for a weight's
-        ({"b": np.zeros((2, 4))}, "b"),
-        ({"e": Scatter(np.zeros((2, 4)), np.array([0, 1]), 6)}, "e"),
-        ({"e": Scatter(np.zeros((2, 5)), np.array([0, 1]), 7)}, "e"),
+    W = (np.zeros((2, 3)), {"w": np.zeros((2, 4))})
+    B = (np.zeros((2, 3)), {"b": None})
+    E = Scatter("e", np.zeros((2, 5)), np.array([0, 1]), 6)
+
+    @pytest.mark.parametrize("later, named", [
+        ([W, E], "b"),  # lacks a block
+        ([W, B, E, (np.zeros((1, 2)), {"u": None})], "u"),  # adds one
+        ([(np.zeros((2, 2)), W[1]), B, E], "w"),  # left width
+        ([(W[0], {"w": np.zeros((2, 5))}), B, E], "w"),  # right width
+        ([(W[0], {"w": None}), B, E], "w"),  # a bias's rows for a weight's
+        ([W, (np.zeros((2, 4)), {"b": None}), E], "b"),
+        ([W, B, E._replace(rows=np.zeros((2, 4)))], "e"),
+        ([W, B, E._replace(columns=7)], "e"),
+        ([(W[0], {**W[1], "b": None}), E], "w"),  # w, b share a left
     ])
-    def test_disagreeing_dicts_refused(self, change, named):
-        first = {"w": (np.zeros((2, 3)), np.zeros((2, 4))),
-                 "b": np.zeros((2, 3)),
-                 "e": Scatter(np.zeros((2, 5)), np.array([0, 1]), 6)}
-        later = {name: g for name, g in {**first, **change}.items()
-                 if g is not None}
-        with pytest.raises(ShapeError, match=f"dict 2 block {named} has"):
+    def test_disagreeing_groups_refused(self, later, named):
+        first = [self.W, self.B, self.E]
+        with pytest.raises(ShapeError, match=f"gradient 2 block {named} has"):
             accumulate_grads([first, first, later])
 
 
