@@ -88,8 +88,10 @@ def cell_forward(p: LstmParams, drive: np.ndarray, h_prev: np.ndarray,
     input, formed by the caller): a = drive + Wh @ h_prev, then with
     (i, f, o, g) = gates(a), c = f*c_prev + i*g and h = o*tanh(c). drive,
     h_prev and c_prev are vectors, or (B, .) batches of rows that each step
-    one sequence. Returns (a, c, h)."""
-    H = p.hidden_dim
+    one sequence. c and h are formed in place on fresh arrays (f*c_prev,
+    then += i*g; tanh(c), then *= o), bitwise the expressions above.
+    Returns (a, c, h)."""
+    H = p.Wh.shape[1]
     if drive.shape[-1] != 4 * H:
         raise ShapeError(
             f"cell drive has len {drive.shape[-1]}, params expect {4 * H}")
@@ -100,8 +102,10 @@ def cell_forward(p: LstmParams, drive: np.ndarray, h_prev: np.ndarray,
         )
     a = drive + (p.Wh @ h_prev if h_prev.ndim == 1 else matvec(p.Wh, h_prev))
     i, f, o, g = gates(a)
-    c = f * c_prev + i * g
-    return a, c, o * np.tanh(c)
+    c = f * c_prev
+    c += i * g
+    h = np.tanh(c)
+    return a, c, np.multiply(h, o, out=h)
 
 
 def sequence_forward(p: LstmParams, xs) -> LstmTrace:

@@ -129,16 +129,23 @@ def mean_joint_loss(m: CaptionModel, examples) -> float:
     return sum(joint_loss(m, ex).total for ex in examples) / len(examples)
 
 
-def _widths(groups) -> dict[str, list]:
+def _widths(i: int, groups) -> dict[str, list]:
     """Block name -> for each group that names it, the group's block names
     and the widths of its left and right rows (None for a bias), or a
-    `Scatter`'s row width and column count."""
+    `Scatter`'s row width and column count. Refuses rows whose counts
+    differ: a left's and a right's, or a `Scatter`'s rows and ids."""
     out = {}
     for g in groups:
         if isinstance(g, Scatter):
+            if len(g.rows) != len(g.ids):
+                raise ShapeError(f"gradient {i} block {g.name} has "
+                                 f"{len(g.rows)} rows, {len(g.ids)} ids")
             out.setdefault(g.name, []).append((g.rows.shape[1:], g.columns))
             continue
         for name, right in g[1].items():
+            if right is not None and len(right) != len(g[0]):
+                raise ShapeError(f"gradient {i} block {name} has "
+                                 f"{len(g[0])} left rows, {len(right)} right")
             out.setdefault(name, []).append((
                 tuple(g[1]), g[0].shape[1:],
                 None if right is None else right.shape[1:]))
@@ -148,16 +155,17 @@ def _widths(groups) -> dict[str, list]:
 def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
     """Mean of per-example gradient rows (`joint_backward`) as dense
     blocks; the inputs are left unchanged. Every example must hold the
-    first one's groups with rows of the first one's widths. The groups that
+    first one's groups with rows of the first one's widths, and the rows
+    of a group agree in count. The groups that
     name the same blocks are gathered in example order, forward before
     backward, and each factor is stacked once: a weight is then one product
     of its (left, right) pair, the smaller factor scaled by 1/B, a bias one
     sum, an embedding one scatter."""
     if not grad_list:
         raise DataError("no gradients to accumulate")
-    want = _widths(grad_list[0])
+    want = _widths(0, grad_list[0])
     for i, groups in enumerate(grad_list[1:], 1):
-        got = _widths(groups)
+        got = _widths(i, groups)
         for name in {**want, **got}:  # the first example's names, then extras
             widths, first = (w.get(name, "absent") for w in (got, want))
             if widths != first:

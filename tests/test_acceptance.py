@@ -40,7 +40,9 @@ def gradcheck_case(arch, seed):
 def test_gradient_correctness_all_architectures():
     t0 = time.perf_counter()
     worst = 0.0
+    seconds = []  # per architecture, to attribute the budget
     for arch in ArchitectureKind:
+        t_arch = time.perf_counter()
         passed_seeds = 0
         seed = 0
         while passed_seeds < 20:
@@ -52,11 +54,12 @@ def test_gradient_correctness_all_architectures():
             worst = max(worst, rep.max_rel_err)
             assert rep.passed, f"{arch.value} seed {seed - 1}: {rep.max_rel_err:.3e}"
             passed_seeds += 1
+        seconds.append(f"{arch.value} {time.perf_counter() - t_arch:.1f}s")
     elapsed = time.perf_counter() - t0
     report("gradient correctness",
            worst < 1e-5 and elapsed < 60.0,
            f"3 architectures x 20 seeds, worst rel err {worst:.2e}, "
-           f"{elapsed:.1f}s")
+           f"{elapsed:.1f}s ({', '.join(seconds)})")
 
 
 def test_cell_oracle_equivalence():

@@ -95,6 +95,24 @@ class TestCellForward:
             np.testing.assert_array_equal(tr.hs[t + 1],
                                           o * np.tanh(tr.cs[t + 1]))
 
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_read_only_inputs_left_unchanged(self, rows):
+        # c and h are formed in place; neither may alias the drive or the
+        # previous state, which are rows of a trace in sequence_forward
+        p, rng = random_params(3, 5, seed=11)
+        lead = () if rows is None else (rows,)
+        inputs = (rng.normal(size=lead + (20,)), rng.normal(size=lead + (5,)),
+                  rng.normal(size=lead + (5,)))
+        read = (p.Wh, *inputs)
+        for arr in read:
+            arr.flags.writeable = False
+        kept = [arr.tobytes() for arr in read]
+        a, c, h = cell_forward(p, *inputs)
+        assert [arr.tobytes() for arr in read] == kept
+        assert c.shape == h.shape == lead + (5,)
+        assert not any(np.shares_memory(out, arr)
+                       for out in (a, c, h) for arr in inputs)
+
     def test_shape_errors(self):
         p = zeros_lstm(2, 3)
         with pytest.raises(ShapeError):

@@ -8,6 +8,8 @@ from bicaption.numcore import (PANEL_HEIGHT, PANEL_MAX_ROWS, SLAB_SIZE,
                                all_finite, log_softmax, matvec, relu, sigmoid,
                                softmax, tanh_act)
 
+from oracles import scalar_sigmoid
+
 
 def assert_rows_close(got, want):
     """Within 1e-12 relative, each row against its largest magnitude: a
@@ -110,6 +112,36 @@ class TestSigmoid:
         x = np.linspace(-30, 30, 101)
         s = sigmoid(x)
         assert np.all(s > 0) and np.all(s < 1)
+
+    def test_within_contract_of_scalar_oracle_and_monotone(self):
+        # the error contract is absolute: values below ~1e-16 round to
+        # multiples of 2^-54, so no relative bound holds there
+        x = np.linspace(-40, 40, 200_001)
+        s = sigmoid(x)
+        ref = np.array([scalar_sigmoid(float(v)) for v in x])
+        assert np.max(np.abs(s - ref)) <= 2.5e-16
+        assert np.all(np.diff(s) >= 0)
+
+
+@pytest.mark.parametrize("fn", [sigmoid, tanh_act])
+@pytest.mark.parametrize("v", [np.array([-2, 0, 3]),
+                               np.array([-2.5, 0.0, 3.0], dtype=np.float32),
+                               [-2, 0.5, 3]])
+def test_gate_functions_return_float64(fn, v):
+    out = fn(v)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, fn(np.asarray(v, dtype=np.float64)))
+
+
+@pytest.mark.parametrize("fn", [sigmoid, tanh_act])
+def test_gate_functions_leave_a_read_only_input_unchanged(fn):
+    # an in-place pass that aliased its input would raise here, instead of
+    # overwriting a trace row
+    v = np.random.default_rng(7).normal(scale=5.0, size=(3, 12))
+    v.flags.writeable = False
+    kept = v.tobytes()
+    out = fn(v)
+    assert v.tobytes() == kept and not np.shares_memory(out, v)
 
 
 class TestTanh:

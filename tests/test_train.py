@@ -325,11 +325,23 @@ class TestAccumulateGrads:
         ([W, B, E._replace(rows=np.zeros((2, 4)))], "e"),
         ([W, B, E._replace(columns=7)], "e"),
         ([(W[0], {**W[1], "b": None}), E], "w"),  # w, b share a left
+        ([(W[0], {"w": np.zeros((3, 4))}), B, E], "w"),  # 2 left, 3 right rows
+        ([W, B, E._replace(rows=np.zeros((3, 5)))], "e"),  # 3 rows, 2 ids
     ])
     def test_disagreeing_groups_refused(self, later, named):
         first = [self.W, self.B, self.E]
         with pytest.raises(ShapeError, match=f"gradient 2 block {named} has"):
             accumulate_grads([first, first, later])
+
+    @pytest.mark.parametrize("group, match", [
+        ((W[0], {"w": np.zeros((3, 4))}), "block w has 2 left rows, 3 right"),
+        (E._replace(rows=np.zeros((3, 5))), "block e has 3 rows, 2 ids"),
+    ])
+    def test_row_counts_refused_before_any_arithmetic(self, group, match):
+        # a lone example is checked too: its group cannot reach the product
+        # or the scatter, whose numpy errors would name neither
+        with pytest.raises(ShapeError, match=f"gradient 0 {match}"):
+            accumulate_grads([[group]])
 
 
 @pytest.mark.parametrize("length", [8, 16])
