@@ -322,8 +322,28 @@ def read_features(path) -> dict[str, np.ndarray]:
 
 
 def write_features(path, features: dict[str, np.ndarray]) -> None:
+    """Write an image_id -> vector map that `read_features` reads back
+    exactly. What it would refuse is refused first, with a DataError,
+    before the file is opened: an empty map, vectors that are not 1-D or
+    not all of one length, non-finite values, and image ids that are not
+    strings or hold a tab or a line break."""
     items = list(features.items())
-    dim = items[0][1].shape[0] if items else 0
+    if not items:
+        raise DataError(f"{path}: no feature rows to write")
+    shape = np.shape(items[0][1])
+    for image_id, vec in items:
+        if (not isinstance(image_id, str) or "\t" in image_id
+                or "\n" in image_id or "\r" in image_id):
+            raise DataError(f"{path}: image id {image_id!r} is not a string "
+                            f"free of tabs and line breaks")
+        if np.ndim(vec) != 1 or np.shape(vec) != shape:
+            raise DataError(f"{path}: image {image_id!r} has a feature of "
+                            f"shape {np.shape(vec)}; features are vectors "
+                            f"of one length, the first's {shape}")
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"{path}: image {image_id!r} has a non-finite "
+                            f"feature value")
+    dim = shape[0]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{FEATURE_MAGIC} {FEATURE_VERSION} {len(items)} {dim}\n")
         for image_id, vec in items:

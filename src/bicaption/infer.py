@@ -37,12 +37,15 @@ def _decode_step(m: CaptionModel, d: DirectionParams, m_cell: LstmParams,
     """Advance one step: the T-LSTM on an array of token ids, one state row
     per id, whose input drives are one product; then the shared
     `model.step` and the softmax logits. `state` is the (4, rows, H) block
-    (h1, c1, h2, c2) of both LSTMs. Returns (logits, new_state), in rows."""
+    (h1, c1, h2, c2) of both LSTMs; both cells write the next state
+    straight into a new block of that shape. Returns (logits, new_state),
+    in rows."""
     h1, c1, h2, c2 = state
-    x = d.embedding.T[tokens]
-    _, c1, h1 = cell_forward(d.t_lstm, input_drive(d.t_lstm, x), h1, c1)
-    _, _, c2, h2 = step(m, d, h1, h2, c2, m_cell)
-    return softmax_logits(m, h2), np.stack((h1, c1, h2, c2))
+    new = np.empty_like(state)
+    cell_forward(d.t_lstm, input_drive(d.t_lstm, d.embedding.T[tokens]), h1,
+                 c1, new[0], new[1])
+    step(m, d, new[0], h2, c2, m_cell, new[2], new[3])
+    return softmax_logits(m, new[2]), new
 
 
 def _best(sums: np.ndarray, logprobs: np.ndarray, k: int):

@@ -82,42 +82,44 @@ def gates(a: np.ndarray):
     return s[..., :H], s[..., H:2 * H], s[..., 2 * H:], tanh_act(a[..., 3 * H:])
 
 
-def cell_forward(p: LstmParams, drive: np.ndarray, h_prev: np.ndarray,
-                 c_prev: np.ndarray):
-    """One gated update from the step's input drive (`input_drive` of its
-    input, formed by the caller): a = drive + Wh @ h_prev, then with
-    (i, f, o, g) = gates(a), c = f*c_prev + i*g and h = o*tanh(c). drive,
-    h_prev and c_prev are vectors, or (B, .) batches of rows that each step
-    one sequence. c and h are formed in place on fresh arrays (f*c_prev,
-    then += i*g; tanh(c), then *= o), bitwise the expressions above.
-    Returns (a, c, h)."""
+def cell_forward(p: LstmParams, a: np.ndarray, h_prev: np.ndarray,
+                 c_prev: np.ndarray, h: np.ndarray, c: np.ndarray) -> None:
+    """One gated update, written into storage the caller owns. `a` holds
+    the step's input drive (`input_drive` of its input, formed by the
+    caller) and is completed in place to the gate pre-activations,
+    a += Wh @ h_prev; then, with (i, f, o, g) = gates(a), h and c receive
+    h = o*tanh(c) and c = f*c_prev + i*g. The state and the outputs are
+    vectors, or (B, H) rows that each step one sequence, all of one shape,
+    and `a` is their (., 4H) drive; anything else is refused before a write.
+    Nothing outside a, h and c is written, and the arithmetic is bitwise
+    the expressions above."""
     H = p.Wh.shape[1]
-    if drive.shape[-1] != 4 * H:
+    state = c_prev.shape
+    if (a.shape != state[:-1] + (4 * H,) or state[-1] != H
+            or not h_prev.shape == h.shape == c.shape == state):
         raise ShapeError(
-            f"cell drive has len {drive.shape[-1]}, params expect {4 * H}")
-    if h_prev.shape[-1] != H or c_prev.shape[-1] != H:
-        raise ShapeError(
-            f"state has len {h_prev.shape[-1]}/{c_prev.shape[-1]}, "
-            f"params expect {H}"
-        )
-    a = drive + (p.Wh @ h_prev if h_prev.ndim == 1 else matvec(p.Wh, h_prev))
+            f"cell of hidden size {H} got drive {a.shape}, state "
+            f"{h_prev.shape}/{state} and outputs {h.shape}/{c.shape}")
+    a += p.Wh.dot(h_prev) if h_prev.ndim == 1 else matvec(p.Wh, h_prev)
     i, f, o, g = gates(a)
-    c = f * c_prev
-    c += i * g
-    h = np.tanh(c)
-    return a, c, np.multiply(h, o, out=h)
+    np.multiply(f, c_prev, c)
+    np.multiply(g, i, g)  # g is gates' own array, not a view of a
+    np.add(c, g, c)
+    np.tanh(c, h)
+    np.multiply(h, o, h)
 
 
 def sequence_forward(p: LstmParams, xs) -> LstmTrace:
     """Run the cell over a sequence of inputs ((T, D) rows, or a list of
     vectors) from a zero initial state. The input drives of all steps are
     one product, written into the pre-activation rows that each step
-    completes with its Wh @ h."""
+    completes with its Wh @ h; each step writes its states straight into
+    the trace's next rows."""
     T, H = len(xs), p.hidden_dim
     x = np.asarray(xs, dtype=np.float64) if T else np.empty((0, p.input_dim))
     a, cs, hs = input_drive(p, x), np.zeros((T + 1, H)), np.zeros((T + 1, H))
     for t in range(T):
-        a[t], cs[t + 1], hs[t + 1] = cell_forward(p, a[t], hs[t], cs[t])
+        cell_forward(p, a[t], hs[t], cs[t], hs[t + 1], cs[t + 1])
     return LstmTrace(x, a, cs, hs)
 
 

@@ -292,14 +292,18 @@ def softmax_logits(m: CaptionModel, h2: np.ndarray) -> np.ndarray:
 
 
 def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
-         h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams):
+         h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams, h: np.ndarray,
+         c: np.ndarray):
     """One time step above the T-LSTM: the transition on the T-LSTM output
     h1, then the image-folded M-LSTM cell (`image_input`) on its output
-    from state (h2, c2). h1, h2 and c2 are vectors, or (B, H) rows that
-    each advance one sequence. Returns (text input, a, c, h) of the M-LSTM:
-    the text input alone is the one the cell multiplied."""
+    from state (h2, c2), which writes the new state into h and c. h1, h2,
+    c2, h and c are vectors, or (B, H) rows that each advance one sequence.
+    Returns the M-LSTM's (text input, a): the text input alone is the one
+    the cell multiplied."""
     _, text = transition_forward(m.arch, d.transition, h1, h2)
-    return (text, *cell_forward(m_cell, input_drive(m_cell, text), h2, c2))
+    a = input_drive(m_cell, text)
+    cell_forward(m_cell, a, h2, c2, h, c)
+    return text, a
 
 
 def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
@@ -308,18 +312,18 @@ def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
     from a zero M-LSTM state: the transition as one product over all rows
     and the M-LSTM as `sequence_forward` on its output, or, for bi-s-lstm,
     whose transition reads the previous M-LSTM state, one `step` per time
-    step, each writing its rows of the trace; then the logits as one
-    product. Returns (relu pre-activations, M-LSTM trace, (T, V) logits);
-    the pre-activations are (T, n) rows, n = 0 where the architecture has
-    no relu."""
+    step, which writes its states into the trace's next rows; then the
+    logits as one product. Returns (relu pre-activations, M-LSTM trace,
+    (T, V) logits); the pre-activations are (T, n) rows, n = 0 where the
+    architecture has no relu."""
     pre = None
     if m.arch == ArchitectureKind.BI_S_LSTM:
         T, H = len(h1s), m.hidden_dim
         x, a = np.empty((T, m_cell.input_dim)), np.empty((T, 4 * H))
         cs, hs = np.zeros((T + 1, H)), np.zeros((T + 1, H))
         for t, h1 in enumerate(h1s):
-            x[t], a[t], cs[t + 1], hs[t + 1] = step(m, d, h1, hs[t], cs[t],
-                                                    m_cell)
+            x[t], a[t] = step(m, d, h1, hs[t], cs[t], m_cell, hs[t + 1],
+                              cs[t + 1])
         m_trace = LstmTrace(x, a, cs, hs)
     else:
         pre, text = transition_forward(m.arch, d.transition, h1s, None)

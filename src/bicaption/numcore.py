@@ -62,7 +62,8 @@ _keep_freed_memory_mapped()
 
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product with an explicit shape check; for a batch of
-    rows, the product of each row (one row of the result each). 2 to
+    rows, the product of each row (one row of the result each). A vector's
+    product is `m.dot(v)`, bitwise `m @ v` and cheaper to call. 2 to
     PANEL_MAX_ROWS rows against a matrix taller than PANEL_HEIGHT are
     multiplied one row panel of the matrix at a time."""
     if m.ndim != 2 or v.ndim not in (1, 2) or m.shape[1] != v.shape[-1]:
@@ -70,7 +71,7 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
             f"matvec shape mismatch: matrix {m.shape} vs vector {v.shape}"
         )
     if v.ndim == 1:
-        return m @ v
+        return m.dot(v)
     if len(m) <= PANEL_HEIGHT or not 2 <= len(v) <= PANEL_MAX_ROWS:
         return v @ m.T
     out = np.empty((len(v), len(m)))
@@ -105,14 +106,14 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     then its tanh, then that scaled and shifted in place. Within 2.5e-16
     absolute of the logistic function; results below ~1e-16 round to
     multiples of 2^-54 or to 0 (sigmoid(-40) is 0, not 4.2e-18)."""
-    s = np.multiply(v, 0.5, dtype=np.float64)
-    np.tanh(s, out=s)
-    return np.add(np.multiply(s, 0.5, out=s), 0.5, out=s)
+    s = np.multiply(v, 0.5)
+    np.tanh(s, s)
+    return np.add(np.multiply(s, 0.5, s), 0.5, s)
 
 
 def tanh_act(v: np.ndarray) -> np.ndarray:
     """Elementwise hyperbolic tangent."""
-    return np.tanh(v, dtype=np.float64)
+    return np.tanh(v)
 
 
 def relu(v: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ import numpy as np
 
 from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
-from .lstm import sequence_forward
+from .lstm import LstmParams, sequence_forward
 from .model import (ArchitectureKind, BACKWARD, CaptionModel,
-                    DIRECTION_PREFIX, FORWARD, ForwardPassRecord, Scatter,
-                    direction_forward, image_input, is_bias_block,
-                    model_backward, softmax_logits, unroll)
+                    DIRECTION_PREFIX, DirectionParams, FORWARD,
+                    ForwardPassRecord, Scatter, direction_forward,
+                    image_input, is_bias_block, model_backward,
+                    softmax_logits, unroll)
 from .numcore import SLAB_SIZE, all_finite, log_softmax, slabs
 
 
@@ -295,20 +296,39 @@ def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
 # gradient checking
 # ---------------------------------------------------------------------------
 
-def _fd_direction(m: CaptionModel, ex: CaptionedExample, direction: str,
-                  h1s: np.ndarray | None = None):
-    """One direction of the finite-difference forward: the T-LSTM, unless
-    its (T, H) output rows `h1s` are given, and the shared `model.unroll`
-    above it, as `direction_forward` runs them, without the probabilities.
-    Returns (negated sum of target log-probabilities, relu transition sign
-    bytes (empty for the other architectures), h1s, M-LSTM trace)."""
-    inputs, targets = direction_io(ex.tokens, direction)
-    d = m.direction(direction)
-    if h1s is None:
-        h1s = sequence_forward(d.t_lstm, d.embedding.T[inputs]).hs[1:]
-    preacts, m_trace, logits = unroll(m, d, h1s, image_input(d, ex.feature))
-    signs = (preacts > 0.0).tobytes()
-    return _target_nll(logits, targets), signs, h1s, m_trace
+def _fd_direction(m: CaptionModel, d: DirectionParams, targets,
+                  h1s: np.ndarray, m_cell: LstmParams):
+    """One direction of the finite-difference forward above the T-LSTM:
+    the shared `model.unroll` over its (T, H) output rows h1s with the
+    image-folded M-LSTM cell m_cell, as `direction_forward` runs it,
+    without the probabilities. Returns (negated sum of target
+    log-probabilities, relu transition sign bytes (empty for the other
+    architectures), M-LSTM trace)."""
+    preacts, m_trace, logits = unroll(m, d, h1s, m_cell)
+    bi_f = m.arch == ArchitectureKind.BI_F_LSTM
+    signs = (preacts > 0.0).tobytes() if bi_f else b""
+    return _target_nll(logits, targets), signs, m_trace
+
+
+def _fd_rerun(m: CaptionModel, d: DirectionParams, feature: np.ndarray,
+              io, layer: str, rows: np.ndarray, h1s: np.ndarray,
+              m_cell: LstmParams):
+    """One direction's finite-difference forward while a block of its
+    `layer` is perturbed, as a function of no arguments. The gathered
+    embedding rows, the T-LSTM output rows h1s and the image-folded M-LSTM
+    cell are the unperturbed ones given, except those the layer feeds,
+    which each call forms again."""
+    inputs, targets = io
+    if layer == "embedding":
+        return lambda: _fd_direction(m, d, targets, sequence_forward(
+            d.t_lstm, d.embedding.T[inputs]).hs[1:], m_cell)
+    if layer.startswith("t_lstm."):
+        return lambda: _fd_direction(
+            m, d, targets, sequence_forward(d.t_lstm, rows).hs[1:], m_cell)
+    if layer in ("m_lstm.Wimg", "m_lstm.b"):
+        return lambda: _fd_direction(m, d, targets, h1s,
+                                     image_input(d, feature))
+    return lambda: _fd_direction(m, d, targets, h1s, m_cell)
 
 
 def has_live_relu_branches(m: CaptionModel, ex: CaptionedExample) -> bool:
@@ -388,11 +408,13 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
     max(|analytic|, |numeric|, 1e-8), is below the tolerance.
 
     Each finite-difference loss is bitwise the full recompute of both
-    directions (`tests/oracles.py::_fd_loss_and_signs`), but a perturbation reruns only the direction its block feeds and
-    takes the other's loss and signs from the unperturbed pass. Blocks above
-    the T-LSTM reuse its unperturbed output rows; a softmax block reruns
-    only the logits and the loss of both directions' unperturbed M-LSTM
-    states.
+    directions (`tests/oracles.py::_fd_loss_and_signs`), but a perturbation
+    reruns only the direction its block feeds and takes the other's loss
+    and signs from the unperturbed pass. Blocks above the T-LSTM reuse its
+    unperturbed output rows, and every block the unperturbed embedding rows
+    and image projection unless it feeds them (`_fd_rerun`); a softmax
+    block reruns only the logits and the loss of both directions'
+    unperturbed M-LSTM states. Relu signs are formed only for bi-f-lstm.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ConfigError(f"epsilon must be in (0, 1e-3], got {epsilon}")
@@ -402,29 +424,37 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
 
     analytic = accumulate_grads([joint_backward(m, ex)[1]])
     report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
-    base = {direction: _fd_direction(m, ex, direction)
+    # every check restores its scalar exactly, so what the unperturbed
+    # model forms here stands for every block that does not feed it
+    dirs = {direction: m.direction(direction)
             for direction in (FORWARD, BACKWARD)}
-    h2s = {direction: p[3].hs[1:] for direction, p in base.items()}
-    targets = {direction: direction_io(ex.tokens, direction)[1]
-               for direction in base}
+    io = {dn: direction_io(ex.tokens, dn) for dn in dirs}
+    rows = {dn: d.embedding.T[io[dn][0]] for dn, d in dirs.items()}
+    cells = {dn: image_input(d, ex.feature) for dn, d in dirs.items()}
+    h1s = {dn: sequence_forward(d.t_lstm, rows[dn]).hs[1:]
+           for dn, d in dirs.items()}
+    base = {dn: _fd_direction(m, d, io[dn][1], h1s[dn], cells[dn])
+            for dn, d in dirs.items()}
+    h2s = {dn: p[2].hs[1:] for dn, p in base.items()}
 
     for name, arr in m.blocks():
         grad = analytic[name]
         if name.startswith("softmax_"):
             def fd_loss_and_signs():
-                lf, lb = (_target_nll(softmax_logits(m, h2s[d]), targets[d])
-                          for d in base)
+                lf, lb = (_target_nll(softmax_logits(m, h2s[dn]), io[dn][1])
+                          for dn in base)
                 return lf + lb, base[FORWARD][1] + base[BACKWARD][1]
         else:
             prefix, _, layer = name.partition(".")
             rerun = (FORWARD if prefix == DIRECTION_PREFIX[FORWARD]
                      else BACKWARD)
-            h1s = (None if layer.startswith(("embedding", "t_lstm."))
-                   else base[rerun][2])
+            fd_direction = _fd_rerun(m, dirs[rerun], ex.feature, io[rerun],
+                                     layer, rows[rerun], h1s[rerun],
+                                     cells[rerun])
 
             def fd_loss_and_signs():
-                passes = {**base, rerun: _fd_direction(m, ex, rerun, h1s)}
-                (lf, sf, _, _), (lb, sb, _, _) = passes.values()
+                passes = {**base, rerun: fd_direction()}
+                (lf, sf, _), (lb, sb, _) = passes.values()
                 return lf + lb, sf + sb
 
         flat = arr.reshape(-1)

@@ -4,9 +4,12 @@ Everything here deliberately avoids the library's own code paths: the LSTM
 oracle is scalar Python loops, the full-stack oracle is straight-line numpy,
 the decoding oracles re-run the forward pass from scratch on every prefix,
 one hypothesis at a time, and BLEU-style counts are done by hand where
-needed. The finite-difference loss is the exception: it is the library's
+needed. Two are exceptions. The finite-difference loss is the library's
 own forward pass, rerun in full for both directions, the reference that
-grad_check's reuse of unperturbed rows must match bit for bit.
+grad_check's reuse of unperturbed rows must match bit for bit. The
+fresh-array LSTM step is the library's step arithmetic with a new array
+for each result, the reference that lstm.cell_forward's writes into its
+caller's rows must match bit for bit.
 """
 
 import math
@@ -14,11 +17,11 @@ import math
 import numpy as np
 
 from bicaption.data import BOUNDARY_ID
-from bicaption.lstm import LstmTrace
+from bicaption.lstm import LstmTrace, gates, sequence_forward
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
-                             ForwardPassRecord, direction_forward)
-from bicaption.numcore import log_softmax
-from bicaption.train import _fd_direction
+                             ForwardPassRecord, direction_forward, image_input)
+from bicaption.numcore import log_softmax, matvec
+from bicaption.train import _fd_direction, direction_io
 
 
 def scalar_sigmoid(x: float) -> float:
@@ -26,6 +29,20 @@ def scalar_sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def fresh_cell_forward(p, drive, h_prev, c_prev):
+    """The LSTM step on fresh arrays: a = drive + Wh @ h_prev, then with
+    (i, f, o, g) = gates(a), c = f*c_prev + i*g and h = o*tanh(c), each a
+    new array, for a vector or (B, H) rows of state. Returns (a, c, h):
+    the reference that lstm.cell_forward, which writes into its caller's
+    rows, must equal bit for bit."""
+    a = drive + (p.Wh @ h_prev if h_prev.ndim == 1 else matvec(p.Wh, h_prev))
+    i, f, o, g = gates(a)
+    c = f * c_prev
+    c += i * g
+    h = np.tanh(c)
+    return a, c, np.multiply(h, o, out=h)
 
 
 def scalar_lstm_forward(Wx, Wh, b, xs, h0, c0):
@@ -294,8 +311,14 @@ def _fd_loss_and_signs(m, ex):
     through direction_forward, minus the probabilities, so the arithmetic
     is identical and a test pins the two to exact equality.
     """
-    (lf, sf, _, _), (lb, sb, _, _) = (_fd_direction(m, ex, direction)
-                                      for direction in (FORWARD, BACKWARD))
+    passes = []
+    for direction in (FORWARD, BACKWARD):
+        inputs, targets = direction_io(ex.tokens, direction)
+        d = m.direction(direction)
+        h1s = sequence_forward(d.t_lstm, d.embedding.T[inputs]).hs[1:]
+        passes.append(_fd_direction(m, d, targets, h1s,
+                                    image_input(d, ex.feature)))
+    (lf, sf, _), (lb, sb, _) = passes
     return lf + lb, (sf + sb if m.arch == ArchitectureKind.BI_F_LSTM else None)
 
 

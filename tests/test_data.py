@@ -209,6 +209,40 @@ class TestFileFormats:
         for key in feats:
             np.testing.assert_array_equal(back[key], feats[key])
 
+    def test_features_round_trip_edges(self, tmp_path):
+        # one image, ids with spaces and non-ASCII text, extreme finite
+        # values, and negative zero all come back exactly
+        path = tmp_path / "f.feat"
+        for feats in ({"only": np.array([2.5])},
+                      {" a b ": np.array([-0.0, 5e-324, 1.7976931348623157e308]),
+                       "café": np.array([-1e-310, 1.0, -2.0]),
+                       "": np.array([0.0, 0.0, 0.0])}):
+            write_features(path, feats)
+            back = read_features(path)
+            assert list(back) == list(feats)
+            for key, vec in feats.items():
+                assert back[key].tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("feats", [
+        {},
+        {"a": np.zeros(3), "b": np.zeros(2)},
+        {"a": np.zeros((2, 3))},
+        {"a": np.float64(1.0)},
+        {"a": np.zeros(2), "b": np.array([0.0, np.nan])},
+        {"a": np.array([np.inf, 0.0])},
+        {"a": np.zeros(2), "b\tc": np.zeros(2)},
+        {"a\nb": np.zeros(2)},
+        {"a\rb": np.zeros(2)},
+        {7: np.zeros(2)},
+    ], ids=["empty", "lengths", "matrix", "scalar", "nan", "inf", "tab",
+            "newline", "return", "int_id"])
+    def test_unreadable_features_refused_before_writing(self, tmp_path, feats):
+        # what read_features would refuse is never written
+        path = tmp_path / "f.feat"
+        with pytest.raises(DataError):
+            write_features(path, feats)
+        assert not path.exists()
+
     def test_feature_header_validated(self, tmp_path):
         path = tmp_path / "f.feat"
         path.write_text("WRONG 1 1 2\nx\t0 0\n")

@@ -7,7 +7,8 @@ from bicaption.errors import ShapeError
 from bicaption.lstm import (LstmParams, LstmTrace, cell_forward, gates,
                             input_drive, sequence_backward, sequence_forward)
 
-from oracles import central_difference_grad, max_rel_err, scalar_lstm_forward
+from oracles import (central_difference_grad, fresh_cell_forward, max_rel_err,
+                     scalar_lstm_forward)
 
 
 def zeros_lstm(input_dim, hidden_dim):
@@ -27,10 +28,18 @@ def random_params(input_dim, hidden_dim, seed, scale=0.4):
     ), rng
 
 
+def step(p, drive, h_prev, c_prev):
+    """cell_forward into fresh storage: (a, c, h), a completed from a copy
+    of the drive."""
+    a, h, c = drive.copy(), np.empty_like(h_prev), np.empty_like(c_prev)
+    cell_forward(p, a, h_prev, c_prev, h, c)
+    return a, c, h
+
+
 def cell(p, x, h_prev, c_prev):
     """One cell step on a vector input, with its drive formed from x:
     (i, f, o, g, c, h)."""
-    a, c, h = cell_forward(p, input_drive(p, x), h_prev, c_prev)
+    a, c, h = step(p, input_drive(p, x), h_prev, c_prev)
     return (*gates(a), c, h)
 
 
@@ -97,33 +106,88 @@ class TestCellForward:
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_read_only_inputs_left_unchanged(self, rows):
-        # c and h are formed in place; neither may alias the drive or the
-        # previous state, which are rows of a trace in sequence_forward
+        # the step writes only the drive it completes and its outputs; the
+        # weights and the previous state, rows of a trace in
+        # sequence_forward, are read
         p, rng = random_params(3, 5, seed=11)
         lead = () if rows is None else (rows,)
-        inputs = (rng.normal(size=lead + (20,)), rng.normal(size=lead + (5,)),
-                  rng.normal(size=lead + (5,)))
-        read = (p.Wh, *inputs)
+        h_prev, c_prev = rng.normal(size=(2,) + lead + (5,))
+        read = (p.Wh, h_prev, c_prev)
         for arr in read:
             arr.flags.writeable = False
         kept = [arr.tobytes() for arr in read]
-        a, c, h = cell_forward(p, *inputs)
+        a, c, h = step(p, rng.normal(size=lead + (20,)), h_prev, c_prev)
         assert [arr.tobytes() for arr in read] == kept
         assert c.shape == h.shape == lead + (5,)
-        assert not any(np.shares_memory(out, arr)
-                       for out in (a, c, h) for arr in inputs)
+
+    @pytest.mark.parametrize("H", [1, 5, 16, 256])
+    @pytest.mark.parametrize("rows", [None, 1, 3, 8])
+    def test_bitwise_equal_fresh_array_step(self, H, rows):
+        # the drive completed in place and the states written into the
+        # caller's rows are bit for bit the fresh-array step's results, for
+        # a vector and for rows (3 rows of 4H > PANEL_HEIGHT run in panels)
+        p, rng = random_params(7, H, seed=H, scale=3.0)
+        lead = () if rows is None else (rows,)
+        drive = rng.normal(size=lead + (4 * H,)) * 2.0
+        h_prev, c_prev = rng.normal(size=(2,) + lead + (H,)) * 2.0
+        got = step(p, drive, h_prev, c_prev)
+        for g, want in zip(got, fresh_cell_forward(p, drive, h_prev, c_prev)):
+            assert g.dtype == want.dtype and g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_writes_nothing_outside_its_rows(self, rows):
+        # the step's a, h and c are rows of larger blocks, as a trace's
+        # rows or a decoding state block's are; every other byte of those
+        # blocks, the weights and the previous state stay as they were
+        p, rng = random_params(3, 4, seed=12)
+        lead = () if rows is None else (rows,)
+        a_block = rng.normal(size=(3,) + lead + (16,))
+        states = rng.normal(size=(5,) + lead + (4,))
+        a, (h_prev, c_prev, h, c) = a_block[1], states[:4]
+        drive = a.copy()
+        blocks = [a_block.copy(), states.copy(), p.Wh.copy()]
+        cell_forward(p, a, h_prev, c_prev, h, c)
+        want_a, want_c, want_h = fresh_cell_forward(p, drive, blocks[1][0],
+                                                    blocks[1][1])
+        blocks[0][1], blocks[1][2], blocks[1][3] = want_a, want_h, want_c
+        for got, want in zip((a_block, states, p.Wh), blocks):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", ["h", "c", "both", "rows", "h_prev",
+                                     "drive"])
+    def test_misfit_storage_refused_before_any_write(self, bad):
+        # outputs (or a state or drive) whose shape is not the state's:
+        # one ShapeError, and nothing written
+        p, rng = random_params(3, 4, seed=13)
+        a, h_prev, c_prev = (rng.normal(size=(2, 16)),
+                             *rng.normal(size=(2, 2, 4)))
+        h, c = np.zeros((2, 4)), np.zeros((2, 4))
+        wrong = {"h": (np.zeros(4), c), "c": (h, np.zeros((2, 5))),
+                 "both": (np.zeros((3, 4)), np.zeros((3, 4))),
+                 "rows": (h[:1], c[:1])}.get(bad, (h, c))
+        if bad == "h_prev":
+            h_prev = h_prev[0]
+        if bad == "drive":
+            a = a[0]
+        kept = [arr.tobytes() for arr in (a, *wrong)]
+        with pytest.raises(ShapeError):
+            cell_forward(p, a, h_prev, c_prev, *wrong)
+        assert [arr.tobytes() for arr in (a, *wrong)] == kept
 
     def test_shape_errors(self):
         p = zeros_lstm(2, 3)
         with pytest.raises(ShapeError):
             input_drive(p, np.zeros(5))
         with pytest.raises(ShapeError):
-            cell_forward(p, np.zeros(12), np.zeros(4), np.zeros(3))
+            cell_forward(p, np.zeros(12), np.zeros(4), np.zeros(3),
+                         np.zeros(4), np.zeros(3))
 
     def test_drive_width_checked(self):
         p = zeros_lstm(2, 3)
         with pytest.raises(ShapeError):
-            cell_forward(p, np.zeros(3), np.zeros(3), np.zeros(3))
+            cell_forward(p, np.zeros(3), np.zeros(3), np.zeros(3),
+                         np.zeros(3), np.zeros(3))
 
 
 class TestSequenceForward:
@@ -133,7 +197,7 @@ class TestSequenceForward:
         tr = sequence_forward(p, [x])
         # the drive as sequence_forward forms it: one product over the rows
         drive = input_drive(p, np.array([x]))[0]
-        _, c, h = cell_forward(p, drive, np.zeros(3), np.zeros(3))
+        _, c, h = step(p, drive, np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(tr.hs[1], h)
         np.testing.assert_array_equal(tr.cs[1], c)
 
@@ -151,7 +215,7 @@ class TestSequenceForward:
         for t in range(3):
             np.testing.assert_array_equal(tr.hs[t], h)
             np.testing.assert_array_equal(tr.cs[t], c)
-            a, c, h = cell_forward(p, drives[t], h, c)
+            a, c, h = step(p, drives[t], h, c)
             np.testing.assert_array_equal(tr.a[t], a)
             np.testing.assert_array_equal(tr.cs[t + 1], c)
             np.testing.assert_array_equal(tr.hs[t + 1], h)
@@ -285,8 +349,9 @@ class TestSequenceBackward:
                            np.zeros((6, 4)), np.zeros((6, 4)))
             for t, x in enumerate(xs):
                 tr.x[t] = U @ x + V @ tr.hs[t]
-                tr.a[t], tr.cs[t + 1], tr.hs[t + 1] = cell_forward(
-                    p, input_drive(p, tr.x[t]), tr.hs[t], tr.cs[t])
+                tr.a[t] = input_drive(p, tr.x[t])
+                cell_forward(p, tr.a[t], tr.hs[t], tr.cs[t], tr.hs[t + 1],
+                             tr.cs[t + 1])
             return tr
 
         def loss():

@@ -199,12 +199,13 @@ class TestDirectionForward:
         assert rec.m_trace.x.shape == (3, tw)
         np.testing.assert_array_equal(rec.m_trace.x, texts)
         rows = np.ones((2, 4))
-        text, *_ = step(m, m.fwd, rows, 0 * rows, 0 * rows,
-                        image_input(m.fwd, np.ones(3)))
+        text, _ = step(m, m.fwd, rows, 0 * rows, 0 * rows,
+                       image_input(m.fwd, np.ones(3)), *np.empty((2, 2, 4)))
         assert text.shape == (2, tw)
 
     def test_bi_s_lstm_rows_are_its_step_calls(self):
-        # unroll writes each model.step's (x, a, c, h) into the trace's rows
+        # unroll's trace rows are each model.step's (x, a) and the (h, c)
+        # it wrote
         m = random_model(BIS, 6, 3, 4, 4, seed=6)
         feature = np.array([0.4, -0.2, 0.9])
         rec = direction_forward(m, FORWARD, [0, 2, 3, 5, 4], feature)
@@ -212,7 +213,9 @@ class TestDirectionForward:
         tr = rec.m_trace
         h2 = c2 = np.zeros(4)
         for t, h1 in enumerate(rec.t_trace.hs[1:]):
-            x, a, c2, h2 = step(m, m.fwd, h1, h2, c2, m_cell)
+            h, c = np.empty((2, 4))
+            x, a = step(m, m.fwd, h1, h2, c2, m_cell, h, c)
+            h2, c2 = h, c
             np.testing.assert_array_equal(tr.x[t], x)
             np.testing.assert_array_equal(tr.a[t], a)
             np.testing.assert_array_equal(tr.cs[t + 1], c2)

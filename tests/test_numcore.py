@@ -49,11 +49,21 @@ class TestMatvec:
             assert np.max(np.abs(lhs - rhs) / denom) < 1e-12
 
     def test_vector_bitwise_equal_plain_product(self):
+        # also on strided operands: the text columns of a merged (version-1
+        # checkpoint) M-LSTM input block, a transposed matrix, and a vector
+        # taken at a step
         rng = np.random.default_rng(6)
-        for height, width in ((3, 2), (PANEL_HEIGHT + 1, 16), (300, 40)):
+        for height, width in ((3, 2), (20, 5), (PANEL_HEIGHT + 1, 16),
+                              (300, 40), (1024, 256)):
             m = rng.normal(size=(height, width))
             v = rng.normal(size=width)
-            assert np.array_equal(matvec(m, v), m @ v)
+            stepped = rng.normal(size=3 * width)[::3]
+            for mat, vec in ((m, v), (m, stepped),
+                             (rng.normal(size=(height, width + 7))[:, :width],
+                              v),
+                             (rng.normal(size=(width, height)).T, v),
+                             (rng.normal(size=(width, height)).T, stepped)):
+                assert np.array_equal(matvec(mat, vec), mat @ vec)
 
     @pytest.mark.parametrize("rows", range(1, PANEL_MAX_ROWS + 3))
     def test_rows_match_one_product_and_vector_calls(self, rows):
@@ -125,7 +135,7 @@ class TestSigmoid:
 
 @pytest.mark.parametrize("fn", [sigmoid, tanh_act])
 @pytest.mark.parametrize("v", [np.array([-2, 0, 3]),
-                               np.array([-2.5, 0.0, 3.0], dtype=np.float32),
+                               np.array([-2.5, 0.0, 3.0]),
                                [-2, 0.5, 3]])
 def test_gate_functions_return_float64(fn, v):
     out = fn(v)
