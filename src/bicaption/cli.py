@@ -5,8 +5,9 @@ dump-gates. Each command's *_KEYS table declares its options once: every
 key is both a flag (`--` + key, `_` as `-`) and a key of the key=value
 file that --config reads, and both are converted by the same code.
 Explicit flags win over config values. Every error, a malformed argument
-included, exits nonzero with one diagnostic line on stderr (2 for
-data/config/argument problems, 3 for shape mismatches).
+or running out of memory included, exits nonzero with one diagnostic line
+on stderr (3 for shape mismatches, else 2). numpy's floating-point
+warnings are off, so a numeric failure shows only as the error it leads to.
 """
 
 import argparse
@@ -315,6 +316,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"vocab_size must be >= 3, got {vocab_size}")
     if caption_len < 1:
         raise ConfigError(f"caption_len must be >= 1, got {caption_len}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     # unit-scale weights keep every block resolvable by central differences
     m = random_model(arch, vocab_size, feature_dim, embed_dim, hidden_dim,
@@ -482,7 +485,12 @@ def build_parser() -> ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except MemoryError as e:
+        print(f"error: out of memory: {e or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
     except FileNotFoundError as e:
         name = e.filename if e.filename else e
         print(f"error: file not found: {name}", file=sys.stderr)

@@ -18,7 +18,8 @@ from .data import BOUNDARY_ID, Vocabulary
 from .errors import ConfigError, DataError
 from .lstm import LstmParams, LstmTrace, cell_forward, gates, input_drive
 from .model import (BACKWARD, CaptionModel, DirectionParams, FORWARD,
-                    direction_forward, image_input, softmax_logits, step)
+                    direction_forward, image_input, softmax_logits,
+                    transition_forward)
 from .numcore import log_softmax
 
 
@@ -35,16 +36,17 @@ class Hypothesis:
 def _decode_step(m: CaptionModel, d: DirectionParams, m_cell: LstmParams,
                  state: np.ndarray, tokens):
     """Advance one step: the T-LSTM on an array of token ids, one state row
-    per id, whose input drives are one product; then the shared
-    `model.step` and the softmax logits. `state` is the (4, rows, H) block
-    (h1, c1, h2, c2) of both LSTMs; both cells write the next state
-    straight into a new block of that shape. Returns (logits, new_state),
-    in rows."""
+    per id, then the transition, the image-folded M-LSTM cell and the
+    softmax logits, each layer's products one over the rows. `state` is
+    the (4, rows, H) block (h1, c1, h2, c2) of both LSTMs; both cells write
+    the next state straight into a new block of that shape. Returns
+    (logits, new_state), in rows."""
     h1, c1, h2, c2 = state
     new = np.empty_like(state)
     cell_forward(d.t_lstm, input_drive(d.t_lstm, d.embedding.T[tokens]), h1,
                  c1, new[0], new[1])
-    step(m, d, new[0], h2, c2, m_cell, new[2], new[3])
+    _, text = transition_forward(m.arch, d.transition, new[0], h2)
+    cell_forward(m_cell, input_drive(m_cell, text), h2, c2, new[2], new[3])
     return softmax_logits(m, new[2]), new
 
 

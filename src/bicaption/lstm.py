@@ -21,10 +21,9 @@ its rows of them. It returns rows, from which `train.accumulate_grads`
 forms each weight gradient as one product over a whole batch.
 
 `sequence_forward` and `sequence_backward` are the one recurrence of both
-LSTM layers, text and multimodal, in every architecture. Only the
-bi-s-lstm forward pass steps its multimodal cell through `model.step`,
-because that cell's input reads its own previous hidden state;
-`sequence_backward` takes that feedback matrix.
+LSTM layers, text and multimodal, in every architecture. Where a cell's
+input reads its own previous hidden state (the bi-s-lstm multimodal
+cell), both take that feedback matrix V.
 """
 
 from dataclasses import dataclass
@@ -109,16 +108,26 @@ def cell_forward(p: LstmParams, a: np.ndarray, h_prev: np.ndarray,
     np.multiply(h, o, h)
 
 
-def sequence_forward(p: LstmParams, xs) -> LstmTrace:
+def sequence_forward(p: LstmParams, xs, V=None) -> LstmTrace:
     """Run the cell over a sequence of inputs ((T, D) rows, or a list of
     vectors) from a zero initial state. The input drives of all steps are
     one product, written into the pre-activation rows that each step
     completes with its Wh @ h; each step writes its states straight into
-    the trace's next rows."""
+    the trace's next rows. V is given when the input reads the cell's own
+    previous state: step t's input is then xs[t] + V @ h_{t-1}, and its
+    drive Wx @ x_t + b, each formed within the step straight into its
+    trace row."""
     T, H = len(xs), p.hidden_dim
     x = np.asarray(xs, dtype=np.float64) if T else np.empty((0, p.input_dim))
-    a, cs, hs = input_drive(p, x), np.zeros((T + 1, H)), np.zeros((T + 1, H))
+    cs, hs = np.zeros((T + 1, H)), np.zeros((T + 1, H))
+    if V is None:
+        a = input_drive(p, x)
+    else:
+        below, x, a = x, np.empty(x.shape), np.empty((T, 4 * H))
     for t in range(T):
+        if V is not None:
+            np.add(np.dot(V, hs[t], out=x[t]), below[t], out=x[t])
+            np.add(np.dot(p.Wx, x[t], out=a[t]), p.b, out=a[t])
         cell_forward(p, a[t], hs[t], cs[t], hs[t + 1], cs[t + 1])
     return LstmTrace(x, a, cs, hs)
 

@@ -19,10 +19,10 @@ the T-LSTM output (shortcut) with a two-matrix bottleneck of it.
 runs the layers above the T-LSTM over a whole teacher-forced sequence
 (training, gradient checking, gate traces): the transition is one product
 over the sequence's stacked rows and the M-LSTM runs `lstm.sequence_forward`
-on its output, except for bi-s-lstm, whose transition reads the previous
-M-LSTM state, so that `unroll` calls `step` once per time step. `step` also
-runs each decoding step, on one row per live hypothesis. `model_backward`
-runs `lstm.sequence_backward` for both LSTMs, so each LSTM's recurrence is
+on its output. The bi-s-lstm transition also reads the previous M-LSTM
+state, through V; that part is the M-LSTM's feedback, which
+`sequence_forward` adds within its recurrence. `model_backward` runs
+`lstm.sequence_backward` for both LSTMs, so each LSTM's recurrence is
 written once, in `lstm`, and returns the gradient as groups of rows, each
 one left factor and the blocks that read it, which
 `train.accumulate_grads` makes dense over a batch. A row of a (T, .)
@@ -39,8 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, ShapeError, VocabError
-from .lstm import (LstmParams, LstmTrace, cell_forward, input_drive,
-                   sequence_backward, sequence_forward)
+from .lstm import LstmParams, LstmTrace, sequence_backward, sequence_forward
 from .numcore import matvec, relu, softmax
 
 FORWARD = "forward"
@@ -262,13 +261,14 @@ def transition_forward(arch: ArchitectureKind, tp: TransitionParams | None,
                        h1: np.ndarray, h2: np.ndarray | None):
     """The M-LSTM's text input from T-LSTM output h1 (a vector or rows): h1
     itself, U @ h1 + V @ h2 on the previous M-LSTM state h2 (bi-s-lstm, the
-    only reader of h2), or relu(concat(W @ h1, V @ (U @ h1))), whose W
-    branch is the shortcut. Returns (relu pre-activation | None, text
-    input)."""
+    only reader of h2; U @ h1 alone when h2 is None), or
+    relu(concat(W @ h1, V @ (U @ h1))), whose W branch is the shortcut.
+    Returns (relu pre-activation | None, text input)."""
     if arch == ArchitectureKind.BI_LSTM:
         return None, h1
     if arch == ArchitectureKind.BI_S_LSTM:
-        return None, matvec(tp.U, h1) + matvec(tp.V, h2)
+        text = matvec(tp.U, h1)
+        return None, text if h2 is None else text + matvec(tp.V, h2)
     pre = np.concatenate([matvec(tp.W, h1), matvec(tp.V, matvec(tp.U, h1))],
                          axis=-1)
     return pre, relu(pre)
@@ -291,43 +291,18 @@ def softmax_logits(m: CaptionModel, h2: np.ndarray) -> np.ndarray:
     return matvec(m.softmax_w, h2) + m.softmax_b
 
 
-def step(m: CaptionModel, d: DirectionParams, h1: np.ndarray,
-         h2: np.ndarray, c2: np.ndarray, m_cell: LstmParams, h: np.ndarray,
-         c: np.ndarray):
-    """One time step above the T-LSTM: the transition on the T-LSTM output
-    h1, then the image-folded M-LSTM cell (`image_input`) on its output
-    from state (h2, c2), which writes the new state into h and c. h1, h2,
-    c2, h and c are vectors, or (B, H) rows that each advance one sequence.
-    Returns the M-LSTM's (text input, a): the text input alone is the one
-    the cell multiplied."""
-    _, text = transition_forward(m.arch, d.transition, h1, h2)
-    a = input_drive(m_cell, text)
-    cell_forward(m_cell, a, h2, c2, h, c)
-    return text, a
-
-
 def unroll(m: CaptionModel, d: DirectionParams, h1s: np.ndarray,
            m_cell: LstmParams):
     """The layers above the T-LSTM over a sequence's (T, H) T-LSTM outputs,
-    from a zero M-LSTM state: the transition as one product over all rows
-    and the M-LSTM as `sequence_forward` on its output, or, for bi-s-lstm,
-    whose transition reads the previous M-LSTM state, one `step` per time
-    step, which writes its states into the trace's next rows; then the
-    logits as one product. Returns (relu pre-activations, M-LSTM trace,
-    (T, V) logits); the pre-activations are (T, n) rows, n = 0 where the
-    architecture has no relu."""
-    pre = None
-    if m.arch == ArchitectureKind.BI_S_LSTM:
-        T, H = len(h1s), m.hidden_dim
-        x, a = np.empty((T, m_cell.input_dim)), np.empty((T, 4 * H))
-        cs, hs = np.zeros((T + 1, H)), np.zeros((T + 1, H))
-        for t, h1 in enumerate(h1s):
-            x[t], a[t] = step(m, d, h1, hs[t], cs[t], m_cell, hs[t + 1],
-                              cs[t + 1])
-        m_trace = LstmTrace(x, a, cs, hs)
-    else:
-        pre, text = transition_forward(m.arch, d.transition, h1s, None)
-        m_trace = sequence_forward(m_cell, text)
+    from a zero M-LSTM state: the transition as one product over all rows,
+    the M-LSTM as `sequence_forward` on its output, with the bi-s-lstm
+    transition's V as the cell's feedback, then the logits as one product.
+    Returns (relu pre-activations, M-LSTM trace, (T, V) logits); the
+    pre-activations are (T, n) rows, n = 0 where the architecture has no
+    relu."""
+    pre, text = transition_forward(m.arch, d.transition, h1s, None)
+    bi_s = m.arch == ArchitectureKind.BI_S_LSTM
+    m_trace = sequence_forward(m_cell, text, d.transition.V if bi_s else None)
     logits = softmax_logits(m, m_trace.hs[1:])
     return (np.empty((len(h1s), 0)) if pre is None else pre), m_trace, logits
 

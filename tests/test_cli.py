@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,13 @@ class TestGradcheckCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_negative_seed_refused_before_any_draw(self, capsys):
+        rc = main(["gradcheck", "--seed", "-1"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
 
 class TestAugmentPlanCommand:
     def test_single_image_plan(self, capsys):
@@ -698,6 +706,32 @@ class TestSeedFlag:
                   "--vocab", str(toy_files["vocab"]), "--seed", "1"])
         assert exit_info.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+class TestNumericFailures:
+    def test_out_of_memory_is_one_line_exit_2(self, monkeypatch, capsys):
+        message = ("Unable to allocate 5.00 TiB for an array with shape "
+                   "(400000000000, 1600) and data type float64")
+
+        def allocate(args):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "cmd_augment_plan", allocate)
+        rc, err = run_cli(BASE_ARGV["augment-plan"], capsys)
+        assert rc == 2
+        assert err == f"error: out of memory: {message}\n"
+
+    def test_overflowing_training_reports_only_its_error(self, toy_files,
+                                                         capsys):
+        # a step that overflows to inf fails on the non-finite gradient it
+        # leads to; numpy's warnings on the way there are not printed
+        argv = [a.format(**toy_files) for a in BASE_ARGV["train"]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, err = run_cli(argv + ["--lr", "1e308", "--momentum", "0.5"],
+                              capsys)
+        assert rc == 2
+        assert err == "error: non-finite gradient in block fwd.embedding\n"
+        assert caught == []
 
 
 class TestConsoleScript:

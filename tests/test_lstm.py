@@ -43,6 +43,21 @@ def cell(p, x, h_prev, c_prev):
     return (*gates(a), c, h)
 
 
+def feedback_loop(p, below, V):
+    """The cell whose input reads its own previous state, written per step:
+    x_t = below[t] + V @ h_{t-1}, then its drive and cell_forward, each
+    into the trace's rows."""
+    T, H = len(below), p.hidden_dim
+    tr = LstmTrace(np.empty((T, p.input_dim)), np.empty((T, 4 * H)),
+                   np.zeros((T + 1, H)), np.zeros((T + 1, H)))
+    for t in range(T):
+        tr.x[t] = below[t] + V @ tr.hs[t]
+        tr.a[t] = input_drive(p, tr.x[t])
+        cell_forward(p, tr.a[t], tr.hs[t], tr.cs[t], tr.hs[t + 1],
+                     tr.cs[t + 1])
+    return tr
+
+
 class TestCellForward:
     def test_all_zero(self):
         p = zeros_lstm(2, 3)
@@ -237,6 +252,22 @@ class TestSequenceForward:
                                      [0.0] * 4, [0.0] * 4)
         assert max(abs(a - b) for a, b in zip(tr.hs[-1], oracle[-1][0])) < 1e-12
 
+    @pytest.mark.parametrize("T", [0, 1, 5])
+    def test_feedback_is_bitwise_the_per_step_loop(self, T):
+        # with V, step t's input is xs[t] + V @ h_{t-1}, formed within the
+        # step; the caller's rows, in either memory order, are read, not
+        # written
+        p, rng = random_params(3, 4, seed=21)
+        V = rng.uniform(-0.4, 0.4, size=(3, 4))
+        given = rng.normal(size=(T, 3))
+        want = feedback_loop(p, given, V)
+        for below in (given.copy(), np.asfortranarray(given)):
+            tr = sequence_forward(p, below, V)
+            for name in ("x", "a", "cs", "hs"):
+                np.testing.assert_array_equal(getattr(tr, name),
+                                              getattr(want, name))
+            np.testing.assert_array_equal(below, given)
+
     def test_determinism(self):
         p, rng = random_params(3, 4, seed=13)
         xs = [rng.normal(size=3) for _ in range(4)]
@@ -337,7 +368,8 @@ class TestSequenceBackward:
             np.testing.assert_allclose(full, part, rtol=0, atol=1e-15)
 
     def test_feedback_input_matches_finite_differences(self):
-        # the cell's input reads its own previous state: u_t = U x_t + V h_{t-1}
+        # the cell's input reads its own previous state,
+        # u_t = U x_t + V h_{t-1}: both halves of the recurrence take V
         p, rng = random_params(3, 4, seed=20)
         U = rng.uniform(-0.4, 0.4, size=(3, 5))
         V = rng.uniform(-0.4, 0.4, size=(3, 4))
@@ -345,14 +377,7 @@ class TestSequenceBackward:
         dh_seq = [rng.normal(size=4) for _ in range(5)]
 
         def forward():
-            tr = LstmTrace(np.empty((5, 3)), np.empty((5, 16)),
-                           np.zeros((6, 4)), np.zeros((6, 4)))
-            for t, x in enumerate(xs):
-                tr.x[t] = U @ x + V @ tr.hs[t]
-                tr.a[t] = input_drive(p, tr.x[t])
-                cell_forward(p, tr.a[t], tr.hs[t], tr.cs[t], tr.hs[t + 1],
-                             tr.cs[t + 1])
-            return tr
+            return sequence_forward(p, [U @ x for x in xs], V)
 
         def loss():
             return sum(float(w @ h) for w, h in zip(dh_seq, forward().hs[1:]))

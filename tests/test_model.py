@@ -8,10 +8,11 @@ import bicaption.model as model_mod
 import bicaption.numcore as numcore
 from bicaption.data import CaptionedExample
 from bicaption.errors import ConfigError, ShapeError, VocabError
+from bicaption.lstm import cell_forward, input_drive
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, Scatter,
                              TransitionParams, build_model, direction_forward,
                              image_input, init_model, model_backward,
-                             random_model, step, transition_forward)
+                             random_model, transition_forward)
 from bicaption.train import (accumulate_grads, direction_io, joint_backward,
                              joint_loss)
 
@@ -190,31 +191,35 @@ class TestDirectionForward:
         tw = m.fwd.m_lstm.input_dim
         rec = direction_forward(m, FORWARD, [0, 2, 3], np.ones(3))
         h1s = rec.t_trace.hs[1:]
-        # the bi-s-lstm transition runs per step, the others over all rows
+        # the transition runs over all rows; the bi-s-lstm's V @ h2 is the
+        # M-LSTM's feedback, added to each row within its step
+        _, texts = transition_forward(arch, m.fwd.transition, h1s, None)
         if arch == BIS:
-            texts = [transition_forward(arch, m.fwd.transition, h1, h2)[1]
-                     for h1, h2 in zip(h1s, rec.m_trace.hs[:-1])]
-        else:
-            _, texts = transition_forward(arch, m.fwd.transition, h1s, None)
+            texts = [text + m.fwd.transition.V.dot(h2)
+                     for text, h2 in zip(texts, rec.m_trace.hs[:-1])]
         assert rec.m_trace.x.shape == (3, tw)
         np.testing.assert_array_equal(rec.m_trace.x, texts)
         rows = np.ones((2, 4))
-        text, _ = step(m, m.fwd, rows, 0 * rows, 0 * rows,
-                       image_input(m.fwd, np.ones(3)), *np.empty((2, 2, 4)))
+        _, text = transition_forward(arch, m.fwd.transition, rows, 0 * rows)
         assert text.shape == (2, tw)
 
-    def test_bi_s_lstm_rows_are_its_step_calls(self):
-        # unroll's trace rows are each model.step's (x, a) and the (h, c)
-        # it wrote
+    def test_bi_s_lstm_rows_are_its_feedback_steps(self):
+        # unroll's trace rows are the stacked transition's U @ h1 rows, each
+        # completed with V @ h2 of the previous state, then that input's
+        # drive and the (h, c) the image-folded cell wrote from it
         m = random_model(BIS, 6, 3, 4, 4, seed=6)
         feature = np.array([0.4, -0.2, 0.9])
         rec = direction_forward(m, FORWARD, [0, 2, 3, 5, 4], feature)
         m_cell = image_input(m.fwd, feature)
         tr = rec.m_trace
+        _, below = transition_forward(BIS, m.fwd.transition,
+                                      rec.t_trace.hs[1:], None)
         h2 = c2 = np.zeros(4)
-        for t, h1 in enumerate(rec.t_trace.hs[1:]):
+        for t in range(len(rec)):
             h, c = np.empty((2, 4))
-            x, a = step(m, m.fwd, h1, h2, c2, m_cell, h, c)
+            x = below[t] + m.fwd.transition.V.dot(h2)
+            a = input_drive(m_cell, x)
+            cell_forward(m_cell, a, h2, c2, h, c)
             h2, c2 = h, c
             np.testing.assert_array_equal(tr.x[t], x)
             np.testing.assert_array_equal(tr.a[t], a)
@@ -382,9 +387,9 @@ class TestModelBackward:
 class TestOneRecurrencePerLstm:
     @pytest.mark.parametrize("arch", [BI, BIS, BIF])
     def test_both_lstms_run_the_lstm_module_loops(self, arch, monkeypatch):
-        # each LSTM's recurrence is lstm.sequence_forward/sequence_backward;
-        # only the bi-s-lstm forward steps its M-LSTM through model.step
-        calls = {"sequence_forward": 0, "sequence_backward": 0, "step": 0}
+        # each LSTM's recurrence is lstm.sequence_forward/sequence_backward,
+        # the bi-s-lstm M-LSTM's feedback included; no model code steps a cell
+        calls = {"sequence_forward": 0, "sequence_backward": 0}
 
         def counting(name):
             real = getattr(model_mod, name)
@@ -399,12 +404,10 @@ class TestOneRecurrencePerLstm:
         m = random_model(arch, 9, 4, 5, 6, seed=1)
         tokens = [0, 3, 5, 2]
         rec = direction_forward(m, FORWARD, tokens, np.ones(4))
-        bi_s = arch == BIS
-        assert calls == {"sequence_forward": 1 if bi_s else 2,
-                         "sequence_backward": 0,
-                         "step": len(tokens) if bi_s else 0}
+        assert calls == {"sequence_forward": 2, "sequence_backward": 0}
         model_backward(m, rec, tokens[1:] + [0])
         assert calls["sequence_backward"] == 2
+        assert not hasattr(model_mod, "step")
 
 
 def assert_matches_per_step_pass(m, ex):
