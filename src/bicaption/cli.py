@@ -20,10 +20,9 @@ from . import data as data_mod
 from . import infer, metrics
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import BicaptionError, ConfigError, DataError, ShapeError
-from .model import (ArchitectureKind, BACKWARD, FORWARD, check_dims,
-                    init_model, random_model)
-from .train import (TrainConfig, grad_check, make_state, mean_joint_loss,
-                    train_epochs)
+from .model import (ArchitectureKind, BACKWARD, FORWARD, check_addressable,
+                    check_dims, init_model, random_model)
+from .train import TrainConfig, grad_check, make_state, train_epochs
 
 ARCH_BY_NAME = {a.value: a for a in ArchitectureKind}
 
@@ -167,11 +166,10 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.tsv"
     with open(log_path, "w", encoding="utf-8") as log:
-        log.write(f"0\tnan\t{mean_joint_loss(model, val_set):.17g}\n")
-
         def hook(epoch, train_loss, val_loss):
-            print(f"epoch {epoch} train_loss {train_loss:.6f} "
-                  f"val_loss {val_loss:.6f}")
+            if epoch:  # epoch 0 is the untrained baseline: logged only
+                print(f"epoch {epoch} train_loss {train_loss:.6f} "
+                      f"val_loss {val_loss:.6f}")
             log.write(f"{epoch}\t{train_loss:.17g}\t{val_loss:.17g}\n")
 
         state = train_epochs(make_state(model), train_set, val_set, cfg,
@@ -318,6 +316,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"caption_len must be >= 1, got {caption_len}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_addressable("caption", (caption_len,))
 
     # unit-scale weights keep every block resolvable by central differences
     m = random_model(arch, vocab_size, feature_dim, embed_dim, hidden_dim,
@@ -391,10 +390,11 @@ def cmd_dump_gates(args) -> int:
     m, vocab, features = _load_model_inputs(args)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for image_id, feature in features.items():
         trace = infer.dump_gate_trace(m, feature, direction, max_len=max_len,
                                       vocab=vocab)
+        # only now: a refused trace leaves no directory behind
+        out_dir.mkdir(parents=True, exist_ok=True)
         infer.write_gate_trace(
             trace,
             out_dir / f"{image_id}.{direction}.gates.csv",

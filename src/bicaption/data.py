@@ -12,6 +12,7 @@ File formats owned here:
 
 import math
 import string
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,8 @@ def augment_plan(image_w: int, image_h: int, base: int = 256,
                         f"got {base}, {crop}, {crop_small}")
     if crop > base:
         raise PlanError(f"crop {crop} exceeds base size {base}")
+    if base > sys.float_info.max:  # each scale multiplies it as a float
+        raise PlanError(f"base must be at most {sys.float_info.max:g}")
 
     variants = []
     for s in AUGMENT_SCALES:

@@ -2,12 +2,12 @@
 greedy argmax), selection of the better direction by summed log-probability,
 and gate-state trace export for inspecting the cells over time.
 
-Beam search advances all live hypotheses of a direction as one batch: one
-row of state per hypothesis, one `_decode_step` and one selection of the
-beam over every (hypothesis, token) sum (`_best`) per time step, and the
-image projected through the M-LSTM once per image and direction. It is the
-only decoder: a gate trace is the teacher-forced pass over the greedy
-(beam width 1) caption.
+Beam search advances all live hypotheses of a direction as one batch: each
+is a row of state, of tokens and of summed log-probability, and each time
+step is one `_decode_step` and one selection (`_best`) over every
+(hypothesis, token) sum; the image is projected through the M-LSTM once per
+image and direction. It is the only decoder: a gate trace is the
+teacher-forced pass over the greedy (beam width 1) caption.
 """
 
 from dataclasses import dataclass
@@ -25,12 +25,11 @@ from .numcore import log_softmax
 
 @dataclass
 class Hypothesis:
-    """A decoded candidate. tokens includes the terminating boundary token
+    """A finished candidate. tokens includes the terminating boundary token
     when one was emitted."""
 
     tokens: list[int]
     logprob_sum: float
-    per_step_logprobs: list[float]
 
 
 def _decode_step(m: CaptionModel, d: DirectionParams, m_cell: LstmParams,
@@ -79,29 +78,25 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
 
     d = m.direction(direction)
     m_cell = image_input(d, feature)
-    live = [Hypothesis([], 0.0, [])]
+    # the live beam: each row's start token and tokens, and its sum
+    seqs = np.array([[BOUNDARY_ID]])
+    sums = np.zeros(1)
     state = np.zeros((4, 1, m.hidden_dim))
-    tokens = np.array([BOUNDARY_ID])
     finished: list[Hypothesis] = []
 
-    while live:
-        logits, state = _decode_step(m, d, m_cell, state, tokens)
+    while len(seqs):
+        logits, state = _decode_step(m, d, m_cell, state, seqs[:, -1])
         logprobs = log_softmax(logits)
-        sums = np.array([h.logprob_sum for h in live])[:, None] + logprobs
-        prev, live, rows = live, [], []
-        for r, tok in zip(*_best(sums, logprobs, beam_k)):
-            hyp = prev[r]
-            ext = Hypothesis(hyp.tokens + [int(tok)], float(sums[r, tok]),
-                             hyp.per_step_logprobs + [float(logprobs[r, tok])])
-            if tok == BOUNDARY_ID or len(ext.tokens) >= max_len:
-                finished.append(ext)
-            else:
-                live.append(ext)
-                rows.append(r)
-        state = state[:, rows]
-        tokens = np.array([h.tokens[-1] for h in live])
+        table = sums[:, None] + logprobs
+        rows, tokens = _best(table, logprobs, beam_k)
+        seqs = np.column_stack((seqs[rows], tokens))
+        sums = table[rows, tokens]
+        done = (tokens == BOUNDARY_ID) | (seqs.shape[1] > max_len)
+        finished += [Hypothesis(row[1:].tolist(), float(v))
+                     for row, v in zip(seqs[done], sums[done])]
+        seqs, sums, state = seqs[~done], sums[~done], state[:, rows[~done]]
 
-    # live only empties once a candidate has finished, and the step at
+    # the beam only empties once a candidate has finished, and the step at
     # max_len finishes every survivor, so finished is never empty
     return max(finished, key=lambda h: h.logprob_sum)
 

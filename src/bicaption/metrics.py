@@ -139,39 +139,31 @@ def build_score_matrix(m: CaptionModel, image_features,
 
 
 def _query_ranks(sm: ScoreMatrix, ground_truth: dict[int, set[int]],
-                 direction: str) -> list[int]:
+                 direction: str) -> np.ndarray:
     """1-based rank of the best-ranked ground-truth item for each query.
     ground_truth maps image row index -> set of sentence column indices."""
     n_images, n_sentences = sm.scores.shape
+    truth = np.zeros(sm.scores.shape, dtype=bool)
     for img, sents in ground_truth.items():
         for axis, index, count in [("image", img, n_images)] + [
                 ("sentence", s, n_sentences) for s in sents]:
             if not 0 <= index < count:
                 raise MetricError(
                     f"ground-truth {axis} {index} outside 0..{count - 1}")
+        truth[img, list(sents)] = True
     if direction == IMAGE_TO_SENTENCE:
         grid = sm.scores
-        gt = ground_truth
     elif direction == SENTENCE_TO_IMAGE:
-        grid = sm.scores.T
-        gt: dict[int, set[int]] = {}
-        for img, sents in ground_truth.items():
-            for s in sents:
-                gt.setdefault(s, set()).add(img)
+        grid, truth = sm.scores.T, truth.T
     else:
         raise MetricError(f"unknown retrieval direction {direction!r}")
     if not grid.shape[0]:
         raise MetricError(f"no queries to rank in direction {direction}")
-
-    ranks = []
-    for q in range(grid.shape[0]):
-        targets = gt.get(q)
-        if not targets:
-            raise MetricError(f"query {q} has no ground-truth items")
-        order = np.argsort(-grid[q], kind="stable")  # ties keep lower index
-        position = {int(idx): rank for rank, idx in enumerate(order, start=1)}
-        ranks.append(min(position[t] for t in targets))
-    return ranks
+    missing = np.flatnonzero(~truth.any(axis=1))
+    if missing.size:
+        raise MetricError(f"query {missing[0]} has no ground-truth items")
+    order = np.argsort(-grid, axis=1, kind="stable")  # ties keep lower index
+    return 1 + np.take_along_axis(truth, order, axis=1).argmax(axis=1)
 
 
 def recall_at_k(sm: ScoreMatrix, ground_truth: dict[int, set[int]], k: int,
@@ -182,15 +174,14 @@ def recall_at_k(sm: ScoreMatrix, ground_truth: dict[int, set[int]], k: int,
     if k < 1 or k > n_candidates:
         raise MetricError(f"k={k} outside 1..{n_candidates}")
     ranks = _query_ranks(sm, ground_truth, direction)
-    return 100.0 * sum(1 for r in ranks if r <= k) / len(ranks)
+    return 100.0 * np.count_nonzero(ranks <= k) / len(ranks)
 
 
 def median_rank(sm: ScoreMatrix, ground_truth: dict[int, set[int]],
                 direction: str) -> float:
     """Median over queries of the first ground-truth item's rank (an even
     query count averages the two central values)."""
-    ranks = _query_ranks(sm, ground_truth, direction)
-    return float(np.median(ranks))
+    return float(np.median(_query_ranks(sm, ground_truth, direction)))
 
 
 def write_score_matrix(sm: ScoreMatrix, path) -> None:

@@ -31,6 +31,7 @@ and teacher forcing agree to rounding (1e-12 relative), not bit for bit.
 """
 
 import enum
+import math
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -156,6 +157,14 @@ def check_dims(**dims: int) -> None:
             raise ConfigError(f"{label} must be >= 1, got {dim}")
 
 
+def check_addressable(name: str, shape: tuple[int, ...]) -> None:
+    """Refuse a float64 block of `shape` whose byte count numpy cannot
+    address (numpy raises a ValueError for it) as a failed allocation."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise MemoryError(f"{name} of shape {shape} is beyond numpy's "
+                          "addressable size")
+
+
 def block_shapes(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
                  embed_dim: int, hidden_dim: int,
                  bif_widths: tuple[int, int, int] | None = None
@@ -195,11 +204,14 @@ def block_shapes(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
 def build_model(arch: ArchitectureKind, vocab_size: int, feature_dim: int,
                 embed_dim: int, hidden_dim: int,
                 bif_widths: tuple[int, int, int] | None = None) -> CaptionModel:
-    """All-zero model with the architecture's shapes (`block_shapes`);
-    init_model and random_model fill it."""
-    return CaptionModel(arch, {name: np.zeros(shape) for name, shape in
-                               block_shapes(arch, vocab_size, feature_dim,
-                                            embed_dim, hidden_dim, bif_widths)})
+    """All-zero model with the architecture's shapes (`block_shapes`), each
+    checked addressable before any is built; init_model and random_model
+    fill it."""
+    shapes = block_shapes(arch, vocab_size, feature_dim, embed_dim,
+                          hidden_dim, bif_widths)
+    for name, shape in shapes:
+        check_addressable(name, shape)
+    return CaptionModel(arch, {name: np.zeros(shape) for name, shape in shapes})
 
 
 def merged_layout(shapes) -> list[tuple[tuple[int, ...], list]]:

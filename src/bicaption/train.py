@@ -242,7 +242,10 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
 def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
                  epoch_hook=None) -> TrainState:
     """Mini-batch SGD with per-epoch reseeded shuffles and early stopping on
-    validation joint loss. Returns the state holding the best-val model."""
+    validation joint loss. Returns the state holding the best-val model.
+    `epoch_hook(epoch, train_loss, val_loss)` runs after each epoch, and
+    first as epoch 0, with a NaN train loss, for the untrained model's
+    validation loss when a fresh state measures it as its baseline."""
     cfg.validate()
     train_set = list(train_set)
     val_set = list(val_set)
@@ -255,6 +258,8 @@ def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
         state.best_val_loss = mean_joint_loss(state.model, val_set)
         state.best_model = state.model.copy()
         state.epochs_since_best = 0
+        if epoch_hook is not None:
+            epoch_hook(0, math.nan, state.best_val_loss)
 
     n = len(train_set)
     for epoch in range(state.epoch + 1, cfg.max_epochs + 1):

@@ -3,13 +3,14 @@
 Everything here deliberately avoids the library's own code paths: the LSTM
 oracle is scalar Python loops, the full-stack oracle is straight-line numpy,
 the decoding oracles re-run the forward pass from scratch on every prefix,
-one hypothesis at a time, and BLEU-style counts are done by hand where
-needed. Two are exceptions. The finite-difference loss is the library's
-own forward pass, rerun in full for both directions, the reference that
-grad_check's reuse of unperturbed rows must match bit for bit. The
-fresh-array LSTM step is the library's step arithmetic with a new array
-for each result, the reference that lstm.cell_forward's writes into its
-caller's rows must match bit for bit.
+one hypothesis at a time, retrieval ranks are found one query at a time,
+and BLEU-style counts are done by hand where needed. Two are exceptions.
+The finite-difference loss is the library's own forward pass, rerun in
+full for both directions, the reference that grad_check's reuse of
+unperturbed rows must match bit for bit. The fresh-array LSTM step is the
+library's step arithmetic with a new array for each result, the reference
+that lstm.cell_forward's writes into its caller's rows must match bit for
+bit.
 """
 
 import math
@@ -252,21 +253,20 @@ def per_hypothesis_beam(m, direction, feature, beam_k, max_len):
     forward pass over its prefix: every hypothesis's top beam_k tokens by a
     stable argsort of the whole distribution, candidates stably sorted by
     summed log-probability, and the first best finished hypothesis wins.
-    Returns (tokens, logprob_sum, per_step_logprobs) of the winner."""
-    live = [([], 0.0, [])]
+    Returns (tokens, logprob_sum) of the winner."""
+    live = [([], 0.0)]
     finished = []
     for _ in range(max_len):
         if not live:
             break
         candidates = []
-        for tokens, lp_sum, steps in live:
+        for tokens, lp_sum in live:
             rec = direction_forward(m, direction, [BOUNDARY_ID] + tokens,
                                     feature)
             lps = log_softmax(rec.logits[-1])
             for tok in np.argsort(-lps, kind="stable")[:beam_k]:
-                lp = float(lps[tok])
-                candidates.append((tokens + [int(tok)], lp_sum + lp,
-                                   steps + [lp]))
+                candidates.append((tokens + [int(tok)],
+                                   lp_sum + float(lps[tok])))
         candidates.sort(key=lambda c: -c[1])
         live = []
         for cand in candidates[:beam_k]:
@@ -299,6 +299,27 @@ def enumerate_best_hypothesis(m, direction, feature, max_len):
 
     extend([BOUNDARY_ID], [], 0.0)
     return best_tokens, best_lp
+
+
+def per_query_ranks(scores, ground_truth, direction):
+    """Retrieval ranks one query at a time: the ground truth inverted into a
+    dict for sentence-to-image queries, then per query a stable argsort of
+    its negated scores (ties keep the lower index), a position dict, and
+    the best position of its ground-truth items. Returns one 1-based rank
+    per query; the query grid is `scores` or its transpose."""
+    if direction == "image_to_sentence":
+        grid, gt = scores, ground_truth
+    else:
+        grid, gt = scores.T, {}
+        for img, sents in ground_truth.items():
+            for s in sents:
+                gt.setdefault(s, set()).add(img)
+    ranks = []
+    for q in range(grid.shape[0]):
+        order = np.argsort(-grid[q], kind="stable")
+        position = {int(idx): rank for rank, idx in enumerate(order, start=1)}
+        ranks.append(min(position[t] for t in gt[q]))
+    return ranks
 
 
 def _fd_loss_and_signs(m, ex):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bicaption.train as train_mod
 from bicaption import cli
 from bicaption.checkpoint import load_checkpoint, save_checkpoint
 from bicaption.cli import main
@@ -63,6 +64,29 @@ class TestTrainCommand:
         assert len(lines) == 4 + 1  # one per epoch, then the checkpoint
         assert lines[0].startswith("epoch 1 train_loss ")
         assert " val_loss " in lines[0]
+
+    def test_validation_loss_measured_once_per_epoch(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # epoch 0's baseline is one pass over the 4 validation captions,
+        # shared by the log and early stopping; each trained epoch adds one
+        calls = []
+        loss = train_mod.joint_loss
+
+        def counted(m, ex):
+            calls.append(ex.image_id)
+            return loss(m, ex)
+        monkeypatch.setattr(train_mod, "joint_loss", counted)
+        vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
+        captions, features, _ = write_corpus(tmp_path, vocab, examples)
+        rc = main(["train", "--captions", str(captions), "--features",
+                   str(features), "--out-dir", str(tmp_path / "run"),
+                   "--max-epochs", "2", "--seed", "5"])
+        assert rc == 0
+        assert len(calls) == 3 * 4
+        log_rows = (tmp_path / "run" / "train_log.tsv").read_text().split("\n")
+        assert [row.split("\t")[0] for row in log_rows] == ["0", "1", "2", ""]
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in out[:2]] == ["1", "2"]
 
     def test_arch_round_trips_through_checkpoint(self, tmp_path):
         vocab, examples = make_toy_dataset(4, 12, 7, seed=1)
@@ -513,6 +537,15 @@ class TestDumpGatesCommand:
                    "--direction", "sideways", "--out-dir", "x"])
         assert rc == 2
 
+    def test_refused_trace_leaves_no_out_dir(self, toy_files, capsys):
+        out_dir = toy_files["dir"] / "traces"
+        rc = main(["dump-gates", *(a.format(**toy_files) for a in MODEL_ARGS),
+                   "--max-len", "0", "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: max_len must be >= 1, got 0\n")
+        assert not out_dir.exists()
+
 
 class TestFullPipeline:
     def test_train_caption_retrieve_chain(self, tmp_path, capsys):
@@ -732,6 +765,40 @@ class TestNumericFailures:
         assert rc == 2
         assert err == "error: non-finite gradient in block fwd.embedding\n"
         assert caught == []
+
+
+BIG = str(10 ** 30)
+OVERSIZED_ARGV = [
+    ([*BASE_ARGV["train"], "--hidden-dim", BIG], "fwd.embedding of shape"),
+    ([*BASE_ARGV["train"], "--embed-dim", BIG], "fwd.embedding of shape"),
+    (["gradcheck", "--hidden-dim", BIG], "fwd.t_lstm.Wx of shape"),
+    (["gradcheck", "--vocab-size", BIG], "fwd.embedding of shape"),
+    (["gradcheck", "--feature-dim", BIG], "fwd.m_lstm.Wimg of shape"),
+    (["gradcheck", "--caption-len", BIG], "caption of shape"),
+]
+
+
+class TestOversizedIntegers:
+    """An integer too large for numpy to address is refused by name, in one
+    stderr line with exit 2, before any array of that size is made (numpy's
+    own refusal would be a ValueError traceback)."""
+
+    @pytest.mark.parametrize("argv, block", OVERSIZED_ARGV, ids=[
+        " ".join(a for a in argv if "{" not in a)[:40]
+        for argv, _ in OVERSIZED_ARGV])
+    def test_model_dims_and_caption_len(self, argv, block, toy_files,
+                                        capsys):
+        rc, err = run_cli([a.format(**toy_files) for a in argv], capsys)
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: out of memory: {block} (")
+        assert err.endswith(") is beyond numpy's addressable size\n")
+
+    def test_augment_base(self, capsys):
+        rc, err = run_cli([*BASE_ARGV["augment-plan"], "--base",
+                           str(10 ** 400)], capsys)
+        assert rc == 2
+        assert err == "error: base must be at most 1.79769e+308\n"
 
 
 class TestConsoleScript:

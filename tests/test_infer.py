@@ -38,12 +38,10 @@ def assert_beam_matches_reference(m, feature, beam_k, max_len, seed):
     rather than one per row, so sums may differ by rounding only."""
     for direction in (FORWARD, BACKWARD):
         hyp = decode_direction(m, direction, feature, beam_k, max_len)
-        tokens, logprob, steps = per_hypothesis_beam(
+        tokens, logprob = per_hypothesis_beam(
             m, direction, feature, beam_k, max_len)
         assert hyp.tokens == tokens, (seed, direction)
         assert abs(hyp.logprob_sum - logprob) <= 1e-12 * abs(logprob)
-        np.testing.assert_allclose(hyp.per_step_logprobs, steps,
-                                   rtol=1e-12, atol=0)
 
 
 class TestDecodeDirection:
@@ -178,12 +176,15 @@ class TestDecodeDirection:
         assert [int(t) for t in infer_mod._best(sums, logprobs, 1)[1]] == [1]
 
     def test_logprob_bookkeeping(self):
+        # the sum is the teacher-forced pass's log-probability of each token
         m = random_model(BI, 6, 3, 4, 4, seed=13)
         hyp = decode_direction(m, FORWARD, np.zeros(3), beam_k=2, max_len=6)
-        assert all(lp <= 0 for lp in hyp.per_step_logprobs)
-        assert abs(hyp.logprob_sum - sum(hyp.per_step_logprobs)) < 1e-12
+        rec = direction_forward(m, FORWARD, [BOUNDARY_ID] + hyp.tokens[:-1],
+                                np.zeros(3))
+        steps = np.log(rec.probs[np.arange(len(hyp.tokens)), hyp.tokens])
+        assert np.all(steps <= 0)
+        assert abs(hyp.logprob_sum - steps.sum()) < 1e-12
         assert hyp.logprob_sum <= 0
-        assert len(hyp.per_step_logprobs) == len(hyp.tokens)
 
     def test_shift_invariance_of_greedy(self):
         m = random_model(BI, 6, 3, 4, 4, seed=14)
@@ -211,9 +212,7 @@ class TestDecodeDirection:
 
 
 def hyp(tokens, logprob):
-    steps = [logprob / len(tokens)] * len(tokens)
-    return Hypothesis(tokens=list(tokens), logprob_sum=logprob,
-                      per_step_logprobs=steps)
+    return Hypothesis(tokens=list(tokens), logprob_sum=logprob)
 
 
 class TestSelectFinalCaption:
@@ -250,7 +249,7 @@ class TestSelectFinalCaption:
 
     def test_empty_hypothesis_rejected(self):
         with pytest.raises(DataError):
-            select_final_caption(hyp([2], -1.0), Hypothesis([], 0.0, []))
+            select_final_caption(hyp([2], -1.0), Hypothesis([], 0.0))
 
 
 class TestGateTrace:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bicaption.metrics as metrics_mod
 from bicaption.data import CaptionedExample, make_toy_dataset
 from bicaption.errors import MetricError
 from bicaption.metrics import (IMAGE_TO_SENTENCE, SENTENCE_TO_IMAGE,
@@ -10,6 +11,8 @@ from bicaption.metrics import (IMAGE_TO_SENTENCE, SENTENCE_TO_IMAGE,
                                closest_ref_length, corpus_bleu_n, median_rank,
                                recall_at_k, score_pair, write_score_matrix)
 from bicaption.model import ArchitectureKind, random_model
+
+from oracles import per_query_ranks
 
 
 class TestBleu:
@@ -215,6 +218,52 @@ class TestRetrievalMetrics:
             recall_at_k(sm, {}, 1, direction)
         with pytest.raises(MetricError, match="no queries"):
             median_rank(sm, {}, direction)
+
+
+class TestRanksMatchPerQueryOracle:
+    """Ranks from one row-wise stable sort per direction equal the
+    per-query ranking of `oracles.per_query_ranks`."""
+
+    @staticmethod
+    def case(seed):
+        # few distinct scores, so rows hold exact ties; every image and
+        # every sentence has at least one ground-truth partner, and some
+        # have several
+        rng = np.random.default_rng([seed, 24])
+        n_img, n_sent = (int(v) for v in rng.integers(1, 9, size=2))
+        scores = rng.integers(-2, 3, size=(n_img, n_sent)) / 2.0
+        owner = rng.integers(0, n_img, size=n_sent)
+        gt = {i: set(np.flatnonzero(owner == i).tolist())
+              for i in range(n_img)}
+        for i in range(n_img):
+            gt[i].add(int(rng.integers(0, n_sent)))
+        return matrix(scores), gt
+
+    def test_random_grids_with_ties(self):
+        for seed in range(200):
+            sm, gt = self.case(seed)
+            for direction in (IMAGE_TO_SENTENCE, SENTENCE_TO_IMAGE):
+                want = per_query_ranks(sm.scores, gt, direction)
+                got = metrics_mod._query_ranks(sm, gt, direction)
+                assert got.tolist() == want, (seed, direction)
+                assert median_rank(sm, gt, direction) == float(
+                    np.median(want))
+                n = sm.scores.shape[1 if direction == IMAGE_TO_SENTENCE
+                                    else 0]
+                for k in range(1, n + 1):
+                    hits = sum(1 for r in want if r <= k)
+                    assert (recall_at_k(sm, gt, k, direction)
+                            == 100.0 * hits / len(want))
+
+    @pytest.mark.parametrize("direction, query", [
+        (IMAGE_TO_SENTENCE, 1), (SENTENCE_TO_IMAGE, 2)])
+    def test_first_query_without_ground_truth_named(self, direction, query):
+        # image 1 and sentence 2 have no partner; image 3 and sentence 3
+        # neither, and later queries are not the ones named
+        sm = matrix(np.zeros((4, 4)))
+        gt = {0: {0, 1}, 2: {0}}
+        with pytest.raises(MetricError, match=f"query {query} has no"):
+            median_rank(sm, gt, direction)
 
 
 class TestScorePair:
