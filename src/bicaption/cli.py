@@ -141,6 +141,9 @@ def cmd_train(args) -> int:
     hidden_dim = opt.get("hidden_dim", profile["hidden_dim"])
     embed_dim = opt.get("embed_dim", hidden_dim)
     check_dims(hidden_dim=hidden_dim, embed_dim=embed_dim)
+    # the blocks these two alone size, refused before any file is read
+    check_addressable("fwd.t_lstm.Wx", (4 * hidden_dim, embed_dim))
+    check_addressable("fwd.t_lstm.Wh", (4 * hidden_dim, hidden_dim))
 
     if args.val_features and not args.val_captions:
         raise ConfigError("--val-features needs --val-captions")
@@ -249,10 +252,12 @@ def cmd_retrieve(args) -> int:
         metrics.write_score_matrix(sm, args.matrix_out)
 
     for direction in (metrics.IMAGE_TO_SENTENCE, metrics.SENTENCE_TO_IMAGE):
+        # one ranking per direction, reduced as recall_at_k and median_rank do
+        ranks = metrics.query_ranks(sm, ground_truth, direction)
         for k in k_list:
-            value = metrics.recall_at_k(sm, ground_truth, k, direction)
-            print(f"{direction}_R@{k},{value:.6f}")
-        print(f"{direction}_Med_r,{metrics.median_rank(sm, ground_truth, direction):.6f}")
+            recall = 100.0 * np.count_nonzero(ranks <= k) / len(ranks)
+            print(f"{direction}_R@{k},{recall:.6f}")
+        print(f"{direction}_Med_r,{float(np.median(ranks)):.6f}")
     return 0
 
 

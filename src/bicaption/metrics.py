@@ -138,9 +138,10 @@ def build_score_matrix(m: CaptionModel, image_features,
                        sentence_ids=[s for s, _ in sentences])
 
 
-def _query_ranks(sm: ScoreMatrix, ground_truth: dict[int, set[int]],
-                 direction: str) -> np.ndarray:
-    """1-based rank of the best-ranked ground-truth item for each query.
+def query_ranks(sm: ScoreMatrix, ground_truth: dict[int, set[int]],
+                direction: str) -> np.ndarray:
+    """1-based rank of the best-ranked ground-truth item for each query in
+    `direction`, the vector that `recall_at_k` and `median_rank` reduce.
     ground_truth maps image row index -> set of sentence column indices."""
     n_images, n_sentences = sm.scores.shape
     truth = np.zeros(sm.scores.shape, dtype=bool)
@@ -173,7 +174,7 @@ def recall_at_k(sm: ScoreMatrix, ground_truth: dict[int, set[int]], k: int,
                     else sm.scores.shape[0])
     if k < 1 or k > n_candidates:
         raise MetricError(f"k={k} outside 1..{n_candidates}")
-    ranks = _query_ranks(sm, ground_truth, direction)
+    ranks = query_ranks(sm, ground_truth, direction)
     return 100.0 * np.count_nonzero(ranks <= k) / len(ranks)
 
 
@@ -181,7 +182,7 @@ def median_rank(sm: ScoreMatrix, ground_truth: dict[int, set[int]],
                 direction: str) -> float:
     """Median over queries of the first ground-truth item's rank (an even
     query count averages the two central values)."""
-    return float(np.median(_query_ranks(sm, ground_truth, direction)))
+    return float(np.median(query_ranks(sm, ground_truth, direction)))
 
 
 def write_score_matrix(sm: ScoreMatrix, path) -> None:

@@ -1,4 +1,5 @@
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -6,11 +7,36 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import bicaption.train as train_mod
 from bicaption.data import CaptionedExample, Vocabulary, make_toy_dataset
 from bicaption.infer import decode_direction, select_final_caption
 from bicaption.model import (ArchitectureKind, BACKWARD, CaptionModel,
                              FORWARD, init_model)
 from bicaption.train import TrainConfig, joint_loss, make_state, train_epochs
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running (the library joins every
+    thread it starts before the call that started it returns)."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still alive after the test: {left}"
+
+
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """The threads that `bicaption.train` starts during the test, in order;
+    each is started and run as usual."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(train_mod.threading, "Thread", Counted)
+    return started
 
 
 @dataclass

@@ -4,13 +4,15 @@ Everything here deliberately avoids the library's own code paths: the LSTM
 oracle is scalar Python loops, the full-stack oracle is straight-line numpy,
 the decoding oracles re-run the forward pass from scratch on every prefix,
 one hypothesis at a time, retrieval ranks are found one query at a time,
-and BLEU-style counts are done by hand where needed. Two are exceptions.
+and BLEU-style counts are done by hand where needed. Three are exceptions.
 The finite-difference loss is the library's own forward pass, rerun in
 full for both directions, the reference that grad_check's reuse of
 unperturbed rows must match bit for bit. The fresh-array LSTM step is the
 library's step arithmetic with a new array for each result, the reference
 that lstm.cell_forward's writes into its caller's rows must match bit for
-bit.
+bit. The sequential joint backward is the library's per-direction pass
+and backward, run in order on one thread, the reference that
+train.joint_backward's two threads must match bit for bit.
 """
 
 import math
@@ -20,9 +22,10 @@ import numpy as np
 from bicaption.data import BOUNDARY_ID
 from bicaption.lstm import LstmTrace, gates, sequence_forward
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
-                             ForwardPassRecord, direction_forward, image_input)
+                             ForwardPassRecord, direction_forward, image_input,
+                             model_backward)
 from bicaption.numcore import log_softmax, matvec
-from bicaption.train import _fd_direction, direction_io
+from bicaption.train import _direction_pass, _fd_direction, direction_io
 
 
 def scalar_sigmoid(x: float) -> float:
@@ -320,6 +323,18 @@ def per_query_ranks(scores, ground_truth, direction):
         position = {int(idx): rank for rank, idx in enumerate(order, start=1)}
         ranks.append(min(position[t] for t in gt[q]))
     return ranks
+
+
+def sequential_joint_backward(m, ex):
+    """joint_backward in order on the calling thread: `_direction_pass`
+    and `model_backward` for the forward direction, then for the backward
+    one. Returns (forward loss, backward loss, gradient groups)."""
+    out = []
+    for direction in (FORWARD, BACKWARD):
+        rec, targets, loss = _direction_pass(m, ex, direction)
+        out.append((loss, model_backward(m, rec, targets)))
+    (lf, gf), (lb, gb) = out
+    return lf, lb, gf + gb
 
 
 def _fd_loss_and_signs(m, ex):

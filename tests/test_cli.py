@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bicaption.train as train_mod
-from bicaption import cli
+from bicaption import cli, metrics
 from bicaption.checkpoint import load_checkpoint, save_checkpoint
 from bicaption.cli import main
 from bicaption.data import (Vocabulary, make_toy_dataset, write_captions,
@@ -341,6 +341,44 @@ class TestRetrieveCommand:
         assert float(values["sentence_to_image_R@1"]) == 100.0
         assert float(values["image_to_sentence_Med_r"]) == 1.0
         assert float(values["sentence_to_image_Med_r"]) == 1.0
+
+    def test_each_direction_ranked_once(self, toy_files, capsys,
+                                        monkeypatch):
+        # random scores, so the median rank is not 1; the printed values
+        # are recall_at_k's and median_rank's, from 2 rankings, not 8
+        real_build, real_ranks = (metrics.build_score_matrix,
+                                  metrics.query_ranks)
+
+        def build(*args):
+            sm = real_build(*args)
+            sm.scores[...] = np.random.default_rng(5).random(sm.scores.shape)
+            return sm
+        calls = []
+
+        def ranks(*args):
+            calls.append(args)
+            return real_ranks(*args)
+        monkeypatch.setattr(metrics, "build_score_matrix", build)
+        monkeypatch.setattr(metrics, "query_ranks", ranks)
+        rc = main(["retrieve", "--checkpoint", str(toy_files["ckpt"]),
+                   "--features", str(toy_files["features"]),
+                   "--captions", str(toy_files["captions"]),
+                   "--vocab", str(toy_files["vocab"])])
+        assert rc == 0
+        assert [direction for _, _, direction in calls] == [
+            metrics.IMAGE_TO_SENTENCE, metrics.SENTENCE_TO_IMAGE]
+        sm, ground_truth, _ = calls[0]
+        want = []
+        for direction in (metrics.IMAGE_TO_SENTENCE,
+                          metrics.SENTENCE_TO_IMAGE):
+            want += [f"{direction}_R@{k},"
+                     f"{metrics.recall_at_k(sm, ground_truth, k, direction):.6f}"
+                     for k in (1, 5, 10)]
+            want.append(f"{direction}_Med_r,"
+                        f"{metrics.median_rank(sm, ground_truth, direction):.6f}")
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+        assert any(line.split(",")[1] not in ("1.000000", "100.000000")
+                   for line in want)
 
     def test_matrix_export(self, toy_files, capsys, tmp_path):
         out = tmp_path / "scores.csv"
@@ -766,11 +804,26 @@ class TestNumericFailures:
         assert err == "error: non-finite gradient in block fwd.embedding\n"
         assert caught == []
 
+    def test_overflow_in_the_second_thread_reports_only_its_error(
+            self, toy_files, capsys, monkeypatch, started_threads):
+        # at this width each example's backward direction runs on a second
+        # thread, in the command's numpy errstate
+        monkeypatch.setattr(train_mod, "_usable_cpus", lambda: 2)
+        argv = [a.format(**toy_files) for a in BASE_ARGV["train"]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, err = run_cli(argv + ["--lr", "1e308", "--momentum", "0.5",
+                                      "--hidden-dim", "192"], capsys)
+        assert rc == 2
+        assert err == "error: non-finite gradient in block fwd.embedding\n"
+        assert caught == []
+        assert started_threads
+
 
 BIG = str(10 ** 30)
 OVERSIZED_ARGV = [
-    ([*BASE_ARGV["train"], "--hidden-dim", BIG], "fwd.embedding of shape"),
-    ([*BASE_ARGV["train"], "--embed-dim", BIG], "fwd.embedding of shape"),
+    ([*BASE_ARGV["train"], "--hidden-dim", BIG], "fwd.t_lstm.Wx of shape"),
+    ([*BASE_ARGV["train"], "--embed-dim", BIG], "fwd.t_lstm.Wx of shape"),
     (["gradcheck", "--hidden-dim", BIG], "fwd.t_lstm.Wx of shape"),
     (["gradcheck", "--vocab-size", BIG], "fwd.embedding of shape"),
     (["gradcheck", "--feature-dim", BIG], "fwd.m_lstm.Wimg of shape"),
@@ -793,6 +846,22 @@ class TestOversizedIntegers:
         assert err.count("\n") == 1
         assert err.startswith(f"error: out of memory: {block} (")
         assert err.endswith(") is beyond numpy's addressable size\n")
+
+    @pytest.mark.parametrize("flags, block", [
+        (["--hidden-dim", BIG], "fwd.t_lstm.Wx"),
+        (["--embed-dim", BIG], "fwd.t_lstm.Wx"),
+        (["--hidden-dim", str(2 ** 31), "--embed-dim", "1"], "fwd.t_lstm.Wh")])
+    def test_train_refuses_model_dims_before_reading(self, flags, block,
+                                                     tmp_path, capsys):
+        # the model size, not the missing files, is what the run reports
+        missing = str(tmp_path / "missing")
+        rc, err = run_cli(["train", "--captions", missing, "--features",
+                           missing, "--out-dir", str(tmp_path / "run"),
+                           *flags], capsys)
+        assert rc == 2
+        assert err.startswith(f"error: out of memory: {block} of shape (")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_augment_base(self, capsys):
         rc, err = run_cli([*BASE_ARGV["augment-plan"], "--base",

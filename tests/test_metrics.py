@@ -244,7 +244,7 @@ class TestRanksMatchPerQueryOracle:
             sm, gt = self.case(seed)
             for direction in (IMAGE_TO_SENTENCE, SENTENCE_TO_IMAGE):
                 want = per_query_ranks(sm.scores, gt, direction)
-                got = metrics_mod._query_ranks(sm, gt, direction)
+                got = metrics_mod.query_ranks(sm, gt, direction)
                 assert got.tolist() == want, (seed, direction)
                 assert median_rank(sm, gt, direction) == float(
                     np.median(want))

@@ -1,14 +1,17 @@
 import math
 import platform
 import resource
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bicaption.train as train_mod
 from bicaption.data import CaptionedExample, make_toy_dataset
-from bicaption.errors import ConfigError, DataError, ShapeError, TrainingError
+from bicaption.errors import (ConfigError, DataError, ShapeError,
+                              TrainingError, VocabError)
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD, CaptionModel,
                              Scatter, build_model, direction_forward,
                              init_model, random_model)
@@ -18,7 +21,8 @@ from bicaption.train import (SLAB_SIZE, BlockCheck, TrainConfig,
                              joint_loss, make_state, mean_joint_loss,
                              sgd_step, train_epochs)
 
-from oracles import _fd_loss_and_signs, rank1_model_backward
+from oracles import (_fd_loss_and_signs, rank1_model_backward,
+                     sequential_joint_backward)
 
 BI = ArchitectureKind.BI_LSTM
 
@@ -86,6 +90,97 @@ class TestJointLoss:
                 ex = toy_example(seed, vocab=9, length=4)
                 lean, _ = _fd_loss_and_signs(m, ex)
                 assert lean == joint_loss(m, ex).total
+
+
+def usable_cpus(monkeypatch, count):
+    """Make `train`'s CPU query report `count`; returns its call log."""
+    queries = []
+    monkeypatch.setattr(train_mod, "_usable_cpus",
+                        lambda: queries.append(count) or count)
+    return queries
+
+
+WIDE = train_mod.CONCURRENT_MIN_HIDDEN
+
+
+class TestBothDirections:
+    """From CONCURRENT_MIN_HIDDEN up, with two CPUs, an example's backward
+    direction runs on a second thread; nothing a caller reads changes."""
+
+    @pytest.mark.parametrize("hidden", [16, WIDE])
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_bitwise_equal_to_sequential(self, arch, hidden, monkeypatch,
+                                         started_threads):
+        usable_cpus(monkeypatch, 2)
+        m = random_model(arch, 11, 5, hidden, hidden, seed=hidden)
+        for length in (1, 5, 9):
+            ex = toy_example(length, vocab=11, feat=5, length=length)
+            lf, lb, want = sequential_joint_backward(m, ex)
+            loss, got = joint_backward(m, ex)
+            assert (loss.loss_fwd, loss.loss_bwd) == (lf, lb)
+            assert joint_loss(m, ex).total == lf + lb
+            assert ([g.name if isinstance(g, Scatter) else list(g[1])
+                     for g in got]
+                    == [g.name if isinstance(g, Scatter) else list(g[1])
+                        for g in want])
+            assert ([a.tobytes() for a in row_arrays(got)]
+                    == [a.tobytes() for a in row_arrays(want)])
+        # one thread for each joint_backward and joint_loss when wide
+        assert len(started_threads) == (6 if hidden >= WIDE else 0)
+
+    @pytest.mark.parametrize("hidden, cpus, threads, queries", [
+        (WIDE - 1, 2, 0, 0), (WIDE, 1, 0, 1), (WIDE, 2, 1, 1)])
+    def test_threads_only_when_wide_on_two_cpus(self, hidden, cpus, threads,
+                                                queries, monkeypatch,
+                                                started_threads):
+        # the width is tested first: a narrow model makes no system call
+        asked = usable_cpus(monkeypatch, cpus)
+        m = init_model(BI, 7, 3, hidden, hidden, seed=0)
+        joint_backward(m, toy_example(0))
+        assert (len(started_threads), len(asked)) == (threads, queries)
+
+    def test_worker_runs_in_the_callers_numpy_errstate(self, monkeypatch,
+                                                       started_threads):
+        usable_cpus(monkeypatch, 2)
+        with np.errstate(over="ignore", invalid="raise", divide="warn"):
+            fwd, bwd = train_mod._both_directions(
+                SimpleNamespace(hidden_dim=WIDE),
+                lambda dn: (dn, np.geterr(), threading.get_ident()))
+            want = np.geterr()
+        assert len(started_threads) == 1
+        assert (fwd[0], bwd[0]) == (FORWARD, BACKWARD)
+        assert fwd[1] == bwd[1] == want
+        assert bwd[2] != fwd[2] == threading.get_ident()
+
+    @pytest.mark.parametrize("raising, error", [
+        ({FORWARD}, "forward"), ({BACKWARD}, "backward"),
+        ({FORWARD, BACKWARD}, "forward")])
+    def test_error_of_either_direction_reaches_the_caller(
+            self, raising, error, monkeypatch, started_threads):
+        usable_cpus(monkeypatch, 2)
+
+        def fn(direction):
+            if direction in raising:
+                raise ValueError(direction)
+            return direction
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            train_mod._both_directions(SimpleNamespace(hidden_dim=WIDE), fn)
+        assert len(started_threads) == 1
+        assert not started_threads[0].is_alive()
+
+    def test_out_of_vocabulary_error_is_the_forward_directions(
+            self, monkeypatch, started_threads):
+        # each direction names the first bad id it reads: 20 forward, 30
+        # backward
+        usable_cpus(monkeypatch, 2)
+        m = init_model(BI, 7, 3, WIDE, WIDE, seed=0)
+        ex = CaptionedExample("x", np.zeros(3), [2, 20, 3, 30])
+        before = threading.enumerate()
+        for run in (joint_backward, joint_loss):
+            with pytest.raises(VocabError, match="token id 20 outside"):
+                run(m, ex)
+        assert len(started_threads) == 2
+        assert threading.enumerate() == before
 
 
 class TestSgdStep:
