@@ -11,8 +11,8 @@ matrix product rounds differently from a matrix-vector product, so the two
 agree within 1e-12 relative.
 All functions are pure; none mutate their inputs.
 
-Importing this module also keeps freed heap memory mapped on glibc (see
-`_keep_freed_memory_mapped`).
+Importing this module also keeps freed heap memory mapped on glibc, and
+caps its heaps at two (see `_keep_freed_memory_mapped`).
 """
 
 import ctypes
@@ -38,6 +38,7 @@ PANEL_MAX_ROWS = 7
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory_mapped() -> None:
@@ -48,13 +49,18 @@ def _keep_freed_memory_mapped() -> None:
     the heap top is trimmed after each batch and the next batch faults it
     back in: ~10k minor faults per such batch, ~9k in the mean (glibc 2.36,
     2-core Xeon), at most ~70 with these settings. Arrays of 32 MiB or more
-    are still mapped fresh on each allocation. Does nothing on other libcs."""
+    are still mapped fresh on each allocation. Also keeps to two heaps
+    (arenas): the main one and one for the worker thread that `train`
+    starts per call. A worker that starts before the last one has handed
+    its heap back would otherwise make a third, which held `train-mid`'s
+    peak RSS 5 MB higher in 2 of 6 runs. Does nothing on other libcs."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+        mallopt(_M_ARENA_MAX, 2)
 
 
 _keep_freed_memory_mapped()

@@ -8,9 +8,13 @@ dense, per batch.
 An example's two reading directions share nothing until their losses are
 summed and their gradient rows listed, so `joint_loss` and
 `joint_backward` run them on two threads when the model is wide enough
-and the process may use two CPUs (`_both_directions`). BLAS keeps one
-thread per call, and each direction's arithmetic is the same in either
-order, so every loss and gradient row is bitwise the sequential result.
+and the process may use two CPUs (`_both_directions`). No block of a
+batch's mean or of an update reads another, so `accumulate_grads` and
+each phase of `sgd_step` (checks, then update) work their blocks in two
+shares of about equal cost on two threads when the model is large enough
+(`_in_two_shares`), allocating every dense block on the calling thread.
+BLAS keeps one thread per call and no result depends on the thread it is
+formed on, so every result is bitwise the sequential one.
 """
 
 import contextvars
@@ -132,33 +136,64 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _both_directions(m: CaptionModel, fn):
-    """(fn(FORWARD), fn(BACKWARD)). From CONCURRENT_MIN_HIDDEN up, and with
-    two CPUs to run on, fn(BACKWARD) runs on a second thread, in a copy of
-    the caller's context (numpy's errstate lives there), while this one
-    runs fn(FORWARD); the thread is joined before this returns or raises.
-    Otherwise the calls run in that order. An error of the forward call
-    wins over the backward one's, as it does in order."""
-    if m.hidden_dim < CONCURRENT_MIN_HIDDEN or _usable_cpus() < 2:
-        return fn(FORWARD), fn(BACKWARD)
-    backward = []  # its result, or the error it raised
+def _in_two_shares(large: bool, work, items, costs, prepare=None):
+    """work(items) when not `large` (tested first, so a small model makes
+    no system call) or with one CPU to run on. Otherwise work(items[:k]) +
+    work(items[k:]), k leaving the shares' costs closest: the second share
+    runs on a second thread, in a copy of the caller's context (numpy's
+    errstate lives there), after prepare(items[k:]) on this one, which then
+    runs the first; the thread is joined before this returns or raises. An
+    error of the first share wins over the second's, as it does in order."""
+    if not large or _usable_cpus() < 2:
+        return work(items)
+    k = min(range(len(items) + 1),
+            key=lambda j: abs(sum(costs) - 2 * sum(costs[:j])))
+    if prepare is not None:
+        prepare(items[k:])
+    second = []  # its result, or the error it raised
 
-    def run_backward():
+    def run_second():
         try:
-            backward.append(fn(BACKWARD))
+            second.append(work(items[k:]))
         except BaseException as e:  # re-raised by the caller
-            backward.append(e)
+            second.append(e)
 
     worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(run_backward,))
+                              args=(run_second,))
     worker.start()
     try:
-        forward = fn(FORWARD)
+        first = work(items[:k])
     finally:
         worker.join()
-    if isinstance(backward[0], BaseException):
-        raise backward[0]
-    return forward, backward[0]
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return first + second[0]
+
+
+def _both_directions(m: CaptionModel, fn):
+    """(fn(FORWARD), fn(BACKWARD)), on two threads from
+    CONCURRENT_MIN_HIDDEN up (`_in_two_shares`)."""
+    return tuple(_in_two_shares(m.hidden_dim >= CONCURRENT_MIN_HIDDEN,
+                                lambda dns: [fn(dn) for dn in dns],
+                                [FORWARD, BACKWARD], [1, 1]))
+
+
+# From this many gradient elements up, accumulate_grads and sgd_step work
+# their blocks on two threads. Sequential time over two-thread time,
+# bi-f-lstm batch of 8 with grad_clip, same host and BLAS as above, three
+# runs, by model elements: accumulate_grads 0.45-0.59 at 11k, 0.77-1.13 at
+# 0.25M, 0.81-1.11 at 0.42M, 0.97-1.42 at 0.80M, 0.91-1.52 at 1.0M,
+# 1.35-1.77 at 2.6M and 1.49-1.94 at 5.9M; sgd_step 0.29-0.37, 0.53-0.75,
+# 0.67-0.88, 0.84-1.13, 0.90-1.23, 1.25-1.44 and 1.34-1.50. At paper size
+# (75M elements) accumulate_grads took 344-372 ms in order and 184-295 ms
+# on two threads, sgd_step 361-429 and 247-278 ms.
+CONCURRENT_MIN_ELEMENTS = 1 << 20
+
+# A group of the mean costs about its size times (its stacked rows +
+# _ROW_COST; a scatter's are 0). At V=2000, F=1024, H=256, batch 8: an LSTM
+# group (104 rows, 0.5M elements) 3.4 ms, the image weight (8 rows, 1M)
+# 1.3 ms, the softmax (208 rows, 0.5M) 6.6 ms, an embedding (0.5M) 0.9 ms.
+_ROW_COST = 20
 
 
 def joint_loss(m: CaptionModel, ex: CaptionedExample) -> JointLoss:
@@ -202,6 +237,10 @@ def _widths(i: int, groups) -> dict[str, list]:
             if len(g.rows) != len(g.ids):
                 raise ShapeError(f"gradient {i} block {g.name} has "
                                  f"{len(g.rows)} rows, {len(g.ids)} ids")
+            if len(g.ids) and not (0 <= np.min(g.ids)
+                                   <= np.max(g.ids) < g.columns):
+                raise ShapeError(f"gradient {i} block {g.name} has ids "
+                                 f"outside 0..{g.columns - 1}")
             out.setdefault(g.name, []).append((g.rows.shape[1:], g.columns))
             continue
         for name, right in g[1].items():
@@ -222,7 +261,9 @@ def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
     name the same blocks are gathered in example order, forward before
     backward, and each factor is stacked once: a weight is then one product
     of its (left, right) pair, the smaller factor scaled by 1/B, a bias one
-    sum, an embedding one scatter."""
+    sum, an embedding one scatter. The groups are formed costliest first,
+    in two shares (`_in_two_shares`); every block is made on the calling
+    thread, the worker's before it starts, this thread's as it goes."""
     if not grad_list:
         raise DataError("no gradients to accumulate")
     want = _widths(0, grad_list[0])
@@ -237,24 +278,50 @@ def accumulate_grads(grad_list) -> dict[str, np.ndarray]:
     for g in (g for groups in grad_list for g in groups):
         key = (g.name,) if isinstance(g, Scatter) else tuple(g[1])
         gathered.setdefault(key, []).append(g)
-    scale, out = 1.0 / len(grad_list), {}
+    scale, out, jobs, elements = 1.0 / len(grad_list), {}, [], 0
     for groups in gathered.values():
-        g = groups[0]
+        g, rows = groups[0], 0
         if isinstance(g, Scatter):
-            out[g.name] = np.zeros((g.rows.shape[1], g.columns))
-            np.add.at(out[g.name].T, np.concatenate([s.ids for s in groups]),
-                      np.concatenate([s.rows for s in groups]) * scale)
-            continue
-        left = np.concatenate([left for left, _ in groups])
-        for name, right in g[1].items():
-            if right is None:
-                out[name] = left.sum(axis=0) * scale
+            shapes = {g.name: (g.rows.shape[1], g.columns)}
+        else:
+            shapes = {name: g[0].shape[1:] + (() if r is None else r.shape[1:])
+                      for name, r in g[1].items()}
+            rows = sum(len(left) for left, _ in groups)
+        size = sum(map(math.prod, shapes.values()))
+        elements += size
+        jobs.append((size * (rows + _ROW_COST), shapes, groups))
+
+    def allocate(jobs):  # the blocks not made yet, on the calling thread
+        for _, shapes, groups in jobs:
+            for name, shape in shapes.items():
+                if name not in out:
+                    out[name] = (np.zeros if isinstance(groups[0], Scatter)
+                                 else np.empty)(shape)
+
+    def mean(jobs):
+        for job in jobs:
+            allocate([job])  # a worker's blocks were made before it started
+            groups = job[2]
+            g = groups[0]
+            if isinstance(g, Scatter):
+                np.add.at(out[g.name].T, np.concatenate([s.ids for s in groups]),
+                          np.concatenate([s.rows for s in groups]) * scale)
                 continue
-            right = np.concatenate([rights[name] for _, rights in groups])
-            out[name] = ((left * scale).T @ right if left.size <= right.size
-                         else left.T @ (right * scale))
-        left = right = None  # before the next group's stacks
-    return out
+            left = np.concatenate([left for left, _ in groups])
+            for name, right in g[1].items():
+                if right is None:
+                    np.multiply(left.sum(axis=0), scale, out=out[name])
+                    continue
+                right = np.concatenate([rights[name] for _, rights in groups])
+                np.matmul(*((left * scale).T, right) if left.size <= right.size
+                          else (left.T, right * scale), out=out[name])
+            left = right = None  # before the next group's stacks
+        return []
+
+    jobs.sort(key=lambda job: -job[0])  # stable: ties keep their order
+    _in_two_shares(elements >= CONCURRENT_MIN_ELEMENTS, mean, jobs,
+                   [cost for cost, _, _ in jobs], allocate)
+    return {name: out[name] for names in gathered for name in names}
 
 
 def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
@@ -262,40 +329,60 @@ def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
     """v <- mu*v - eta*(g + lambda*theta); theta <- theta + v, biases without
     decay. Nothing moves unless every gradient fits a block and is finite.
     Each block is updated one slab at a time, through scratch slabs; a
-    clipped gradient is scaled one slab at a time too."""
-    params = state.model.params
-    for name, g in grads.items():
-        shape = params[name].shape if name in params else "absent"
-        if g.shape != shape:
-            raise ShapeError(f"gradient for {name} has shape {g.shape}, model block {shape}")
-        if not all_finite(g):
-            raise TrainingError(f"non-finite gradient in block {name}")
+    clipped gradient is scaled one slab at a time too, and a norm whose sum
+    of squares overflows is taken again over g / max|g|. The checks, then
+    the update, run in two shares (`_in_two_shares`): a prefix of `grads`
+    and the rest, so the error raised is the first in the dict's order."""
+    params, items = state.model.params, list(grads.items())
+    sizes = [g.size for _, g in items]
+    large = sum(sizes) >= CONCURRENT_MIN_ELEMENTS
 
-    clip = None
+    def check(share):  # each block's vdot, when clipping
+        dots = []
+        for name, g in share:
+            shape = params[name].shape if name in params else "absent"
+            if g.shape != shape:
+                raise ShapeError(f"gradient for {name} has shape "
+                                 f"{g.shape}, model block {shape}")
+            if not all_finite(g):
+                raise TrainingError(f"non-finite gradient in block {name}")
+            if cfg.grad_clip is not None:
+                dots.append(float(np.vdot(g, g)))
+        return dots
+
+    squares = sum(_in_two_shares(large, check, items, sizes))
+    clip, top = None, 1.0
     if cfg.grad_clip is not None:
-        norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
-        if norm > cfg.grad_clip:
-            clip = cfg.grad_clip / norm
+        if squares == math.inf:  # finite blocks whose squares overflow
+            top = max(float(np.abs(g).max(initial=0.0)) for _, g in items)
+            squares = sum(float(np.vdot(s, s))
+                          for s in (g / top for _, g in items))
+        if top * math.sqrt(squares) > cfg.grad_clip:
+            clip = cfg.grad_clip / top / math.sqrt(squares)
 
-    # a slab holds at most SLAB_SIZE elements, or one leading index's
-    scratch = np.empty((2, max([SLAB_SIZE, *(math.prod(g.shape[1:])
-                                             for g in grads.values())])))
-    for name, g in grads.items():
-        arr, v = params[name], state.velocity[name]
-        for s in slabs(arr.shape):
-            a, vs, gs = arr[s], v[s], g[s]
-            step, clipped = (row[:a.size].reshape(a.shape) for row in scratch)
-            if clip is not None:
-                gs = np.multiply(gs, clip, out=clipped)
-            if is_bias_block(name):
-                np.multiply(gs, cfg.learning_rate, out=step)
-            else:  # eta*(lambda*theta + g)
-                np.multiply(a, cfg.weight_decay, out=step)
-                step += gs
-                step *= cfg.learning_rate
-            vs *= cfg.momentum
-            vs -= step
-            a += vs
+    def update(share):
+        # a slab holds at most SLAB_SIZE elements, or one leading index's
+        scratch = np.empty((2, max([SLAB_SIZE, *(math.prod(g.shape[1:])
+                                                 for _, g in share)])))
+        for name, g in share:
+            arr, v = params[name], state.velocity[name]
+            for s in slabs(arr.shape):
+                a, vs, gs = arr[s], v[s], g[s]
+                step, clipped = (row[:a.size].reshape(a.shape) for row in scratch)
+                if clip is not None:
+                    gs = np.multiply(gs, clip, out=clipped)
+                if is_bias_block(name):
+                    np.multiply(gs, cfg.learning_rate, out=step)
+                else:  # eta*(lambda*theta + g)
+                    np.multiply(a, cfg.weight_decay, out=step)
+                    step += gs
+                    step *= cfg.learning_rate
+                vs *= cfg.momentum
+                vs -= step
+                a += vs
+        return []
+
+    _in_two_shares(large, update, items, sizes)
     state.updates += 1
     return state
 

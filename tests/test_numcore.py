@@ -276,3 +276,21 @@ class TestAllFinite:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_glibc_settings_cap_the_heaps_at_two(monkeypatch):
+    # the main heap and one worker's: a worker started before the last one
+    # handed its arena back shares one instead of making a third
+    import bicaption.numcore as numcore
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+    monkeypatch.setattr(numcore.platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(numcore.ctypes, "CDLL", lambda name: Libc())
+    numcore._keep_freed_memory_mapped()
+    assert calls == [(numcore._M_MMAP_THRESHOLD, 32 << 20),
+                     (numcore._M_TRIM_THRESHOLD, 1 << 30),
+                     (numcore._M_ARENA_MAX, 2)]
+    assert numcore._M_ARENA_MAX == -8  # malloc.h

@@ -1,6 +1,7 @@
 import math
 import platform
 import resource
+import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -258,6 +259,29 @@ class TestSgdStep:
         with pytest.raises(TrainingError, match="fwd.t_lstm.Wx"):
             sgd_step(state, grads, TrainConfig())
 
+    @pytest.mark.parametrize("huge", [
+        {"softmax_w": [1e200]},
+        {"softmax_w": [1e200], "fwd.embedding": [-1e200]},
+        {"softmax_w": [1e308, -1e308], "fwd.t_lstm.Wx": [1e308, 1e308]},
+    ])
+    def test_clip_holds_when_the_squared_norm_overflows(self, huge):
+        # every element is finite but the sum of squares is not; the
+        # clipped step still has norm lr * grad_clip, with no numpy warning
+        # (the last case's norm, 2e308, is not a float either)
+        state = self.make()
+        cfg = TrainConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0,
+                          grad_clip=1.0)
+        grads = self.zero_grads(state.model)
+        for name, values in huge.items():
+            grads[name].reshape(-1)[:len(values)] = values
+        norm = math.sqrt(sum((v / 1e308) ** 2 for vs in huge.values()
+                             for v in vs))  # in units of 1e308
+        before = {n: a.copy() for n, a in state.model.blocks()}
+        sgd_step(state, grads, cfg)
+        for name, arr in state.model.blocks():
+            want = before[name] - 0.5 * (grads[name] / 1e308) / norm
+            np.testing.assert_allclose(arr, want, rtol=1e-12, atol=0)
+
     def test_velocity_shapes_mirror_parameters(self):
         state = self.make()
         for name, arr in state.model.blocks():
@@ -437,6 +461,167 @@ class TestAccumulateGrads:
         # or the scatter, whose numpy errors would name neither
         with pytest.raises(ShapeError, match=f"gradient 0 {match}"):
             accumulate_grads([[group]])
+
+    @pytest.mark.parametrize("ids", [[0, -1], [6, 1]])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_scatter_ids_outside_the_columns_refused(self, ids, at):
+        # -1 would land on the last column and 6 outside the block; either
+        # is refused with the other shape errors, before any block is formed
+        first = [self.W, self.B, self.E]
+        bad = [self.W, self.B, self.E._replace(ids=np.array(ids))]
+        with pytest.raises(ShapeError,
+                           match=f"^gradient {at} block e has ids outside 0..5$"):
+            accumulate_grads([first] * at + [bad])
+
+
+def wide_batch(arch, seed=0):
+    """A model of at least CONCURRENT_MIN_ELEMENTS elements and the
+    gradient rows of a batch of three examples."""
+    m = random_model(arch, 11, 5, WIDE, WIDE, seed=seed)
+    assert (sum(arr.size for _, arr in m.blocks())
+            >= train_mod.CONCURRENT_MIN_ELEMENTS)
+    batch = [toy_example(n, vocab=11, feat=5, length=n) for n in (1, 4, 7)]
+    return m, [joint_backward(m, ex)[1] for ex in batch]
+
+
+def first_named(groups):
+    """Each block an example's groups name, in the order first named."""
+    return list(dict.fromkeys(
+        name for g in groups
+        for name in ([g.name] if isinstance(g, Scatter) else g[1])))
+
+
+class TestTwoShares:
+    """From CONCURRENT_MIN_ELEMENTS up, with two CPUs, accumulate_grads and
+    each phase of sgd_step work their blocks in two shares, the second on a
+    second thread; nothing a caller reads changes."""
+
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_bitwise_equal_with_and_without_the_worker(self, arch,
+                                                       monkeypatch,
+                                                       started_threads):
+        m, grad_list = wide_batch(arch)
+        runs = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            started_threads.clear()
+            mean = accumulate_grads(grad_list)
+            threads = [len(started_threads)]
+            state = make_state(m.copy())
+            for clip in (None, 1e-3, None):  # the second step is clipped
+                sgd_step(state, mean, TrainConfig(grad_clip=clip))
+                threads.append(len(started_threads) - sum(threads))
+            runs.append((mean, state, threads))
+        (seq, seq_state, none), (two, two_state, some) = runs
+        assert none == [0, 0, 0, 0]
+        assert some == [1, 2, 2, 2]  # an sgd_step: one per phase
+        assert list(two) == list(seq) == first_named(grad_list[0])
+        assert all(two[n].tobytes() == g.tobytes() for n, g in seq.items())
+        for name, arr in seq_state.model.blocks():
+            assert two_state.model.params[name].tobytes() == arr.tobytes()
+            assert (two_state.velocity[name].tobytes()
+                    == seq_state.velocity[name].tobytes())
+
+    def test_bitwise_under_frequent_thread_switches(self, monkeypatch,
+                                                    started_threads):
+        # the calling thread adds its share's blocks to the dict while the
+        # worker reads its own from it
+        m, grad_list = wide_batch(ArchitectureKind.BI_S_LSTM)
+        usable_cpus(monkeypatch, 1)
+        want = accumulate_grads(grad_list)
+        usable_cpus(monkeypatch, 2)
+        started_threads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [accumulate_grads(grad_list) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started_threads) == 3
+        for got in runs:
+            assert list(got) == list(want)
+            assert all(got[n].tobytes() == g.tobytes() for n, g in want.items())
+
+    def test_blocks_are_made_on_the_calling_thread(self, monkeypatch,
+                                                   started_threads):
+        # the worker only writes into blocks (`out=`): blocks it made would
+        # sit in a heap of its own (glibc gives each thread an arena)
+        m, grad_list = wide_batch(ArchitectureKind.BI_F_LSTM)
+        usable_cpus(monkeypatch, 2)
+        made = []
+        for name in ("empty", "zeros"):
+            monkeypatch.setattr(np, name, lambda *a, _make=getattr(np, name):
+                                made.append(threading.current_thread())
+                                or _make(*a))
+        started_threads.clear()
+        mean = accumulate_grads(grad_list)
+        assert len(started_threads) == 1
+        assert made == [threading.current_thread()] * len(mean)
+
+    @pytest.mark.parametrize("wide, cpus, threads, queries", [
+        (False, 2, 0, 0), (True, 1, 0, 3), (True, 2, 3, 3)])
+    def test_threads_only_when_large_on_two_cpus(self, wide, cpus, threads,
+                                                 queries, monkeypatch,
+                                                 started_threads):
+        # the size is tested first: a toy model makes no system call
+        if wide:
+            m, grad_list = wide_batch(BI)
+        else:
+            m = random_model(BI, 7, 3, 16, 16, seed=0)
+            grad_list = [joint_backward(m, toy_example(0))[1]]
+        asked = usable_cpus(monkeypatch, cpus)
+        started_threads.clear()
+        sgd_step(make_state(m), accumulate_grads(grad_list), TrainConfig())
+        assert (len(started_threads), len(asked)) == (threads, queries)
+
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    @pytest.mark.parametrize("faults, error, named", [
+        ({-1: "nan"}, TrainingError, -1),
+        ({-1: "shape"}, ShapeError, -1),
+        ({-2: "nan", -1: "shape"}, TrainingError, -2),
+        ({-2: "shape", -1: "nan"}, ShapeError, -2),
+        ({0: "shape", -1: "nan"}, ShapeError, 0),  # the first share's
+        ({0: "nan", -1: "shape"}, TrainingError, 0),
+    ])
+    def test_refusal_in_the_workers_share_moves_nothing(
+            self, faults, error, named, clip, monkeypatch, started_threads):
+        # the last blocks in the dict's order are the second thread's; the
+        # error raised is the sequential order's first, and no parameter or
+        # velocity moves in either share
+        m = random_model(BI, 11, 5, WIDE, WIDE, seed=0)
+        rng = np.random.default_rng(1)
+        grads = {n: rng.normal(size=a.shape) for n, a in m.blocks()}
+        names = list(grads)
+        for at, fault in faults.items():
+            g = grads[names[at]]
+            grads[names[at]] = (np.full_like(g, np.nan) if fault == "nan"
+                                else np.zeros(g.shape + (1,)))
+        checked_on = {}
+        real_all_finite = train_mod.all_finite
+
+        def all_finite(a):
+            checked_on[next(n for n, g in grads.items() if g is a)] = (
+                threading.current_thread())
+            return real_all_finite(a)
+        monkeypatch.setattr(train_mod, "all_finite", all_finite)
+        messages = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            state = make_state(m.copy())
+            for v in state.velocity.values():
+                v[...] = rng.normal(size=v.shape)
+            before = [a.tobytes() for _, a in state.model.blocks()]
+            velocity = [v.tobytes() for v in state.velocity.values()]
+            with pytest.raises(error, match=names[named]) as caught:
+                sgd_step(state, grads, TrainConfig(grad_clip=clip))
+            messages.append(str(caught.value))
+            assert [a.tobytes() for _, a in state.model.blocks()] == before
+            assert [v.tobytes() for v in state.velocity.values()] == velocity
+            assert state.updates == 0
+        assert messages[0] == messages[1]
+        assert len(started_threads) == 1 and not started_threads[0].is_alive()
+        # the worker checked the blocks before the faulty ones at the end
+        assert checked_on[names[-3]] is started_threads[0]
 
 
 @pytest.mark.parametrize("length", [8, 16])
