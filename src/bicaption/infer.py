@@ -70,6 +70,7 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
     """Beam search from the boundary start token. A hypothesis finishes when
     it emits the boundary token or reaches max_len; the finished hypothesis
     with the highest summed log-probability wins (ties keep emission order).
+    A step whose k-th best sum is NaN (from non-finite logits) is refused.
     """
     if beam_k < 1:
         raise ConfigError(f"beam_k must be >= 1, got {beam_k}")
@@ -89,6 +90,9 @@ def decode_direction(m: CaptionModel, direction: str, feature: np.ndarray,
         logprobs = log_softmax(logits)
         table = sums[:, None] + logprobs
         rows, tokens = _best(table, logprobs, beam_k)
+        if not len(rows):
+            raise DataError(f"{direction} decoding step {seqs.shape[1]}: "
+                            f"no candidate has a finite log-probability")
         seqs = np.column_stack((seqs[rows], tokens))
         sums = table[rows, tokens]
         done = (tokens == BOUNDARY_ID) | (seqs.shape[1] > max_len)

@@ -44,17 +44,10 @@ def closest_ref_length(c: int, references) -> int:
 
 def _clipped_counts(candidate, references, n: int) -> tuple[int, int]:
     """(clipped matches, total candidate n-grams) for one pair."""
-    cand = ngram_counts(candidate, n)
-    total = sum(cand.values())
-    if total == 0:
-        return 0, 0
-    max_ref: Counter = Counter()
+    cand, max_ref = ngram_counts(candidate, n), Counter()
     for ref in references:
-        for gram, cnt in ngram_counts(ref, n).items():
-            if cnt > max_ref[gram]:
-                max_ref[gram] = cnt
-    clipped = sum(min(cnt, max_ref[gram]) for gram, cnt in cand.items())
-    return clipped, total
+        max_ref |= ngram_counts(ref, n)  # per n-gram maximum over references
+    return sum((cand & max_ref).values()), sum(cand.values())
 
 
 def _bleu_from_stats(matches, totals, c: int, r: int, n: int) -> BleuReport:

@@ -27,12 +27,11 @@ import numpy as np
 
 from .data import BOUNDARY_ID, CaptionedExample
 from .errors import ConfigError, DataError, ShapeError, TrainingError
-from .lstm import LstmParams, sequence_forward
+from .lstm import sequence_forward
 from .model import (ArchitectureKind, BACKWARD, CaptionModel,
-                    DIRECTION_PREFIX, DirectionParams, FORWARD,
-                    ForwardPassRecord, Scatter, direction_forward,
-                    image_input, is_bias_block, model_backward,
-                    softmax_logits, unroll)
+                    DIRECTION_PREFIX, FORWARD, ForwardPassRecord, Scatter,
+                    direction_forward, image_input, is_bias_block,
+                    model_backward, softmax_logits, unroll)
 from .numcore import SLAB_SIZE, all_finite, log_softmax, slabs
 
 
@@ -449,41 +448,6 @@ def train_epochs(state: TrainState, train_set, val_set, cfg: TrainConfig,
 # gradient checking
 # ---------------------------------------------------------------------------
 
-def _fd_direction(m: CaptionModel, d: DirectionParams, targets,
-                  h1s: np.ndarray, m_cell: LstmParams):
-    """One direction of the finite-difference forward above the T-LSTM:
-    the shared `model.unroll` over its (T, H) output rows h1s with the
-    image-folded M-LSTM cell m_cell, as `direction_forward` runs it,
-    without the probabilities. Returns (negated sum of target
-    log-probabilities, relu transition sign bytes (empty for the other
-    architectures), M-LSTM trace)."""
-    preacts, m_trace, logits = unroll(m, d, h1s, m_cell)
-    bi_f = m.arch == ArchitectureKind.BI_F_LSTM
-    signs = (preacts > 0.0).tobytes() if bi_f else b""
-    return _target_nll(logits, targets), signs, m_trace
-
-
-def _fd_rerun(m: CaptionModel, d: DirectionParams, feature: np.ndarray,
-              io, layer: str, rows: np.ndarray, h1s: np.ndarray,
-              m_cell: LstmParams):
-    """One direction's finite-difference forward while a block of its
-    `layer` is perturbed, as a function of no arguments. The gathered
-    embedding rows, the T-LSTM output rows h1s and the image-folded M-LSTM
-    cell are the unperturbed ones given, except those the layer feeds,
-    which each call forms again."""
-    inputs, targets = io
-    if layer == "embedding":
-        return lambda: _fd_direction(m, d, targets, sequence_forward(
-            d.t_lstm, d.embedding.T[inputs]).hs[1:], m_cell)
-    if layer.startswith("t_lstm."):
-        return lambda: _fd_direction(
-            m, d, targets, sequence_forward(d.t_lstm, rows).hs[1:], m_cell)
-    if layer in ("m_lstm.Wimg", "m_lstm.b"):
-        return lambda: _fd_direction(m, d, targets, h1s,
-                                     image_input(d, feature))
-    return lambda: _fd_direction(m, d, targets, h1s, m_cell)
-
-
 def has_live_relu_branches(m: CaptionModel, ex: CaptionedExample) -> bool:
     """True when, in both directions, each relu transition branch (shortcut
     and bottleneck) activates for at least one unit at some step. A dead
@@ -528,7 +492,7 @@ class GradCheckReport:
 
     @property
     def max_rel_err(self) -> float:
-        return max((b.rel_err for b in self.blocks), default=0.0)
+        return float(np.max([b.rel_err for b in self.blocks], initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -555,19 +519,24 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
                tolerance: float = 1e-5) -> GradCheckReport:
     """Compare analytic joint-loss gradients against central differences.
 
-    Every scalar is checked. Perturbations that flip a relu pre-activation
-    sign are rejected rather than compared. Each block passes when its
-    largest discrepancy, relative to the block's gradient scale
-    max(|analytic|, |numeric|, 1e-8), is below the tolerance.
+    Every scalar is checked, perturbed in place in its block whatever the
+    block's strides. Perturbations that flip a relu pre-activation sign are
+    rejected rather than compared. Each block passes when its largest
+    discrepancy, relative to the block's gradient scale
+    max(|analytic|, |numeric|, 1e-8), is below the tolerance; its worst
+    scalar is the first in C order with that discrepancy. A NaN loss makes
+    its discrepancy NaN, which fails the block and the report.
 
     Each finite-difference loss is bitwise the full recompute of both
     directions (`tests/oracles.py::_fd_loss_and_signs`), but a perturbation
-    reruns only the direction its block feeds and takes the other's loss
-    and signs from the unperturbed pass. Blocks above the T-LSTM reuse its
-    unperturbed output rows, and every block the unperturbed embedding rows
-    and image projection unless it feeds them (`_fd_rerun`); a softmax
-    block reruns only the logits and the loss of both directions'
-    unperturbed M-LSTM states. Relu signs are formed only for bi-f-lstm.
+    reruns only what its block feeds. A block of one direction reruns that
+    direction's `model.unroll`, from a new T-LSTM pass if the block feeds
+    the T-LSTM (the embedding, `t_lstm.*`) and with a new image-folded
+    M-LSTM cell if it feeds the cell (`m_lstm.Wimg`, `m_lstm.b`), else from
+    the unperturbed T-LSTM rows and cell; the other direction's loss and
+    relu signs stay at their unperturbed values. A softmax block reruns
+    only the logits and the loss of both directions' unperturbed M-LSTM
+    states.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ConfigError(f"epsilon must be in (0, 1e-3], got {epsilon}")
@@ -577,68 +546,69 @@ def grad_check(m: CaptionModel, ex: CaptionedExample, epsilon: float = 1e-6,
 
     analytic = accumulate_grads([joint_backward(m, ex)[1]])
     report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
+
+    def run(d, targets, h1s, cell):  # loss, relu sign bytes, M-LSTM trace
+        preacts, m_trace, logits = unroll(m, d, h1s, cell)
+        return _target_nll(logits, targets), (preacts > 0.0).tobytes(), m_trace
+
     # every check restores its scalar exactly, so what the unperturbed
-    # model forms here stands for every block that does not feed it
-    dirs = {direction: m.direction(direction)
-            for direction in (FORWARD, BACKWARD)}
-    io = {dn: direction_io(ex.tokens, dn) for dn in dirs}
-    rows = {dn: d.embedding.T[io[dn][0]] for dn, d in dirs.items()}
-    cells = {dn: image_input(d, ex.feature) for dn, d in dirs.items()}
-    h1s = {dn: sequence_forward(d.t_lstm, rows[dn]).hs[1:]
-           for dn, d in dirs.items()}
-    base = {dn: _fd_direction(m, d, io[dn][1], h1s[dn], cells[dn])
-            for dn, d in dirs.items()}
-    h2s = {dn: p[2].hs[1:] for dn, p in base.items()}
+    # model forms here stands for every block that does not feed it:
+    # direction -> (loss, M-LSTM outputs, what a rerun reads)
+    base = {}
+    for dn in (FORWARD, BACKWARD):
+        d, (inputs, targets) = m.direction(dn), direction_io(ex.tokens, dn)
+        h1s = sequence_forward(d.t_lstm, d.embedding.T[inputs]).hs[1:]
+        cell = image_input(d, ex.feature)
+        loss, _, m_trace = run(d, targets, h1s, cell)
+        base[dn] = loss, m_trace.hs[1:], (d, inputs, targets, h1s, cell)
 
     for name, arr in m.blocks():
-        grad = analytic[name]
         if name.startswith("softmax_"):
             def fd_loss_and_signs():
-                lf, lb = (_target_nll(softmax_logits(m, h2s[dn]), io[dn][1])
-                          for dn in base)
-                return lf + lb, base[FORWARD][1] + base[BACKWARD][1]
+                lf, lb = (_target_nll(softmax_logits(m, h2s), targets)
+                          for _, h2s, (_, _, targets, _, _) in base.values())
+                return lf + lb, b""
         else:
             prefix, _, layer = name.partition(".")
-            rerun = (FORWARD if prefix == DIRECTION_PREFIX[FORWARD]
-                     else BACKWARD)
-            fd_direction = _fd_rerun(m, dirs[rerun], ex.feature, io[rerun],
-                                     layer, rows[rerun], h1s[rerun],
-                                     cells[rerun])
+            dn = FORWARD if prefix == DIRECTION_PREFIX[FORWARD] else BACKWARD
+            other = base[BACKWARD if dn == FORWARD else FORWARD][0]
+            _, _, (d, inputs, targets, h1s, cell) = base[dn]
+            feeds_t_lstm = layer == "embedding" or layer.startswith("t_lstm.")
+            feeds_cell = layer in ("m_lstm.Wimg", "m_lstm.b")
 
             def fd_loss_and_signs():
-                passes = {**base, rerun: fd_direction()}
-                (lf, sf, _), (lb, sb, _) = passes.values()
-                return lf + lb, sf + sb
+                loss, signs, _ = run(
+                    d, targets,
+                    (sequence_forward(d.t_lstm, d.embedding.T[inputs]).hs[1:]
+                     if feeds_t_lstm else h1s),
+                    image_input(d, ex.feature) if feeds_cell else cell)
+                return loss + other, signs
 
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        n_checked = 0
-        n_rejected = 0
-        max_abs_err = 0.0
-        scale = 1e-8
+        lp, lm = np.empty(arr.size), np.empty(arr.size)
+        kept = np.empty(arr.size, dtype=bool)
+        for i, idx in enumerate(np.ndindex(arr.shape)):
+            orig = arr[idx]
+            arr[idx] = orig + epsilon
+            lp[i], sp = fd_loss_and_signs()
+            arr[idx] = orig - epsilon
+            lm[i], sm = fd_loss_and_signs()
+            arr[idx] = orig
+            kept[i] = sp == sm
+        checked = np.flatnonzero(kept)
+        a = analytic[name].ravel()[checked]
+        numeric = (lp - lm)[checked] / (2.0 * epsilon)
+        err = np.abs(a - numeric)
+        max_abs_err = float(err.max(initial=0.0))
         worst = (-1, 0.0, 0.0)
-        for idx in range(arr.size):
-            orig = flat[idx]
-            flat[idx] = orig + epsilon
-            lp, sp = fd_loss_and_signs()
-            flat[idx] = orig - epsilon
-            lm, sm = fd_loss_and_signs()
-            flat[idx] = orig
-            if sp != sm:
-                n_rejected += 1
-                continue
-            numeric = (lp - lm) / (2.0 * epsilon)
-            a = float(gflat[idx])
-            n_checked += 1
-            scale = max(scale, abs(a), abs(numeric))
-            err = abs(a - numeric)
-            if err > max_abs_err:
-                max_abs_err = err
-                worst = (int(idx), a, numeric)
+        if max_abs_err != 0.0:  # a NaN one too, the first in C order
+            w = int(np.argmax(err))
+            worst = (int(checked[w]), float(a[w]), float(numeric[w]))
+        scale = float(np.abs([a, numeric]).max(initial=1e-8))
         report.blocks.append(BlockCheck(
-            name=name, n_checked=n_checked, n_rejected=n_rejected,
-            max_abs_err=max_abs_err, grad_scale=scale,
-            rel_err=max_abs_err / scale, worst_index=worst[0],
-            worst_analytic=worst[1], worst_numeric=worst[2],
+            name=name, n_checked=len(checked),
+            n_rejected=arr.size - len(checked), max_abs_err=max_abs_err,
+            grad_scale=scale, rel_err=max_abs_err / scale,
+            worst_index=worst[0], worst_analytic=worst[1],
+            worst_numeric=worst[2],
         ))
     return report

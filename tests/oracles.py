@@ -5,14 +5,15 @@ oracle is scalar Python loops, the full-stack oracle is straight-line numpy,
 the decoding oracles re-run the forward pass from scratch on every prefix,
 one hypothesis at a time, retrieval ranks are found one query at a time,
 and BLEU-style counts are done by hand where needed. Three are exceptions.
-The finite-difference loss is the library's own forward pass, rerun in
-full for both directions, the reference that grad_check's reuse of
-unperturbed rows must match bit for bit. The fresh-array LSTM step is the
-library's step arithmetic with a new array for each result, the reference
-that lstm.cell_forward's writes into its caller's rows must match bit for
-bit. The sequential joint backward is the library's per-direction pass
-and backward, run in order on one thread, the reference that
-train.joint_backward's two threads must match bit for bit.
+The finite-difference loss is the library's own forward pass (`unroll`),
+rerun in full for both directions with its own loss and relu signs, the
+reference that grad_check's reuse of unperturbed rows must match bit for
+bit. The fresh-array LSTM step is the library's step arithmetic with a new
+array for each result, the reference that lstm.cell_forward's writes into
+its caller's rows must match bit for bit. The sequential joint backward is
+the library's per-direction pass and backward, run in order on one thread,
+the reference that train.joint_backward's two threads must match bit for
+bit.
 """
 
 import math
@@ -23,9 +24,9 @@ from bicaption.data import BOUNDARY_ID
 from bicaption.lstm import LstmTrace, gates, sequence_forward
 from bicaption.model import (ArchitectureKind, BACKWARD, FORWARD,
                              ForwardPassRecord, direction_forward, image_input,
-                             model_backward)
+                             model_backward, unroll)
 from bicaption.numcore import log_softmax, matvec
-from bicaption.train import _direction_pass, _fd_direction, direction_io
+from bicaption.train import _direction_pass, direction_io
 
 
 def scalar_sigmoid(x: float) -> float:
@@ -344,17 +345,19 @@ def _fd_loss_and_signs(m, ex):
     full, the reference for train.grad_check's reuse of unperturbed rows.
 
     Each direction runs the shared `model.unroll` that joint_loss runs
-    through direction_forward, minus the probabilities, so the arithmetic
-    is identical and a test pins the two to exact equality.
+    through direction_forward, minus the probabilities, and takes the
+    negated sum of its targets' log-softmax entries in step order, so the
+    arithmetic is identical and a test pins the two to exact equality.
     """
     passes = []
     for direction in (FORWARD, BACKWARD):
         inputs, targets = direction_io(ex.tokens, direction)
         d = m.direction(direction)
         h1s = sequence_forward(d.t_lstm, d.embedding.T[inputs]).hs[1:]
-        passes.append(_fd_direction(m, d, targets, h1s,
-                                    image_input(d, ex.feature)))
-    (lf, sf, _), (lb, sb, _) = passes
+        preacts, _, logits = unroll(m, d, h1s, image_input(d, ex.feature))
+        loss = -sum(log_softmax(logits)[np.arange(len(targets)), targets])
+        passes.append((loss, (preacts > 0.0).tobytes()))
+    (lf, sf), (lb, sb) = passes
     return lf + lb, (sf + sb if m.arch == ArchitectureKind.BI_F_LSTM else None)
 
 

@@ -13,11 +13,13 @@ import bicaption.checkpoint as checkpoint_mod
 from bicaption.checkpoint import (deserialize_model, load_checkpoint,
                                   save_checkpoint, serialize_model)
 from bicaption.cli import main
-from bicaption.data import make_toy_dataset, write_features, write_vocab
+from bicaption.data import (CaptionedExample, make_toy_dataset,
+                            write_features, write_vocab)
 from bicaption.errors import BicaptionError, CheckpointError, TrainingError
 from bicaption.model import (ArchitectureKind, CaptionModel, block_shapes,
                              init_model, random_model)
-from bicaption.train import TrainConfig, make_state, sgd_step, train_epochs
+from bicaption.train import (TrainConfig, grad_check, make_state, sgd_step,
+                             train_epochs)
 
 # magic, then version u32, arch u8 and seven u32 dimensions
 HEADER = struct.Struct("<IB7I")
@@ -351,6 +353,16 @@ class TestVersion1:
             assert np.shares_memory(arr, storage) == adopted
             merged = name.endswith((".m_lstm.Wx", ".m_lstm.Wimg"))
             assert arr.flags.c_contiguous != merged, name
+
+    @pytest.mark.parametrize("arch", list(ArchitectureKind))
+    def test_grad_check_matches_contiguous(self, arch):
+        # the merged block's column views are perturbed in place, not
+        # through a reshaped copy
+        m = random_model(arch, 7, 3, 4, 5, seed=0)
+        ex = CaptionedExample("x", np.array([0.3, -0.2, 0.1]), [2, 4, 6])
+        report = grad_check(deserialize_model(v1_blob(m)), ex)
+        assert report.passed
+        assert report == grad_check(m, ex)
 
     def test_caption_output_matches_v2(self, tmp_path, capsys):
         vocab, examples = make_toy_dataset(4, 10, 7, seed=4)

@@ -14,7 +14,7 @@ from bicaption.cli import main
 from bicaption.data import (Vocabulary, make_toy_dataset, write_captions,
                             write_features, write_vocab)
 from bicaption.errors import BicaptionError
-from bicaption.model import ArchitectureKind
+from bicaption.model import ArchitectureKind, random_model
 
 
 def toy_caption_text(vocab, ex):
@@ -818,6 +818,25 @@ class TestNumericFailures:
         assert err == "error: non-finite gradient in block fwd.embedding\n"
         assert caught == []
         assert started_threads
+
+    @pytest.mark.parametrize("command", ["caption", "dump-gates"])
+    def test_infinite_logit_is_one_line_exit_2(self, command, tmp_path,
+                                               capsys):
+        # a finite checkpoint whose first step overflows a logit to +inf
+        vocab, examples = make_toy_dataset(3, 20, 7)
+        _, features, vocab_path = write_corpus(tmp_path, vocab, examples)
+        m = random_model(ArchitectureKind.BI_LSTM, vocab.size, 7, 16, 16)
+        for d in (m.fwd, m.bwd):
+            d.m_lstm.b[:] = 50.0
+        m.softmax_w[0, :] = 1.7e308
+        save_checkpoint(m, tmp_path / "m.ckpt")
+        argv = [a.format(ckpt=tmp_path / "m.ckpt", features=features,
+                         vocab=vocab_path, dir=tmp_path)
+                for a in BASE_ARGV[command]]
+        rc, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert err == ("error: forward decoding step 1: no candidate has a "
+                       "finite log-probability\n")
 
 
 BIG = str(10 ** 30)

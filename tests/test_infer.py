@@ -210,6 +210,18 @@ class TestDecodeDirection:
         with pytest.raises(ShapeError):
             decode_direction(m, FORWARD, np.zeros(3))
 
+    @pytest.mark.parametrize("beam_k", [1, 3])
+    def test_infinite_logit_refused(self, beam_k):
+        # saturated M-LSTM gates and a huge softmax row overflow one logit
+        # to +inf, so every log-probability of the step is NaN
+        m = random_model(BI, 20, 7, 16, 16, seed=0)
+        for d in (m.fwd, m.bwd):
+            d.m_lstm.b[:] = 50.0
+        m.softmax_w[0, :] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DataError, match="^backward decoding step 1: no candidate"):
+            decode_direction(m, BACKWARD, np.zeros(7), beam_k)
+
 
 def hyp(tokens, logprob):
     return Hypothesis(tokens=list(tokens), logprob_sum=logprob)

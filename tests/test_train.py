@@ -846,6 +846,18 @@ class TestGradCheck:
         assert len(lines) == len(list(m.blocks())) + 1
         assert lines[-1].startswith("PASS" if report.passed else "FAIL")
 
+    def test_non_finite_loss_fails(self):
+        # an overflowing logit makes every loss NaN; no block may pass
+        m = random_model(BI, 5, 2, 3, 3, seed=0)
+        for d in (m.fwd, m.bwd):
+            d.m_lstm.b[:] = 50.0
+        m.softmax_w[0, :] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = grad_check(m, toy_example(0, vocab=5, feat=2, length=2))
+        assert not report.passed and math.isnan(report.max_rel_err)
+        assert all(math.isnan(b.rel_err) and b.worst_index == 0
+                   for b in report.blocks)
+
     def test_epsilon_bounds(self):
         m = random_model(BI, 5, 2, 3, 3, seed=0)
         with pytest.raises(ConfigError):
